@@ -1,18 +1,30 @@
 """Exact-sign inequality checks and the Turán-type conjecture scanner.
 
-Everything here compares exact rationals; no verdict ever passes or fails
-by tolerance.  Grids are explicit lists of rationals (never float ranges)
-and scans are deterministic: identical grids yield identical reports.
+Everything here decides exact signs; no verdict ever passes or fails by
+tolerance, and there is no floating point.  Grids are explicit lists of
+rationals (never float ranges) and scans are deterministic: identical grids
+yield identical reports.
+
+The three scans share one gcd-free integer kernel.  At a point x = p/q,
+r = a/b, with L = lcm(q, b), the scaled values D_n = n! L^n d_n(x) are
+plain integers obeying
+
+    D_0 = 1,  D_1 = A,  D_{n+1} = A D_n + n L^2 (n+2r) D_{n-1},  A = L(1+2x),
+
+so each scanned quantity is an integer numerator over a known positive
+integer scale.  A verdict is the sign of that numerator; a ``Fraction`` is
+built (and reduced) only for a reported violation, and it equals the value
+the plain rational recurrence gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 
 from .dcore import EvalPoint, d_eval_sequence
-from .exactnum import as_rational, binom_gen
+from .exactnum import as_rational, check_natural
 from .reports import ScanReport
 
 
@@ -29,8 +41,7 @@ class GridSpec:
         object.__setattr__(self, "x_values", tuple(as_rational(v) for v in self.x_values))
         if not self.r_values or not self.x_values:
             raise ValueError("grid value lists must be non-empty")
-        if self.n_max < 0:
-            raise ValueError("n_max must be a natural number")
+        check_natural(self.n_max, "n_max")
 
     def points(self):
         """Grid points in canonical (r-major, x-minor) order."""
@@ -78,6 +89,148 @@ def default_conjecture_grid() -> GridSpec:
     )
 
 
+def _scaled_d(at: EvalPoint, L: int, A: int):
+    """Yield D_0, D_1, D_2, ... with D_n = n! L^n d_n(x) at ``at``, forever.
+
+    Only the last two values are kept; each is a plain ``int``.
+    """
+    L2 = L * L
+    K = 2 * at.r.numerator * (L // at.r.denominator) * L  # L^2 * 2r
+    yield 1
+    prev, cur = 1, A
+    n = 1
+    while True:
+        yield cur
+        prev, cur = cur, A * cur + n * (L2 * n + K) * prev
+        n += 1
+
+
+def _scale(at: EvalPoint) -> tuple[int, int]:
+    """(L, A): the common denominator L of x and r, and A = L(1+2x)."""
+    L = lcm(at.x.denominator, at.r.denominator)
+    return L, L + 2 * at.x.numerator * (L // at.x.denominator)
+
+
+def _turan_terms(at: EvalPoint, n_max: int):
+    """(n, t, s) for n = 1..n_max: turan_value(n, at) = t / s with s > 0.
+
+    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}),  s = (n+1)! n! L^(2n).
+    """
+    L, A = _scale(at)
+    L2 = L * L
+    d = _scaled_d(at, L, A)
+    prev, cur = next(d), next(d)
+    s = 2 * L2
+    for n, nxt in zip(range(1, n_max + 1), d):
+        t = (n + 1) * cur * cur - n * nxt * prev
+        yield n, (-t if n % 2 else t), s
+        prev, cur = cur, nxt
+        s *= (n + 2) * (n + 1) * L2
+
+
+def _positivity_terms(at: EvalPoint, n_max: int):
+    """(n, t, s) with t / s the claimed-positive margin, s > 0.
+
+    For x < -1/2: (-1)^n d_n = (-1)^n D_n / (n! L^n), n = 0..n_max.
+    For x > -1/2: d_n - (1+2x)^n / n! = (D_n - A^n) / (n! L^n), n = 2..n_max;
+    the bound (1+2x)^n / n! itself is positive there because A > 0.
+    """
+    L, A = _scale(at)
+    d = _scaled_d(at, L, A)
+    s = 1
+    if A < 0:
+        for n, D in zip(range(n_max + 1), d):
+            yield n, (-D if n % 2 else D), s
+            s *= (n + 1) * L
+        return
+    power = 1
+    for n, D in zip(range(n_max + 1), d):
+        if n >= 2:
+            yield n, D - power, s
+        s *= (n + 1) * L
+        power *= A
+
+
+def _lower_bound_terms(at: EvalPoint, n_max: int):
+    """(n, t, s) for n = 2..n_max with t / s = lhs - rhs, s > 0, where
+    lhs = d_n d_{n-1} / (1+2x) and rhs = (binom(2r+n-1, n-1) + d_{n-1}^2) / n.
+
+    With b the denominator of r, binom(2r+n-1, n-1) = P_n / (b^(n-1) (n-1)!)
+    for P_n = prod_{j<n} (2a + jb), so over the scale n! (n-1)! L^(2n-2)
+    the right side has numerator R = P_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2,
+    and lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); the sign
+    of A moves to the numerator so that s stays positive.  For r > -1/2
+    every factor of P_n is positive, so R > 0: the claim rhs > 0 holds on
+    the whole domain and only the sign of lhs - rhs is in question.
+    """
+    L, A = _scale(at)
+    L2 = L * L
+    twice_a, b = 2 * at.r.numerator, at.r.denominator
+    M = L2 // b
+    sign = 1 if A > 0 else -1
+    d = _scaled_d(at, L, A)
+    prev, cur = next(d), next(d)
+    T = (twice_a + b) * M  # P_n (n-1)! M^(n-1) at n = 2
+    s = 2 * L2 * abs(A)
+    for n, nxt in zip(range(2, n_max + 1), d):
+        prev, cur = cur, nxt
+        R = T + prev * prev
+        yield n, sign * (cur * prev - A * R), s
+        T *= (twice_a + n * b) * n * M
+        s *= (n + 1) * n * L2
+
+
+def _scan(claim_id: str, grid: GridSpec, skip_reason, terms) -> ScanReport:
+    """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
+    does not exclude; a negative numerator is a violation, a zero one a
+    zero hit."""
+    violations = []
+    zero_hits = []
+    skipped = []
+    for point in grid.points():
+        reason = skip_reason(point)
+        if reason is not None:
+            skipped.append({"r": point.r, "x": point.x, "reason": reason})
+            continue
+        for n, t, s in terms(point, grid.n_max):
+            if t < 0:
+                violations.append((n, point.r, point.x, Fraction(t, s)))
+            elif t == 0:
+                zero_hits.append((n, point.r, point.x))
+    return ScanReport(
+        claim_id=claim_id,
+        grid=grid.as_dict(),
+        violations=tuple(violations),
+        zero_hits=tuple(zero_hits),
+        skipped=tuple(skipped),
+    )
+
+
+_MINUS_HALF = Fraction(-1, 2)
+
+
+def _lower_bound_skip(point: EvalPoint) -> str | None:
+    if point.r <= _MINUS_HALF:
+        return "requires r > -1/2"
+    if point.x == _MINUS_HALF:
+        return "requires x != -1/2"
+    return None
+
+
+def _positivity_skip(point: EvalPoint) -> str | None:
+    if point.r <= _MINUS_HALF:
+        return "requires r > -1/2"
+    if point.x == _MINUS_HALF:
+        return "claims apply only off x = -1/2"
+    return None
+
+
+def _conjecture_skip(point: EvalPoint) -> str | None:
+    if point.r < 0 or not (-1 <= point.x <= 0):
+        return "outside the conjectured region"
+    return None
+
+
 def check_product_lower_bound(grid: GridSpec) -> ScanReport:
     """d_n d_{n-1} / (1+2x) >= (binom(2r+n-1, n-1) + d_{n-1}^2) / n > 0.
 
@@ -85,33 +238,7 @@ def check_product_lower_bound(grid: GridSpec) -> ScanReport:
     points are recorded as skipped.  Points where the first inequality
     degenerates to equality go to zero_hits.
     """
-    violations = []
-    zero_hits = []
-    skipped = []
-    for point in grid.points():
-        if point.r <= Fraction(-1, 2):
-            skipped.append({"r": point.r, "x": point.x, "reason": "requires r > -1/2"})
-            continue
-        if point.x == Fraction(-1, 2):
-            skipped.append({"r": point.r, "x": point.x, "reason": "requires x != -1/2"})
-            continue
-        seq = d_eval_sequence(grid.n_max, point)
-        for n in range(2, grid.n_max + 1):
-            lhs = seq[n] * seq[n - 1] / (1 + 2 * point.x)
-            rhs = (binom_gen(2 * point.r + n - 1, n - 1) + seq[n - 1] ** 2) / n
-            if rhs <= 0:
-                violations.append((n, point.r, point.x, rhs))
-            elif lhs < rhs:
-                violations.append((n, point.r, point.x, lhs - rhs))
-            elif lhs == rhs:
-                zero_hits.append((n, point.r, point.x))
-    return ScanReport(
-        claim_id="product-lower-bound",
-        grid=grid.as_dict(),
-        violations=tuple(violations),
-        zero_hits=tuple(zero_hits),
-        skipped=tuple(skipped),
-    )
+    return _scan("product-lower-bound", grid, _lower_bound_skip, _lower_bound_terms)
 
 
 def check_positivity(grid: GridSpec) -> ScanReport:
@@ -121,39 +248,7 @@ def check_positivity(grid: GridSpec) -> ScanReport:
     d_n > (2x+1)^n / n! > 0.  Strict-inequality boundary hits are recorded
     separately from violations.
     """
-    violations = []
-    zero_hits = []
-    skipped = []
-    for point in grid.points():
-        if point.r <= Fraction(-1, 2):
-            skipped.append({"r": point.r, "x": point.x, "reason": "requires r > -1/2"})
-            continue
-        if point.x == Fraction(-1, 2):
-            skipped.append({"r": point.r, "x": point.x, "reason": "claims apply only off x = -1/2"})
-            continue
-        seq = d_eval_sequence(grid.n_max, point)
-        if point.x < Fraction(-1, 2):
-            for n in range(grid.n_max + 1):
-                value = -seq[n] if n % 2 else seq[n]
-                if value < 0:
-                    violations.append((n, point.r, point.x, value))
-                elif value == 0:
-                    zero_hits.append((n, point.r, point.x))
-        else:
-            for n in range(2, grid.n_max + 1):
-                bound = (1 + 2 * point.x) ** n / Fraction(factorial(n))
-                margin = seq[n] - bound
-                if margin < 0 or bound <= 0:
-                    violations.append((n, point.r, point.x, margin))
-                elif margin == 0:
-                    zero_hits.append((n, point.r, point.x))
-    return ScanReport(
-        claim_id="positivity",
-        grid=grid.as_dict(),
-        violations=tuple(violations),
-        zero_hits=tuple(zero_hits),
-        skipped=tuple(skipped),
-    )
+    return _scan("positivity", grid, _positivity_skip, _positivity_terms)
 
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:
@@ -173,26 +268,4 @@ def scan_conjecture(grid: GridSpec) -> ScanReport:
     degenerates to equality at some boundary points, and this scanner
     records rather than resolves that.
     """
-    violations = []
-    zero_hits = []
-    skipped = []
-    for point in grid.points():
-        if point.r < 0 or not (-1 <= point.x <= 0):
-            skipped.append({"r": point.r, "x": point.x, "reason": "outside the conjectured region"})
-            continue
-        seq = d_eval_sequence(grid.n_max + 1, point)
-        for n in range(1, grid.n_max + 1):
-            value = seq[n] ** 2 - seq[n + 1] * seq[n - 1]
-            if n % 2:
-                value = -value
-            if value < 0:
-                violations.append((n, point.r, point.x, value))
-            elif value == 0:
-                zero_hits.append((n, point.r, point.x))
-    return ScanReport(
-        claim_id="turan-conjecture",
-        grid=grid.as_dict(),
-        violations=tuple(violations),
-        zero_hits=tuple(zero_hits),
-        skipped=tuple(skipped),
-    )
+    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_terms)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .exactnum import RationalLike, as_rational, format_rational
+from .exactnum import RationalLike, as_rational, check_natural, format_rational
 
 Key = tuple[int, int]  # (degree in x, degree in r)
 
@@ -321,8 +321,7 @@ def binom_poly(linear: BiPoly, k: int) -> BiPoly:
     Computes linear*(linear-1)*...*(linear-k+1) / k! for an affine
     ``linear`` in x and r; the result has total degree k.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("lower index must be a natural number")
+    check_natural(k, "lower index")
     if not linear.is_affine:
         raise ValueError("binom_poly requires an affine top argument")
     prod = BiPoly.one()

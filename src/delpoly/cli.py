@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .analysis import GridSpec, default_conjecture_grid, scan_conjecture
 from .dcore import EvalPoint, Route, d_eval, d_sequence, delannoy_dp
-from .exactnum import format_rational, parse_rational
+from .exactnum import check_natural, format_rational, parse_rational
 from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -32,14 +32,19 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip()]
 
 
-def _natural(text: str) -> int:
+def _parse_natural(text: str, name: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+        raise ValueError(f"{name} is not an integer: {text!r}") from exc
+    return check_natural(value, name)
+
+
+def _natural(text: str) -> int:
+    try:
+        return _parse_natural(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +118,10 @@ def parse_grid_file(path: str) -> GridSpec:
                 if not sep:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {token!r}")
                 if key == "n_max":
-                    n_max = _natural(value)
+                    try:
+                        n_max = _parse_natural(value, "n_max")
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 elif key == "r":
                     q = parse_rational(value)
                     if q not in r_values:

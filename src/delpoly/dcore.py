@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .bipoly import BiPoly, binom_poly
-from .exactnum import RationalLike, as_rational, pochhammer
+from .exactnum import RationalLike, as_rational, check_natural, pochhammer
 
 _X = BiPoly.x()
 _R = BiPoly.r()
@@ -126,6 +126,9 @@ def clear_caches() -> None:
 
 
 def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
+    # Validate before touching the cache: a negative index would otherwise
+    # read (or slice) whatever prefix an earlier call happened to build.
+    check_natural(n_max, "n_max")
     with _cache_lock:
         polys = _cache.setdefault(route, [])
         while len(polys) <= n_max:
@@ -203,13 +206,12 @@ def d_eval(n: int, at: EvalPoint) -> Fraction:
 
     No symbolic algebra is involved, so this scales to n in the thousands.
     """
-    return d_eval_sequence(n, at)[n]
+    return d_eval_sequence(check_natural(n, "n"), at)[n]
 
 
 def d_eval_sequence(n_max: int, at: EvalPoint) -> list[Fraction]:
     """Exact scalar values d_0 .. d_n_max at one point."""
-    if n_max < 0:
-        raise ValueError("n_max must be a natural number")
+    check_natural(n_max, "n_max")
     out = [Fraction(1)]
     if n_max >= 1:
         out.append(1 + 2 * at.x)

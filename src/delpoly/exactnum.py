@@ -49,10 +49,17 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _check_index(k: int) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"lower index must be a natural number, got {k!r}")
-    return k
+def check_natural(value: int, name: str) -> int:
+    """Return ``value`` if it is a natural number (an ``int`` >= 0, not a
+    ``bool``); raise ValueError naming ``name`` otherwise.
+
+    This is the one index and depth check of the package: library entry
+    points and the CLI both use it, so bad input fails the same way at
+    either boundary instead of being coerced or silently reinterpreted.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a natural number, got {value!r}")
+    return value
 
 
 def binom_gen(z: RationalLike, k: int) -> Fraction:
@@ -62,7 +69,7 @@ def binom_gen(z: RationalLike, k: int) -> Fraction:
     the product crosses zero and the result is 0.  The product is
     accumulated over a common denominator and reduced exactly once.
     """
-    _check_index(k)
+    check_natural(k, "lower index")
     z = as_rational(z)
     num = 1
     zn, zd = z.numerator, z.denominator
@@ -75,7 +82,7 @@ def binom_gen(z: RationalLike, k: int) -> Fraction:
 
 def pochhammer(a: RationalLike, k: int) -> Fraction:
     """Rising factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
-    _check_index(k)
+    check_natural(k, "lower index")
     a = as_rational(a)
     num = 1
     an, ad = a.numerator, a.denominator
@@ -88,7 +95,6 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
 
 def binom_int(n: int, k: int) -> int:
     """Ordinary binomial coefficient for natural n, k; 0 when k > n."""
-    _check_index(k)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"top index must be a natural number, got {n!r}")
+    check_natural(k, "lower index")
+    check_natural(n, "top index")
     return comb(n, k)

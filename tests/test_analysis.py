@@ -26,6 +26,12 @@ def test_gridspec_validation():
         GridSpec((Fraction(0),), (Fraction(0),), -1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3", -1])
+def test_gridspec_rejects_non_natural_n_max(bad):
+    with pytest.raises(ValueError, match=f"n_max must be a natural number, got {bad!r}"):
+        GridSpec((Fraction(0),), (Fraction(0),), bad)
+
+
 def test_gridspec_point_order_is_canonical():
     grid = GridSpec((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(2)), 3)
     points = list(grid.points())

@@ -132,6 +132,12 @@ def test_binom_poly_rejects_non_affine():
         binom_poly(X**2, 1)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_binom_poly_rejects_non_natural_index(bad):
+    with pytest.raises(ValueError, match="lower index must be a natural number"):
+        binom_poly(X + R, bad)
+
+
 def geometric(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(BiPoly.one() for _ in range(order)))
 

@@ -182,6 +182,32 @@ def test_scan_malformed_grid_file(tmp_path, capsys):
     assert "n_max" in err
 
 
+@pytest.mark.parametrize("bad", ["-1", "2.5", "True"])
+def test_scan_rejects_non_natural_n_max_flag(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--n-max", bad])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    if bad == "-1":
+        assert "must be a natural number, got -1" in err
+    else:
+        assert f"is not an integer: {bad!r}" in err
+
+
+@pytest.mark.parametrize("bad", ["-1", "2.5", "True"])
+def test_scan_rejects_non_natural_n_max_in_grid_file(tmp_path, capsys, bad):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"n_max={bad}\nr=0 x=0\n")
+    code, out, err = run_cli(capsys, "scan", "--grid-file", str(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    if bad == "-1":
+        # the same message GridSpec gives for n_max=-1
+        assert "grid.txt:1: n_max must be a natural number, got -1" in err
+    else:
+        assert f"grid.txt:1: n_max is not an integer: {bad!r}" in err
+
+
 def test_parse_grid_file_details(tmp_path):
     from fractions import Fraction
 

@@ -20,6 +20,7 @@ from delpoly.dcore import (
     d_series,
     d_threeterm,
     d_twoterm,
+    clear_caches,
     delannoy_dp,
     jacobi_eval,
     meixner_eval,
@@ -143,6 +144,26 @@ def test_d_eval_matches_symbolic():
         values = d_eval_sequence(9, at)
         for n in range(10):
             assert values[n] == poly_eval(seq.polys[n], at)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
+def test_bad_indices_fail_whatever_the_cache_holds(warm):
+    clear_caches()
+    if warm:
+        d_sequence(Route.DIRECT, 5)
+    at = EvalPoint(Fraction(1, 3), Fraction(-1, 4))
+    for bad in (-1, -3, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="must be a natural number"):
+            d_direct(bad)
+        with pytest.raises(ValueError, match="must be a natural number"):
+            d_sequence(Route.DIRECT, bad)
+        with pytest.raises(ValueError, match="must be a natural number"):
+            d_eval(bad, at)
+        with pytest.raises(ValueError, match="must be a natural number"):
+            d_eval_sequence(bad, at)
+    # the rejected calls left the cache as it was
+    assert d_sequence(Route.DIRECT, 5).polys == d_threeterm(5).polys
+    clear_caches()
 
 
 def test_excluded_half_integer_predicate():

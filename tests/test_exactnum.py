@@ -1,6 +1,7 @@
 """Tests for the exact combinatorial primitives."""
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +10,7 @@ import pytest
 from delpoly.exactnum import (
     binom_gen,
     binom_int,
+    check_natural,
     format_rational,
     parse_rational,
     pochhammer,
@@ -82,6 +84,14 @@ def test_binom_gen_pascal_recurrence():
 def test_binom_gen_rejects_negative_k():
     with pytest.raises(ValueError):
         binom_gen(Fraction(1, 2), -1)
+
+
+def test_check_natural():
+    assert check_natural(0, "k") == 0
+    assert check_natural(7, "k") == 7
+    for bad in (-1, True, False, 2.5, "3", Fraction(2)):
+        with pytest.raises(ValueError, match=re.escape(f"k must be a natural number, got {bad!r}")):
+            check_natural(bad, "k")
 
 
 def test_pochhammer_basics():

@@ -1,0 +1,220 @@
+"""Tests of the integer kernel behind the three exact-sign scans.
+
+No in-region grid produces a violation, so these tests drive the kernel
+outside the scanned regions as well: every exact value it can report is
+compared with the plain ``Fraction`` formulas, and whole reports are
+compared with a ``Fraction`` reference scan written here.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from delpoly.analysis import (
+    GridSpec,
+    _lower_bound_terms,
+    _positivity_terms,
+    _scan,
+    _turan_terms,
+    check_positivity,
+    check_product_lower_bound,
+    default_conjecture_grid,
+    default_inequality_grid,
+    scan_conjecture,
+    turan_value,
+)
+from delpoly.dcore import EvalPoint, d_eval_sequence
+from delpoly.exactnum import binom_gen
+from delpoly.reports import ScanReport
+
+MINUS_HALF = Fraction(-1, 2)
+
+
+def _values(terms) -> dict[int, Fraction]:
+    out = {}
+    for n, t, s in terms:
+        assert s > 0
+        out[n] = Fraction(t, s)
+    return out
+
+
+def _positivity_reference(n_max: int, at: EvalPoint) -> dict[int, Fraction]:
+    seq = d_eval_sequence(n_max, at)
+    if at.x < MINUS_HALF:
+        return {n: (-seq[n] if n % 2 else seq[n]) for n in range(n_max + 1)}
+    return {
+        n: seq[n] - (1 + 2 * at.x) ** n / Fraction(factorial(n)) for n in range(2, n_max + 1)
+    }
+
+
+def _lower_bound_reference(n_max: int, at: EvalPoint) -> dict[int, Fraction]:
+    seq = d_eval_sequence(n_max, at)
+    out = {}
+    for n in range(2, n_max + 1):
+        lhs = seq[n] * seq[n - 1] / (1 + 2 * at.x)
+        rhs = (binom_gen(2 * at.r + n - 1, n - 1) + seq[n - 1] ** 2) / n
+        assert rhs > 0
+        out[n] = lhs - rhs
+    return out
+
+
+def test_kernel_matches_fraction_formulas_at_fixed_points():
+    points = [
+        EvalPoint(0, 0),
+        EvalPoint(Fraction(-7, 3), Fraction(5, 2)),
+        EvalPoint(Fraction(-1, 3), Fraction(-9, 4)),
+        EvalPoint(Fraction(3, 8), Fraction(-5, 12)),
+        EvalPoint(2, -3),
+    ]
+    for at in points:
+        turan = _values(_turan_terms(at, 12))
+        assert turan == {n: turan_value(n, at) for n in range(1, 13)}
+        assert _values(_positivity_terms(at, 12)) == _positivity_reference(12, at)
+        if at.r > MINUS_HALF:
+            assert _values(_lower_bound_terms(at, 12)) == _lower_bound_reference(12, at)
+
+
+def test_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=40)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(r=rationals, x=rationals, n_max=st.integers(min_value=0, max_value=40))
+    def check(r, x, n_max):
+        at = EvalPoint(r, x)
+        seq = d_eval_sequence(n_max + 1, at)
+        turan = _values(_turan_terms(at, n_max))
+        assert set(turan) == set(range(1, n_max + 1))
+        for n, value in turan.items():
+            expected = seq[n] ** 2 - seq[n + 1] * seq[n - 1]
+            assert value == (-expected if n % 2 else expected)
+        if n_max >= 1:
+            assert turan[n_max] == turan_value(n_max, at)
+        if x != MINUS_HALF:
+            assert _values(_positivity_terms(at, n_max)) == _positivity_reference(n_max, at)
+            if r > MINUS_HALF:
+                assert _values(_lower_bound_terms(at, n_max)) == _lower_bound_reference(n_max, at)
+
+    check()
+
+
+# -- a plain Fraction reference scan ----------------------------------------
+
+
+def _reference_scan(claim_id: str, grid: GridSpec, skip_reason, margins) -> str:
+    violations, zero_hits, skipped = [], [], []
+    for point in grid.points():
+        reason = skip_reason(point)
+        if reason is not None:
+            skipped.append({"r": point.r, "x": point.x, "reason": reason})
+            continue
+        for n, value in margins(grid.n_max, point).items():
+            if value < 0:
+                violations.append((n, point.r, point.x, value))
+            elif value == 0:
+                zero_hits.append((n, point.r, point.x))
+    return ScanReport(
+        claim_id=claim_id,
+        grid=grid.as_dict(),
+        violations=tuple(violations),
+        zero_hits=tuple(zero_hits),
+        skipped=tuple(skipped),
+    ).to_json_line()
+
+
+def _turan_reference(n_max: int, at: EvalPoint) -> dict[int, Fraction]:
+    seq = d_eval_sequence(n_max + 1, at)
+    out = {}
+    for n in range(1, n_max + 1):
+        value = seq[n] ** 2 - seq[n + 1] * seq[n - 1]
+        out[n] = -value if n % 2 else value
+    return out
+
+
+def _inequality_skip(off_half_reason: str):
+    def skip(point):
+        if point.r <= MINUS_HALF:
+            return "requires r > -1/2"
+        if point.x == MINUS_HALF:
+            return off_half_reason
+        return None
+
+    return skip
+
+
+def _conjecture_skip(point):
+    if point.r < 0 or not (-1 <= point.x <= 0):
+        return "outside the conjectured region"
+    return None
+
+
+MIXED_GRID = GridSpec(
+    r_values=(Fraction(-1), MINUS_HALF, Fraction(-1, 4), Fraction(0), Fraction(1, 3), Fraction(2)),
+    x_values=(
+        Fraction(-2),
+        Fraction(-1),
+        Fraction(-3, 4),
+        MINUS_HALF,
+        Fraction(-1, 4),
+        Fraction(0),
+        Fraction(1, 2),
+        Fraction(3),
+    ),
+    n_max=12,
+)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [default_conjecture_grid(), default_inequality_grid(), MIXED_GRID],
+    ids=["conjecture-grid", "inequality-grid", "mixed-grid"],
+)
+def test_reports_match_fraction_reference(grid):
+    assert scan_conjecture(grid).to_json_line() == _reference_scan(
+        "turan-conjecture", grid, _conjecture_skip, _turan_reference
+    )
+    assert check_positivity(grid).to_json_line() == _reference_scan(
+        "positivity", grid, _inequality_skip("claims apply only off x = -1/2"), _positivity_reference
+    )
+    assert check_product_lower_bound(grid).to_json_line() == _reference_scan(
+        "product-lower-bound", grid, _inequality_skip("requires x != -1/2"), _lower_bound_reference
+    )
+
+
+def test_mixed_grid_hits_every_skip_reason():
+    reasons = set()
+    for scan in (scan_conjecture, check_positivity, check_product_lower_bound):
+        reasons |= {entry["reason"] for entry in scan(MIXED_GRID).skipped}
+    assert reasons == {
+        "outside the conjectured region",
+        "requires r > -1/2",
+        "requires x != -1/2",
+        "claims apply only off x = -1/2",
+    }
+
+
+def test_violation_reports_match_fraction_reference():
+    # Scanning the mixed grid without the claims' domain restrictions makes
+    # the scan driver itself build and report violations.
+    grid = GridSpec(MIXED_GRID.r_values, tuple(x for x in MIXED_GRID.x_values if x != MINUS_HALF), 12)
+
+    def no_skip(point):
+        return None
+
+    def skip_small_r(point):
+        return "requires r > -1/2" if point.r <= MINUS_HALF else None
+
+    cases = [
+        ("turan-conjecture", no_skip, _turan_terms, _turan_reference),
+        ("positivity", no_skip, _positivity_terms, _positivity_reference),
+        ("product-lower-bound", skip_small_r, _lower_bound_terms, _lower_bound_reference),
+    ]
+    reported = 0
+    for claim_id, skip, terms, reference in cases:
+        report = _scan(claim_id, grid, skip, terms)
+        assert report.to_json_line() == _reference_scan(claim_id, grid, skip, reference)
+        reported += len(report.violations)
+    assert reported > 0
