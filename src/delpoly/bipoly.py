@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .exactnum import RationalLike, as_rational, check_natural, format_rational
 
@@ -175,8 +175,7 @@ class BiPoly:
         return self * Fraction(f.denominator, f.numerator)
 
     def __pow__(self, exponent: int) -> "BiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a natural number")
+        check_natural(exponent, "exponent")
         result = BiPoly.one()
         base = self
         e = exponent
@@ -315,19 +314,34 @@ X = BiPoly.x()
 R = BiPoly.r()
 
 
+def binom_row(linear: BiPoly, k: int) -> list[BiPoly]:
+    """The binomial coefficients binom(linear, 0), ..., binom(linear, k).
+
+    ``linear`` must be affine in x and r.  Each entry is built from the one
+    before it with a single affine factor,
+
+        binom(linear, j+1) = binom(linear, j) * (linear - j) / (j + 1),
+
+    so a caller that needs every lower index up to k pays for k products
+    instead of rebuilding each falling product from 1.
+    """
+    check_natural(k, "lower index")
+    if not linear.is_affine:
+        raise ValueError("a polynomial binomial needs an affine top argument")
+    row = [BiPoly.one()]
+    for j in range(k):
+        row.append(row[j] * ((linear - j) / (j + 1)))
+    return row
+
+
 def binom_poly(linear: BiPoly, k: int) -> BiPoly:
     """Binomial coefficient with a polynomial top argument.
 
     Computes linear*(linear-1)*...*(linear-k+1) / k! for an affine
-    ``linear`` in x and r; the result has total degree k.
+    ``linear`` in x and r; the result has total degree k.  This is the last
+    entry of ``binom_row(linear, k)``.
     """
-    check_natural(k, "lower index")
-    if not linear.is_affine:
-        raise ValueError("binom_poly requires an affine top argument")
-    prod = BiPoly.one()
-    for j in range(k):
-        prod = prod * (linear - j)
-    return prod / factorial(k)
+    return binom_row(linear, k)[k]
 
 
 @dataclass(frozen=True)
@@ -388,8 +402,7 @@ def binomial_series(exponent: BiPoly, sign_of_t: int, order: int) -> TruncatedSe
         raise ValueError("sign_of_t must be +1 or -1")
     if not exponent.is_affine:
         raise ValueError("binomial_series requires an affine exponent")
-    if order < 0:
-        raise ValueError("order must be a natural number")
+    check_natural(order, "order")
     coeffs = []
     term = BiPoly.one()
     for k in range(order):

@@ -18,10 +18,9 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .bipoly import BiPoly, binom_poly
-from .exactnum import RationalLike, as_rational, check_natural, pochhammer
+from .bipoly import BiPoly, binom_row
+from .exactnum import RationalLike, as_rational, check_natural
 
 _X = BiPoly.x()
 _R = BiPoly.r()
@@ -111,8 +110,9 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 
 # One growing polynomial list per route; verifiers share prefixes heavily,
 # so sequences are extended in place (under a lock) rather than rebuilt.
-# _aux holds per-route working state: the mirror sequence d_n(-x) for the
-# two-term route, and the two factor coefficient lists for the series route.
+# _aux holds per-route working state: the two n-independent binomial rows of
+# the defining-sum route, the mirror sequence d_n(-x) for the two-term
+# route, and the two factor coefficient lists for the series route.
 _cache: dict[Route, list[BiPoly]] = {}
 _aux: dict[Route, list] = {}
 _cache_lock = threading.Lock()
@@ -139,20 +139,23 @@ def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
 def _extend(route: Route, polys: list[BiPoly]) -> None:
     n = len(polys)
     if route is Route.DIRECT:
+        # uppers[k] = binom(x+r+k, k) and lowers[j] = binom(x-r, j) do not
+        # depend on n; each grows by one factor per new n:
+        # binom(x+r+n, n) = binom(x+r+n-1, n-1) * (x+r+n) / n.
+        uppers, lowers = _aux.setdefault(route, [[BiPoly.one()], [BiPoly.one()]])
+        if n:
+            uppers.append(uppers[n - 1] * ((_X + _R + n) / n))
+            lowers.append(lowers[n - 1] * ((_X - _R - (n - 1)) / n))
         total = BiPoly.zero()
-        upper = BiPoly.one()
-        uppers = [upper]
-        for j in range(1, n + 1):
-            upper = upper * (_X - _R - (j - 1)) / j
-            uppers.append(upper)
         for k in range(n + 1):
-            total = total + binom_poly(_X + _R + k, k) * uppers[n - k]
+            total = total + uppers[k] * lowers[n - k]
         polys.append(total)
     elif route is Route.NEWFORM:
+        uppers = binom_row(n + 2 * _R, n)
         total = BiPoly.zero()
         lower = BiPoly.one()
         for k in range(n + 1):
-            total = total + binom_poly(n + 2 * _R, n - k) * lower
+            total = total + uppers[n - k] * lower
             lower = lower * (_X - _R - k) * Fraction(2, k + 1)
         polys.append(total)
     elif route is Route.THREE_TERM:
@@ -243,16 +246,15 @@ def jacobi_eval(n: int, alpha: BiPoly, beta: BiPoly, point: RationalLike) -> BiP
     alpha and beta may be affine in x and r (that is how the connection
     formulas use them), so the result is again a BiPoly.
     """
+    check_natural(n, "n")
     if not (alpha.is_affine and beta.is_affine):
         raise ValueError("jacobi_eval requires affine alpha and beta")
     t = as_rational(point)
+    alphas = binom_row(n + alpha, n)
+    betas = binom_row(n + beta, n)
     total = BiPoly.zero()
     for k in range(n + 1):
-        total = total + (
-            binom_poly(n + alpha, k)
-            * binom_poly(n + beta, n - k)
-            * ((t + 1) ** k * (t - 1) ** (n - k))
-        )
+        total = total + alphas[k] * betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))
     return total / Fraction(2**n)
 
 
@@ -261,19 +263,34 @@ def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> F
 
     Defined by sum_k (-n)_k (-x)_k / ((b)_k k!) * (1 - 1/c)^k; requires
     c != 0 and (b)_k != 0 for k <= n.
+
+    With x = xn/xd, b = bn/bd and z = 1 - 1/c = zn/zd, the term ratio
+    t_{k+1}/t_k is the integer quotient
+
+        (k - n)(k*xd - xn) * bd * zn  /  (xd * (bn + k*bd) * (k+1) * zd),
+
+    so the sum runs on plain ints over a running denominator and one
+    ``Fraction`` is built at the end.  The sum stops early where a factor
+    vanishes (k = n, or a natural x below n).
     """
+    check_natural(n, "n")
     xv, bv, cv = as_rational(x), as_rational(b), as_rational(c)
     if cv == 0:
         raise ValueError("meixner_eval requires c != 0")
     if bv.denominator == 1 and -(n - 1) <= bv <= 0:
         raise ValueError(f"pole in (b)_k for b = {bv} with n = {n}")
     z = 1 - 1 / cv
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (
-            pochhammer(-n, k)
-            * pochhammer(-xv, k)
-            / (pochhammer(bv, k) * factorial(k))
-            * z**k
-        )
-    return total
+    xn, xd = xv.numerator, xv.denominator
+    bn, bd = bv.numerator, bv.denominator
+    num_scale = bd * z.numerator
+    den_scale = xd * z.denominator
+    term = total = den = 1
+    for k in range(n):
+        fn = (k - n) * (k * xd - xn) * num_scale
+        if fn == 0:
+            break
+        fd = (bn + k * bd) * (k + 1) * den_scale
+        term *= fn
+        total = total * fd + term
+        den *= fd
+    return Fraction(total, den)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .exactnum import RationalLike, as_rational, format_rational, pochhammer
+from .exactnum import RationalLike, as_rational, check_natural, format_rational, pochhammer
 from .reports import Mode, VerifyReport
 
 
@@ -60,22 +60,36 @@ class HyperSpec:
 
 
 def hyper_eval(spec: HyperSpec) -> Fraction:
-    """Exact value of the terminating series sum_k prod(a_i)_k / prod(b_j)_k * z^k / k!."""
-    total = Fraction(0)
-    term = Fraction(1)
+    """Exact value of the terminating series sum_k prod(a_i)_k / prod(b_j)_k * z^k / k!.
+
+    Write each a_i as p_i/q_i, each b_j as u_j/v_j and z as zn/zd.  The
+    term ratio t_{k+1}/t_k is then the integer quotient
+
+        prod(p_i + k*q_i) * prod(v_j) * zn  /  (prod(q_i) * prod(u_j + k*v_j) * zd * (k+1)),
+
+    so the sum runs on plain ints: the term numerator is streamed, the
+    running total is kept over the current term's denominator
+    (``total = total*fd + num``), and one ``Fraction`` is built at the end.
+    """
+    nums = [(a.numerator, a.denominator) for a in spec.numerator_params]
+    dens = [(b.numerator, b.denominator) for b in spec.denominator_params]
     z = spec.argument
-    bound = spec.termination_index
-    for k in range(bound + 1):
-        total += term
-        if k == bound:
+    num_scale = z.numerator * prod(v for _, v in dens)
+    den_scale = z.denominator * prod(q for _, q in nums)
+    term = total = den = 1
+    for k in range(spec.termination_index):
+        fn = num_scale
+        for p, q in nums:
+            fn *= p + k * q
+        if fn == 0:
             break
-        # incremental update to the (k+1)-st term
-        for a in spec.numerator_params:
-            term *= a + k
-        for b in spec.denominator_params:
-            term /= b + k
-        term *= Fraction(z, k + 1)
-    return total
+        fd = den_scale * (k + 1)
+        for u, v in dens:
+            fd *= u + k * v
+        term *= fn
+        total = total * fd + term
+        den *= fd
+    return Fraction(total, den)
 
 
 def hyper2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:
@@ -110,6 +124,7 @@ def clausen_product_sides(
 
     evaluated exactly as finite sums.
     """
+    check_natural(n, "n")
     bv, cv, zv = as_rational(b), as_rational(c), as_rational(z)
     if zv == 1:
         raise ValueError("z = 1 is outside the identity's domain")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .bipoly import BiPoly, binom_poly
+from .bipoly import BiPoly, binom_poly, binom_row
 from .dcore import (
     EvalPoint,
     Route,
@@ -726,37 +726,42 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
 
 def _parametric_square_sides_symbolic(n: int, a: Fraction) -> tuple[BiPoly, BiPoly]:
     """Both sides of the free-parameter square identity, symbolic in x."""
+    xs = binom_row(_X, n)
     lhs_sum = BiPoly.zero()
     for k in range(n + 1):
         lhs_sum = lhs_sum + (
-            binom_int(n, k) * binom_poly(_X, k) * (Fraction(-2) ** k / binom_gen(a, k))
+            binom_int(n, k) * xs[k] * (Fraction(-2) ** k / binom_gen(a, k))
         )
+    ys = binom_row(a - _X, n)
     rhs_sum = BiPoly.zero()
     for k in range(n + 1):
         rhs_sum = rhs_sum + (
-            binom_poly(_X, k)
-            * binom_poly(a - _X, k)
-            * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k))
+            xs[k] * ys[k] * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k))
         )
     sign = -1 if n % 2 else 1
     return lhs_sum * lhs_sum, rhs_sum * (sign / binom_gen(a, n))
 
 
 def _squared_binomial_sum(n: int, b: Fraction) -> BiPoly:
+    xs = binom_row(_X, n)
     total = BiPoly.zero()
     for k in range(n + 1):
-        total = total + binom_int(n, k) * binom_poly(_X, k) * (
+        total = total + binom_int(n, k) * xs[k] * (
             Fraction(2) ** k / binom_gen(b - 1 + k, k)
         )
     return total
 
 
 def _meixner_square_rhs(n: int, b: Fraction) -> BiPoly:
+    xs = binom_row(_X, n)
     total = BiPoly.zero()
+    upper = BiPoly.one()  # binom(x+b-1+k, k), grown by (x+b-1+k)/k
     for k in range(n + 1):
+        if k:
+            upper = upper * ((_X + b - 1 + k) / k)
         total = total + (
-            binom_poly(_X, k)
-            * binom_poly(_X + b - 1 + k, k)
+            xs[k]
+            * upper
             * (binom_gen(n + k + b - 1, n - k) * Fraction(4) ** k / binom_gen(b - 1 + k, k))
         )
     return total / binom_gen(b + n - 1, n)
@@ -849,14 +854,16 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
                 )
 
         # a = -2 specialization, symbolic in x
+        xs = binom_row(_X, n)
         lhs_t = BiPoly.zero()
         for k in range(n + 1):
-            lhs_t = lhs_t + binom_int(n, k) * binom_poly(_X, k) * Fraction(2**k, k + 1)
+            lhs_t = lhs_t + binom_int(n, k) * xs[k] * Fraction(2**k, k + 1)
+        ys = binom_row(-2 - _X, n)
         rhs_t = BiPoly.zero()
         for k in range(n + 1):
             rhs_t = rhs_t + (
-                binom_poly(_X, k)
-                * binom_poly(-2 - _X, k)
+                xs[k]
+                * ys[k]
                 * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1))
             )
         check(f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs_t * lhs_t, rhs_t / (n + 1))

@@ -205,6 +205,20 @@ def test_binomial_series_rejects_bad_input():
         binomial_series(X, 2, 3)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_pow_rejects_non_natural_exponent(bad):
+    # X ** True used to return X
+    with pytest.raises(ValueError, match="exponent must be a natural number"):
+        X**bad
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_binomial_series_rejects_non_natural_order(bad):
+    # order=2.5 used to escape as a bare TypeError, and order=True was accepted
+    with pytest.raises(ValueError, match="order must be a natural number"):
+        binomial_series(X, +1, bad)
+
+
 def test_canonical_text_form():
     assert BiPoly.zero().to_text() == "0"
     assert BiPoly.one().to_text() == "1"

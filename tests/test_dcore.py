@@ -222,6 +222,16 @@ def test_meixner_eval_rejects_poles():
         meixner_eval(1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_jacobi_and_meixner_reject_non_natural_degree(bad):
+    # meixner_eval(-1, ...) used to return 0 and meixner_eval(True, 2, 3, -1)
+    # returned 7/3; jacobi_eval(-1, ...) returned 0 and accepted True.
+    with pytest.raises(ValueError, match="n must be a natural number"):
+        meixner_eval(bad, 2, 3, -1)
+    with pytest.raises(ValueError, match="n must be a natural number"):
+        jacobi_eval(bad, X - R, 2 * R, 3)
+
+
 def test_special_value_anchor_from_closed_form():
     # d_4 at x = 0 equals binom(r+2, 2) for every rational r
     for r in (Fraction(0), Fraction(9, 5), Fraction(-1, 3)):

@@ -119,3 +119,9 @@ def test_clausen_report_counterexample_shape():
     assert report.passed
     assert report.counterexample is None
     assert report.identity_id == "clausen-product"
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_clausen_product_sides_rejects_non_natural_n(bad):
+    with pytest.raises(ValueError, match="n must be a natural number"):
+        clausen_product_sides(bad, 2, 1, 3)
