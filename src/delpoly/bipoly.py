@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import RationalLike, as_rational, check_natural, format_rational
 
@@ -312,6 +312,122 @@ def _coerce(value) -> "BiPoly":
 
 X = BiPoly.x()
 R = BiPoly.r()
+
+
+def sum_products(pairs) -> BiPoly:
+    """The exact sum of ``a * b`` over the BiPoly ``pairs``.
+
+    Equal to ``total = total + a * b`` run over the pairs from zero, but each
+    operand is cut into rows by degree in x and each row's r-coefficients
+    are packed into one int, one fixed-width slot per degree in r, so a row
+    by row product is one big-int multiply.  All products accumulate into
+    packed output rows over one common denominator, and the sum is unpacked
+    and normalised once.
+
+    The slot width bounds every output coefficient: none exceeds the sum
+    over the pairs of scale * max|a| * max|b| * min(#terms a, #terms b),
+    since each term of the shorter operand meets at most one term of the
+    other at a given monomial.  That bound plus a sign bit, rounded up to
+    whole bytes, holds every signed coefficient, so decoding is exact.
+    """
+    pairs = [(a, b) for a, b in pairs if a._coeffs and b._coeffs]
+    if not pairs:
+        return BiPoly.zero()
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    bound = 0
+    for a, b in pairs:
+        bound += (
+            den // (a._den * b._den)
+            * max(map(abs, a._coeffs.values()))
+            * max(map(abs, b._coeffs.values()))
+            * min(len(a._coeffs), len(b._coeffs))
+        )
+    slots = _Slots((bound.bit_length() + 8) // 8)  # sign bit included
+    rows: dict[int, int] = {}
+    degs: dict[int, int] = {}
+    for a, b in pairs:
+        rows_a, rows_b = slots.pack(a), slots.pack(b)
+        if len(rows_a) > len(rows_b):
+            rows_a, rows_b = rows_b, rows_a
+        scale = den // (a._den * b._den)
+        for xa, pa, da in rows_a:
+            if scale != 1:
+                pa *= scale
+            for xb, pb, db in rows_b:
+                x = xa + xb
+                if x in rows:
+                    rows[x] += pa * pb
+                    if da + db > degs[x]:
+                        degs[x] = da + db
+                else:
+                    rows[x] = pa * pb
+                    degs[x] = da + db
+    coeffs: dict[Key, int] = {}
+    for x, packed in rows.items():
+        slots.unpack(x, packed, degs[x], coeffs)
+    return BiPoly._raw(coeffs, den)  # drops the zero slots and reduces
+
+
+class _Slots:
+    """Signed integers in ``width``-byte slots of one int, slot j at bit 8*width*j.
+
+    A slot holds any c with |c| < 2^(8*width - 1).  Packing and unpacking
+    go through ``to_bytes``/``from_bytes``, so both are linear in the size
+    of a row.
+    """
+
+    __slots__ = ("width", "_signs")
+
+    def __init__(self, width: int):
+        self.width = width
+        self._signs = [0]  # _signs[s]: the sign bit of each of s slots set
+
+    def _sign_bits(self, count: int) -> int:
+        signs = self._signs
+        while len(signs) <= count:
+            signs.append((signs[-1] << (8 * self.width)) | (1 << (8 * self.width - 1)))
+        return signs[count]
+
+    def pack(self, p: BiPoly) -> list[tuple[int, int, int]]:
+        """(deg_x, packed r-coefficients, deg_r) for each x-row of ``p``.
+
+        Each coefficient becomes ``width`` two's-complement bytes.  Read
+        unsigned, a negative slot c stands for c + 2^(8*width), so
+        subtracting twice the row's set sign bits restores it.
+        """
+        width = self.width
+        zero = bytes(width)
+        rows: dict[int, list[bytes]] = {}
+        for (dx, dr), c in p._coeffs.items():
+            row = rows.get(dx)
+            if row is None:
+                rows[dx] = row = []
+            if len(row) == dr:
+                row.append(c.to_bytes(width, "little", signed=True))
+            else:
+                if len(row) < dr:
+                    row += [zero] * (dr + 1 - len(row))
+                row[dr] = c.to_bytes(width, "little", signed=True)
+        out = []
+        for dx, row in rows.items():
+            raw = int.from_bytes(b"".join(row), "little")
+            out.append((dx, raw - ((raw & self._sign_bits(len(row))) << 1), len(row) - 1))
+        return out
+
+    def unpack(self, x: int, packed: int, deg_r: int, out: dict[Key, int]) -> None:
+        """Write the deg_r + 1 slots of row ``x`` into ``out``, zeros included.
+
+        Adding half a slot to every slot makes each digit c + half
+        non-negative, so no borrow crosses slots; flipping the sign bits
+        back leaves c in two's complement.
+        """
+        width = self.width
+        half = self._sign_bits(deg_r + 1)
+        data = ((packed + half) ^ half).to_bytes((deg_r + 1) * width, "little")
+        from_bytes = int.from_bytes
+        for dr in range(deg_r + 1):
+            start = dr * width
+            out[(x, dr)] = from_bytes(data[start : start + width], "little", signed=True)
 
 
 def binom_row(linear: BiPoly, k: int) -> list[BiPoly]:

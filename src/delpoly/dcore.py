@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, binom_row
+from .bipoly import BiPoly, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
 
 _X = BiPoly.x()
@@ -146,18 +146,13 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
         if n:
             uppers.append(uppers[n - 1] * ((_X + _R + n) / n))
             lowers.append(lowers[n - 1] * ((_X - _R - (n - 1)) / n))
-        total = BiPoly.zero()
-        for k in range(n + 1):
-            total = total + uppers[k] * lowers[n - k]
-        polys.append(total)
+        polys.append(sum_products((uppers[k], lowers[n - k]) for k in range(n + 1)))
     elif route is Route.NEWFORM:
         uppers = binom_row(n + 2 * _R, n)
-        total = BiPoly.zero()
-        lower = BiPoly.one()
-        for k in range(n + 1):
-            total = total + uppers[n - k] * lower
-            lower = lower * (_X - _R - k) * Fraction(2, k + 1)
-        polys.append(total)
+        lowers = [BiPoly.one()]
+        for k in range(n):
+            lowers.append(lowers[k] * (_X - _R - k) * Fraction(2, k + 1))
+        polys.append(sum_products((uppers[n - k], lowers[k]) for k in range(n + 1)))
     elif route is Route.THREE_TERM:
         if n == 0:
             polys.append(BiPoly.one())
@@ -165,7 +160,9 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
             polys.append(1 + 2 * _X)
         else:
             m = n - 1
-            polys.append(((1 + 2 * _X) * polys[m] + (m + 2 * _R) * polys[m - 1]) / n)
+            polys.append(
+                sum_products((((1 + 2 * _X) / n, polys[m]), ((m + 2 * _R) / n, polys[m - 1])))
+            )
     elif route is Route.TWO_TERM:
         # d_n(x) and its mirror d_n(-x) advance together through the
         # recurrence (the mirror obeys the x -> -x image of it), so no
@@ -177,8 +174,12 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
         else:
             m = n - 1
             sign = 1 if m % 2 == 0 else -1
-            plain_next = ((_X + _R + n) * polys[m] + sign * (_X - _R) * mirror[m]) / n
-            mirror_next = ((-_X + _R + n) * mirror[m] + sign * (-_X - _R) * polys[m]) / n
+            plain_next = sum_products(
+                (((_X + _R + n) / n, polys[m]), (sign * (_X - _R) / n, mirror[m]))
+            )
+            mirror_next = sum_products(
+                (((-_X + _R + n) / n, mirror[m]), (sign * (-_X - _R) / n, polys[m]))
+            )
             polys.append(plain_next)
             mirror.append(mirror_next)
     elif route is Route.SERIES:
@@ -191,10 +192,7 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
             k = len(left) - 1
             left.append(left[k] * (_X - _R - k) / (k + 1))
             right.append(right[k] * (-(_X + _R + 1) - k) * Fraction(-1, k + 1))
-        coeff = BiPoly.zero()
-        for k in range(n + 1):
-            coeff = coeff + left[k] * right[n - k]
-        polys.append(coeff)
+        polys.append(sum_products((left[k], right[n - k]) for k in range(n + 1)))
     else:  # pragma: no cover - exhaustive enum
         raise AssertionError(route)
 
@@ -229,8 +227,8 @@ def delannoy_dp(n: int, m: int) -> int:
     Counts lattice paths from (0,0) to (m,n) with east, north, and diagonal
     unit steps; equals d_n(m) at r = 0 for integer m.
     """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be natural numbers")
+    check_natural(n, "n")
+    check_natural(m, "m")
     row = [1] * (m + 1)
     for _ in range(n):
         new = [1] * (m + 1)

@@ -99,7 +99,10 @@ class _PointAlg:
         self.r = point.r
         self.x = point.x
         self._scalar_route = scalar_route
-        self._seq = [self._value(n, point) for n in range(n_high + 1)]
+        if scalar_route == "recurrence":
+            self._seq = d_eval_sequence(n_high, point)
+        else:
+            self._seq = [self._value(n, point) for n in range(n_high + 1)]
 
     def _value(self, n: int, at: EvalPoint) -> Fraction:
         if self._scalar_route == "direct-sum":
@@ -667,6 +670,15 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
     (n+1) x (n+1) product grid proves the identity for each n.  The
     re-parameterized form with b = 2r+1 is checked on its own grid.
     """
+    # The same integer (r, x) points recur for every larger n, so each
+    # point's whole scalar sequence is built once and indexed.
+    sequences: dict[EvalPoint, list[Fraction]] = {}
+
+    def d_at(n: int, point: EvalPoint) -> Fraction:
+        if point not in sequences:
+            sequences[point] = d_eval_sequence(n_max, point)
+        return sequences[point][n]
+
     counterexample = None
     idx = 0
     for n in range(n_max + 1):
@@ -676,7 +688,7 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
             if counterexample:
                 break
             for xv in range(n + 1):
-                lhs = d_eval(n, EvalPoint(Fraction(rv), Fraction(xv)))
+                lhs = d_at(n, EvalPoint(Fraction(rv), Fraction(xv)))
                 rhs = pochhammer(2 * rv + 1, n) / factorial(n) * meixner_eval(
                     n, xv - rv, 2 * rv + 1, -1
                 )
@@ -699,7 +711,7 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
             b = Fraction(bv)
             shift = (b - 1) / 2
             for xv in range(n + 1):
-                lhs = d_eval(n, EvalPoint(shift, xv + shift))
+                lhs = d_at(n, EvalPoint(shift, xv + shift))
                 rhs = binom_gen(b + n - 1, n) * meixner_eval(n, xv, b, -1)
                 if idx == fault_index:
                     rhs = rhs + 1

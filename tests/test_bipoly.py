@@ -11,6 +11,7 @@ from delpoly.bipoly import (
     binom_poly,
     binomial_series,
     series_mul,
+    sum_products,
 )
 
 X = BiPoly.x()
@@ -237,3 +238,88 @@ def test_text_form_is_stable_under_reconstruction():
         q = BiPoly({key: coeff for key, coeff in p.terms()})
         assert p == q
         assert p.to_text() == q.to_text()
+
+
+def schoolbook_sum(pairs) -> BiPoly:
+    total = BiPoly.zero()
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+WIDE = 2**63 - 1  # the largest |coefficient| an 8-byte slot holds
+
+SUM_CASES = {
+    "no pairs": [],
+    "negative coefficients": [(X - 3 * R + R**2 - 5, -2 * X + R - 7), (-(X**2) * R, R - X - 1)],
+    "products cancel to zero": [(X + R, X - R), (-X - R, X - R)],
+    "terms cancel across pairs": [(X, R + 1), (-R, X), (X, BiPoly.const(-1)), (BiPoly.one(), X * R - 2)],
+    "rows with gaps in r": [(R**5 - 3 + X * R**3, 2 * R**4 + X**2 - R), (X * R**7, R**2 - X**3 * R**6)],
+    "constant and affine operands": [
+        (BiPoly.const(Fraction(-7, 3)), X + R + 2),
+        (1 + 2 * X, (X + R + 1) ** 3),
+        (BiPoly.const(5), BiPoly.const(Fraction(1, 5))),
+        (2 * R + 3, BiPoly.one()),
+    ],
+    "unequal denominators": [
+        (X / 3 + R / 5, X / 7 - Fraction(1, 11)),
+        (R / 4, X / 6 + Fraction(5, 12)),
+        (BiPoly.const(Fraction(1, 9)), R**2 / 2),
+    ],
+    "zero operands": [(BiPoly.zero(), X + 1), (X - R, R), (R**2, BiPoly.zero())],
+    "only zero operands": [(BiPoly.zero(), BiPoly.zero()), (BiPoly.zero(), X)],
+    "huge coefficient beside tiny ones": [
+        (2**400 * X * R + 1 - R, X + R**2 - 3),
+        (X - Fraction(1, 2**200), R / 3 + 2**150),
+    ],
+    # The r-coefficient 2 * 2^126 = 2^127 is the bound itself: it sums two
+    # term products, so it needs the term-count factor of the slot width.
+    "slot bound met exactly": [(2**63 * (1 + R), 2**63 * (1 + R))],
+    "negative slot bound met exactly": [(2**63 * (1 + R), -(2**63) * (1 + R))],
+    "widest coefficients of one slot": [(WIDE * (1 - X * R**2), BiPoly.one())],
+    "d_n recurrence step": [((1 + 2 * X) / 3, 2 * X**2 + 2 * X + R + 1), ((1 + 2 * R) / 3, 1 + 2 * X)],
+}
+
+
+@pytest.mark.parametrize("pairs", SUM_CASES.values(), ids=SUM_CASES.keys())
+def test_sum_products_matches_schoolbook_chain(pairs):
+    got = sum_products(pairs)
+    want = schoolbook_sum(pairs)
+    assert got == want
+    assert got.to_text() == want.to_text()
+    assert sum_products(iter(pairs)) == want  # any iterable of pairs
+
+
+@pytest.mark.parametrize("name", SUM_CASES.keys())
+def test_sum_products_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    x, r = sympy.symbols("x r")
+
+    def to_sympy(p: BiPoly):
+        terms = {(dx, dr): sympy.Rational(c.numerator, c.denominator) for (dx, dr), c in p.terms()}
+        return sympy.Poly.from_dict(terms, x, r, domain=sympy.QQ)
+
+    pairs = SUM_CASES[name]
+    want = sympy.Poly(0, x, r, domain=sympy.QQ)
+    for a, b in pairs:
+        want = want + to_sympy(a) * to_sympy(b)
+    assert to_sympy(sum_products(pairs)) == want
+
+
+def test_sum_products_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(min_value=-(2**300), max_value=2**300),
+        st.fractions(max_denominator=10**6),
+    )
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 9)), coefficient, max_size=14
+    ).map(BiPoly)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(pairs=st.lists(st.tuples(poly, poly), max_size=5))
+    def check(pairs):
+        assert sum_products(pairs) == schoolbook_sum(pairs)
+
+    check()

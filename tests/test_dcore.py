@@ -119,6 +119,13 @@ def test_delannoy_dp_small_values():
             assert delannoy_dp(n, m) == delannoy_paths_oracle(n, m)
 
 
+@pytest.mark.parametrize("n, m", [(True, 2), (2, True), (2.5, 1), (1, 2.5), (-1, 0), (0, -1), ("2", 1)])
+def test_delannoy_dp_rejects_non_natural_index(n, m):
+    # delannoy_dp(True, 2) used to return 5 and delannoy_dp(2.5, 1) raised a bare TypeError
+    with pytest.raises(ValueError, match="must be a natural number"):
+        delannoy_dp(n, m)
+
+
 def test_delannoy_anchor():
     for n in range(13):
         for m in range(13):

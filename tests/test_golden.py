@@ -1,13 +1,16 @@
-"""Byte-level golden tests of the verifier reports.
+"""Byte-level golden tests of the verifier reports and route polynomials.
 
 ``perfbench/reference/suite.jsonl`` holds the bytes ``delpoly verify
 --format json`` printed at the default depths when the benchmark was
-defined; ``tests/golden/fault_lines.jsonl`` holds, for every verifier, the
-report line with the fault injected at instance 1 and all depths 5, which
-pins the exact counterexample values.  Both files are read, never written.
+defined; ``perfbench/reference/routes.json`` holds the sha256 of what
+``delpoly poly`` printed for each route at the benchmark's depths;
+``tests/golden/fault_lines.jsonl`` holds, for every verifier, the report
+line with the fault injected at instance 1 and all depths 5, which pins the
+exact counterexample values.  These files are read, never written.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -19,6 +22,9 @@ from delpoly.verify import SUITE_IDS, SuiteConfig, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "suite.jsonl"
+ROUTES_REFERENCE = ROOT / "perfbench" / "reference" / "routes.json"
+# The depths at which the benchmark's routes workload prints each route.
+ROUTE_DEPTHS = {"direct": 22, "newform": 28, "series": 22, "three-term": 90, "two-term": 72}
 FAULT_LINES = Path(__file__).resolve().parent / "golden" / "fault_lines.jsonl"
 FAST_DEPTHS = {identity_id: 5 for identity_id in SUITE_IDS}
 
@@ -29,6 +35,16 @@ def test_verify_json_matches_reference_bytes():
         code = main(["verify", "--format", "json"])
     assert code == 0
     assert out.getvalue().encode() == SUITE_REFERENCE.read_bytes()
+
+
+@pytest.mark.parametrize("route", ROUTE_DEPTHS)
+def test_poly_output_matches_reference_hash(route):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["poly", "-n", str(ROUTE_DEPTHS[route]), "--route", route])
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == json.loads(ROUTES_REFERENCE.read_text())[route]
 
 
 def _golden_fault_lines() -> dict[str, str]:
