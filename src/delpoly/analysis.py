@@ -15,6 +15,18 @@ so each scanned quantity is an integer numerator over a known positive
 integer scale.  A verdict is the sign of that numerator; a ``Fraction`` is
 built (and reduced) only for a reported violation, and it equals the value
 the plain rational recurrence gives.
+
+The Turán and product-lower-bound numerators are quadratic in D, so those
+two scans carry the symmetric square of the recurrence instead of D itself:
+with c_n = n L^2 (n+2r), P_m = D_m^2, Q_n = D_n D_{n-1} and
+E_n = D_{n+1} D_{n-1},
+
+    E_n = A Q_n + c_n P_{n-1},  Q_{n+1} = A P_n + c_n Q_n,
+    P_{n+1} = A Q_{n+1} + c_n E_n,
+
+from P_0 = 1, Q_1 = A, P_1 = A^2.  Every product there has one factor of
+O(log n) bits (A or c_n), so no step multiplies two values of D's size.
+The positivity scan is linear in D and runs on D directly.
 """
 
 from __future__ import annotations
@@ -94,8 +106,7 @@ def _scaled_d(at: EvalPoint, L: int, A: int):
 
     Only the last two values are kept; each is a plain ``int``.
     """
-    L2 = L * L
-    K = 2 * at.r.numerator * (L // at.r.denominator) * L  # L^2 * 2r
+    L2, K = L * L, _twice_r(at, L)
     yield 1
     prev, cur = 1, A
     n = 1
@@ -103,6 +114,30 @@ def _scaled_d(at: EvalPoint, L: int, A: int):
         yield cur
         prev, cur = cur, A * cur + n * (L2 * n + K) * prev
         n += 1
+
+
+def _squared_d(at: EvalPoint, L: int, A: int):
+    """Yield (P_{n-1}, Q_n, P_n, E_n) for n = 1, 2, 3, ..., forever, where
+    P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}.
+
+    Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
+    one big value by another; the state is three plain ``int``s.
+    """
+    L2, K = L * L, _twice_r(at, L)
+    p_prev, q, p = 1, A, A * A
+    n = 1
+    while True:
+        c = n * (L2 * n + K)
+        e = A * q + c * p_prev
+        yield p_prev, q, p, e
+        q = A * p + c * q
+        p_prev, p = p, A * q + c * e
+        n += 1
+
+
+def _twice_r(at: EvalPoint, L: int) -> int:
+    """L^2 * 2r, an integer because the denominator of r divides L."""
+    return 2 * at.r.numerator * (L // at.r.denominator) * L
 
 
 def _scale(at: EvalPoint) -> tuple[int, int]:
@@ -114,17 +149,16 @@ def _scale(at: EvalPoint) -> tuple[int, int]:
 def _turan_terms(at: EvalPoint, n_max: int):
     """(n, t, s) for n = 1..n_max: turan_value(n, at) = t / s with s > 0.
 
-    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}),  s = (n+1)! n! L^(2n).
+    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}),  s = (n+1)! n! L^(2n),
+    with t read off the squared state of ``_squared_d`` as
+    (-1)^n ((n+1) P_n - n E_n).
     """
     L, A = _scale(at)
     L2 = L * L
-    d = _scaled_d(at, L, A)
-    prev, cur = next(d), next(d)
     s = 2 * L2
-    for n, nxt in zip(range(1, n_max + 1), d):
-        t = (n + 1) * cur * cur - n * nxt * prev
+    for n, (_, _, p, e) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
+        t = (n + 1) * p - n * e
         yield n, (-t if n % 2 else t), s
-        prev, cur = cur, nxt
         s *= (n + 2) * (n + 1) * L2
 
 
@@ -155,27 +189,30 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
     """(n, t, s) for n = 2..n_max with t / s = lhs - rhs, s > 0, where
     lhs = d_n d_{n-1} / (1+2x) and rhs = (binom(2r+n-1, n-1) + d_{n-1}^2) / n.
 
-    With b the denominator of r, binom(2r+n-1, n-1) = P_n / (b^(n-1) (n-1)!)
-    for P_n = prod_{j<n} (2a + jb), so over the scale n! (n-1)! L^(2n-2)
-    the right side has numerator R = P_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2,
+    With b the denominator of r, binom(2r+n-1, n-1) = Pi_n / (b^(n-1) (n-1)!)
+    for Pi_n = prod_{j<n} (2a + jb), so over the scale n! (n-1)! L^(2n-2)
+    the right side has numerator R = Pi_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2,
     and lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); the sign
     of A moves to the numerator so that s stays positive.  For r > -1/2
-    every factor of P_n is positive, so R > 0: the claim rhs > 0 holds on
+    every factor of Pi_n is positive, so R > 0: the claim rhs > 0 holds on
     the whole domain and only the sign of lhs - rhs is in question.
+
+    The numerator is read off the squared state of ``_squared_d``
+    (Q_n = D_n D_{n-1}, P_{n-1} = D_{n-1}^2): D_n D_{n-1} - A R =
+    Q_n - A (T + P_{n-1}) with T = Pi_n (n-1)! (L^2/b)^(n-1), so no step
+    multiplies two values of D's size.
     """
     L, A = _scale(at)
     L2 = L * L
     twice_a, b = 2 * at.r.numerator, at.r.denominator
     M = L2 // b
     sign = 1 if A > 0 else -1
-    d = _scaled_d(at, L, A)
-    prev, cur = next(d), next(d)
-    T = (twice_a + b) * M  # P_n (n-1)! M^(n-1) at n = 2
+    squares = _squared_d(at, L, A)
+    next(squares)  # n = 1
+    T = (twice_a + b) * M  # Pi_n (n-1)! M^(n-1) at n = 2
     s = 2 * L2 * abs(A)
-    for n, nxt in zip(range(2, n_max + 1), d):
-        prev, cur = cur, nxt
-        R = T + prev * prev
-        yield n, sign * (cur * prev - A * R), s
+    for n, (p_prev, q, _, _) in zip(range(2, n_max + 1), squares):
+        yield n, sign * (q - A * (T + p_prev)), s
         T *= (twice_a + n * b) * n * M
         s *= (n + 1) * n * L2
 

@@ -111,8 +111,9 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 # One growing polynomial list per route; verifiers share prefixes heavily,
 # so sequences are extended in place (under a lock) rather than rebuilt.
 # _aux holds per-route working state: the two n-independent binomial rows of
-# the defining-sum route, the mirror sequence d_n(-x) for the two-term
-# route, and the two factor coefficient lists for the series route.
+# the defining-sum route, the n-independent row 2^k binom(x-r, k) of the
+# new-form route, the mirror sequence d_n(-x) for the two-term route, and
+# the two factor coefficient lists for the series route.
 _cache: dict[Route, list[BiPoly]] = {}
 _aux: dict[Route, list] = {}
 _cache_lock = threading.Lock()
@@ -148,10 +149,13 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
             lowers.append(lowers[n - 1] * ((_X - _R - (n - 1)) / n))
         polys.append(sum_products((uppers[k], lowers[n - k]) for k in range(n + 1)))
     elif route is Route.NEWFORM:
+        # lowers[k] = 2^k binom(x-r, k) does not depend on n and grows by
+        # one factor per new n, as DIRECT's rows do; the row binom(n+2r, j)
+        # depends on n and is taken afresh.
         uppers = binom_row(n + 2 * _R, n)
-        lowers = [BiPoly.one()]
-        for k in range(n):
-            lowers.append(lowers[k] * (_X - _R - k) * Fraction(2, k + 1))
+        lowers = _aux.setdefault(route, [BiPoly.one()])
+        if n:
+            lowers.append(lowers[n - 1] * (_X - _R - (n - 1)) * Fraction(2, n))
         polys.append(sum_products((uppers[n - k], lowers[k]) for k in range(n + 1)))
     elif route is Route.THREE_TERM:
         if n == 0:
@@ -164,9 +168,9 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
                 sum_products((((1 + 2 * _X) / n, polys[m]), ((m + 2 * _R) / n, polys[m - 1])))
             )
     elif route is Route.TWO_TERM:
-        # d_n(x) and its mirror d_n(-x) advance together through the
-        # recurrence (the mirror obeys the x -> -x image of it), so no
-        # substitution happens inside the loop.
+        # d_n(x) and its mirror d_n(-x) advance together: each step packs
+        # d_m and its mirror once to build d_{m+1}, whose mirror is then the
+        # one-pass sign flip of its odd-in-x terms.
         mirror = _aux.setdefault(route, [])
         if n == 0:
             polys.append(BiPoly.one())
@@ -177,11 +181,8 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
             plain_next = sum_products(
                 (((_X + _R + n) / n, polys[m]), (sign * (_X - _R) / n, mirror[m]))
             )
-            mirror_next = sum_products(
-                (((-_X + _R + n) / n, mirror[m]), (sign * (-_X - _R) / n, polys[m]))
-            )
             polys.append(plain_next)
-            mirror.append(mirror_next)
+            mirror.append(plain_next.subst_neg_x())
     elif route is Route.SERIES:
         # The factor coefficients binom_poly(E, k) * sign^k do not depend on
         # the truncation order, so both factors and the Cauchy product all

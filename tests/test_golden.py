@@ -6,7 +6,11 @@ defined; ``perfbench/reference/routes.json`` holds the sha256 of what
 ``delpoly poly`` printed for each route at the benchmark's depths;
 ``tests/golden/fault_lines.jsonl`` holds, for every verifier, the report
 line with the fault injected at instance 1 and all depths 5, which pins the
-exact counterexample values.  These files are read, never written.
+exact counterexample values; ``tests/golden/scan_default.jsonl`` and
+``tests/golden/scan_deep.jsonl`` hold what ``delpoly scan --format json``
+printed on the default grid and on ``tests/golden/scan_deep.grid`` (a 3x4
+grid at n_max 800) before the scans carried the squared recurrence state.
+These files are read, never written.
 """
 
 import contextlib
@@ -25,7 +29,8 @@ SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "suite.jsonl"
 ROUTES_REFERENCE = ROOT / "perfbench" / "reference" / "routes.json"
 # The depths at which the benchmark's routes workload prints each route.
 ROUTE_DEPTHS = {"direct": 22, "newform": 28, "series": 22, "three-term": 90, "two-term": 72}
-FAULT_LINES = Path(__file__).resolve().parent / "golden" / "fault_lines.jsonl"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAULT_LINES = GOLDEN / "fault_lines.jsonl"
 FAST_DEPTHS = {identity_id: 5 for identity_id in SUITE_IDS}
 
 
@@ -35,6 +40,22 @@ def test_verify_json_matches_reference_bytes():
         code = main(["verify", "--format", "json"])
     assert code == 0
     assert out.getvalue().encode() == SUITE_REFERENCE.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["scan", "--format", "json"], "scan_default.jsonl"),
+        (["scan", "--grid-file", str(GOLDEN / "scan_deep.grid"), "--format", "json"], "scan_deep.jsonl"),
+    ],
+    ids=["default-grid", "deep-grid"],
+)
+def test_scan_json_matches_golden_bytes(argv, golden):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("route", ROUTE_DEPTHS)

@@ -15,6 +15,8 @@ from delpoly.analysis import (
     GridSpec,
     _lower_bound_terms,
     _positivity_terms,
+    _scale,
+    _scaled_d,
     _scan,
     _turan_terms,
     check_positivity,
@@ -99,6 +101,52 @@ def test_kernel_property():
                 assert _values(_lower_bound_terms(at, n_max)) == _lower_bound_reference(n_max, at)
 
     check()
+
+
+# -- deep points against products of consecutive D_n -----------------------
+
+
+def _turan_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int, int]]:
+    """The (n, t, s) triples with t from (n+1) D_n^2 - n D_{n+1} D_{n-1}."""
+    L, A = _scale(at)
+    D = [value for _, value in zip(range(n_max + 2), _scaled_d(at, L, A))]
+    out, s = [], 2 * L * L
+    for n in range(1, n_max + 1):
+        t = (n + 1) * D[n] * D[n] - n * D[n + 1] * D[n - 1]
+        out.append((n, -t if n % 2 else t, s))
+        s *= (n + 2) * (n + 1) * L * L
+    return out
+
+
+def _lower_bound_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int, int]]:
+    """The (n, t, s) triples with t from D_n D_{n-1} - A (T + D_{n-1}^2)."""
+    L, A = _scale(at)
+    D = [value for _, value in zip(range(n_max + 1), _scaled_d(at, L, A))]
+    twice_a, b = 2 * at.r.numerator, at.r.denominator
+    M = L * L // b
+    sign = 1 if A > 0 else -1
+    out, T, s = [], (twice_a + b) * M, 2 * L * L * abs(A)
+    for n in range(2, n_max + 1):
+        out.append((n, sign * (D[n] * D[n - 1] - A * (T + D[n - 1] * D[n - 1])), s))
+        T *= (twice_a + n * b) * n * M
+        s *= (n + 1) * n * L * L
+    return out
+
+
+DEEP_POINTS = [
+    EvalPoint(0, 0),
+    EvalPoint(0, -1),
+    EvalPoint(Fraction(153, 64), Fraction(-59, 64)),
+    EvalPoint(Fraction(-7, 3), Fraction(5, 2)),
+    EvalPoint(Fraction(1, 3), Fraction(-9, 4)),
+]
+
+
+@pytest.mark.parametrize("at", DEEP_POINTS, ids=lambda at: f"r={at.r},x={at.x}")
+@pytest.mark.parametrize("n_max", [0, 1, 2, 400])
+def test_squared_state_matches_products_of_consecutive_values(at, n_max):
+    assert list(_turan_terms(at, n_max)) == _turan_by_products(at, n_max)
+    assert list(_lower_bound_terms(at, n_max)) == _lower_bound_by_products(at, n_max)
 
 
 # -- a plain Fraction reference scan ----------------------------------------
