@@ -2,9 +2,7 @@
 
 ``BiPoly`` is the symbolic substrate of the package: the polynomial family
 under study lives here, as do the linear forms (x - r, x + r + k, ...) fed
-to the polynomial binomial coefficient.  ``TruncatedSeries`` adds formal
-power series in t (with BiPoly coefficients) truncated at a fixed order,
-which is how the generating-function route is realized.
+to the polynomial binomial coefficient.
 
 Internally a BiPoly keeps integer coefficients over one shared positive
 denominator, so ring operations run on plain big ints and reduce once per
@@ -14,7 +12,6 @@ operation instead of once per coefficient.  The public surface speaks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -458,70 +455,3 @@ def binom_poly(linear: BiPoly, k: int) -> BiPoly:
     entry of ``binom_row(linear, k)``.
     """
     return binom_row(linear, k)[k]
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal power series in t, truncated at a fixed order.
-
-    ``coefficients[k]`` is the BiPoly coefficient of t^k; the order of the
-    series is the number of retained coefficients.
-    """
-
-    coefficients: tuple[BiPoly, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def coefficient(self, k: int) -> BiPoly:
-        return self.coefficients[k]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        n = self.order
-        out = [BiPoly.zero() for _ in range(n)]
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            for j in range(n - i):
-                b = other.coefficients[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out))
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} != {other.order}"
-            )
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    return a * b
-
-
-def binomial_series(exponent: BiPoly, sign_of_t: int, order: int) -> TruncatedSeries:
-    """Newton expansion of (1 + sign_of_t * t)^exponent, truncated.
-
-    The coefficient of t^k is binom_poly(exponent, k) * sign_of_t^k; the
-    exponent must be affine in x and r.
-    """
-    if sign_of_t not in (1, -1):
-        raise ValueError("sign_of_t must be +1 or -1")
-    if not exponent.is_affine:
-        raise ValueError("binomial_series requires an affine exponent")
-    check_natural(order, "order")
-    coeffs = []
-    term = BiPoly.one()
-    for k in range(order):
-        coeffs.append(term)
-        term = term * (exponent - k) * Fraction(sign_of_t, k + 1)
-    return TruncatedSeries(tuple(coeffs))

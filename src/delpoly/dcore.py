@@ -198,11 +198,6 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
         raise AssertionError(route)
 
 
-def poly_eval(p: BiPoly, at: EvalPoint) -> Fraction:
-    """Exact value of a polynomial at an evaluation point."""
-    return p.eval(at.r, at.x)
-
-
 def d_eval(n: int, at: EvalPoint) -> Fraction:
     """Exact scalar d_n(x) at rational (r, x), via the three-term recurrence.
 

@@ -2,9 +2,9 @@
 
 A series rFs(a_1..a_r; b_1..b_s | z) terminates when some numerator
 parameter is a non-positive integer; everything here insists on that, so
-every value is a finite exact sum.  The module also machine-checks the
-product identity that turns a product of two terminating 2F1 values into a
-single terminating 4F3.
+every value is a finite exact sum.  The module also evaluates both sides
+of the product identity that turns a product of two terminating 2F1 values
+into a single terminating 4F3.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .exactnum import RationalLike, as_rational, check_natural, format_rational, pochhammer
-from .reports import Mode, VerifyReport
 
 
 def _is_nonpositive_int(q: Fraction) -> bool:
@@ -138,26 +137,3 @@ def clausen_product_sides(
         )
     )
     return lhs, rhs
-
-
-def clausen_product_check(
-    n: int, b: RationalLike, c: RationalLike, z: RationalLike
-) -> VerifyReport:
-    """Exact verdict for the product identity at one parameter triple."""
-    lhs, rhs = clausen_product_sides(n, b, c, z)
-    params = {
-        "n": n,
-        "b": format_rational(as_rational(b)),
-        "c": format_rational(as_rational(c)),
-        "z": format_rational(as_rational(z)),
-    }
-    counterexample = None
-    if lhs != rhs:
-        counterexample = {"params": params, "lhs": lhs, "rhs": rhs}
-    return VerifyReport(
-        identity_id="clausen-product",
-        mode=Mode.POINT_GRID,
-        range=f"n={n}, b={params['b']}, c={params['c']}, z={params['z']}",
-        passed=lhs == rhs,
-        counterexample=counterexample,
-    )

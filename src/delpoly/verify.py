@@ -16,20 +16,26 @@ rational points: the sides are then rebuilt in plain scalar arithmetic
 recurrence or the scalar defining sum), giving an independent cross-check
 of the polynomial machinery.
 
+Every identity is an instance generator yielding (label, params, lhs, rhs)
+cases, and all of them run through one compare loop.
+
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
-reference side of that instance is perturbed by +1, which must flip the
-verdict and produce a concrete counterexample.
+reference side of that case (counted over every case checked) is perturbed
+by +1, which must flip the verdict and produce a concrete counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .bipoly import BiPoly, binom_poly, binom_row
 from .dcore import (
+    _R,
+    _X,
     EvalPoint,
     Route,
     d_eval,
@@ -38,12 +44,9 @@ from .dcore import (
     jacobi_eval,
     meixner_eval,
 )
-from .exactnum import as_rational, binom_gen, binom_int, pochhammer
+from .exactnum import as_rational, binom_gen, binom_int, check_natural, pochhammer
 from .hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
-
-_X = BiPoly.x()
-_R = BiPoly.r()
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +91,18 @@ class _SymbolicAlg:
 class _PointAlg:
     """Identity sides as plain rationals at one evaluation point.
 
-    ``scalar_route`` picks how d_n values are produced: "recurrence" runs
-    the scalar three-term recurrence, "direct-sum" evaluates the defining
-    binomial sum (used when the identity under test *is* a recurrence, so
-    the check stays non-vacuous).
+    Under Route.DIRECT d_n comes from the defining binomial sum, which keeps
+    a check of the recurrences non-vacuous; otherwise from the recurrence.
     """
 
-    def __init__(self, point: EvalPoint, n_high: int, scalar_route: str = "recurrence"):
-        self.point = point
+    def __init__(self, point: EvalPoint, n_high: int, route: Route):
         self.r = point.r
         self.x = point.x
-        self._scalar_route = scalar_route
-        if scalar_route == "recurrence":
-            self._seq = d_eval_sequence(n_high, point)
+        self._value = _d_direct_scalar if route is Route.DIRECT else d_eval
+        if route is Route.DIRECT:
+            self._seq = [_d_direct_scalar(n, point) for n in range(n_high + 1)]
         else:
-            self._seq = [self._value(n, point) for n in range(n_high + 1)]
-
-    def _value(self, n: int, at: EvalPoint) -> Fraction:
-        if self._scalar_route == "direct-sum":
-            return _d_direct_scalar(n, at)
-        return d_eval(n, at)
+            self._seq = d_eval_sequence(n_high, point)
 
     def binom(self, top, k: int):
         return binom_gen(top, k)
@@ -408,332 +403,36 @@ def _weighted_square_sum_instances(alg, n_max: int) -> Iterator:
         )
 
 
-# ---------------------------------------------------------------------------
-# Generic driver.
-# ---------------------------------------------------------------------------
+def _hyper_bridge_instances(alg, n_max: int) -> Iterator:
+    for n in range(n_max + 1):
+        yield f"bridge n={n}", {"n": n}, alg.d(n), d_via_hyper(n, alg.r, alg.x)
+        yield f"mirror-bridge n={n}", {"n": n}, alg.d(n), d_via_hyper_companion(n, alg.r, alg.x)
 
 
-def _witness_point(diff: BiPoly) -> EvalPoint:
-    """A rational point where a non-zero polynomial provably does not vanish."""
-    for rv in range(1, diff.deg_r + 2):
-        for xv in range(diff.deg_x + 1):
-            if diff.eval(rv, xv) != 0:
-                return EvalPoint(Fraction(rv), Fraction(xv))
-    raise AssertionError("non-zero polynomial vanished on its witness grid")
-
-
-def _run_identity(
-    identity_id: str,
-    mode: Mode,
-    range_desc: str,
-    instances: Callable[[object], Iterator],
-    n_high: int,
-    *,
-    route: Route = Route.THREE_TERM,
-    scalar_route: str = "recurrence",
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-    skipped: tuple = (),
-) -> VerifyReport:
-    if points is None:
-        alg = _SymbolicAlg(d_sequence(route, n_high).polys)
-        counterexample = None
-        for idx, (label, params, lhs, rhs) in enumerate(instances(alg)):
-            if idx == fault_index:
-                rhs = rhs + 1
-            if lhs != rhs:
-                at = _witness_point(lhs - rhs)
-                counterexample = {
-                    "instance": label,
-                    "params": {**params, "r": at.r, "x": at.x},
-                    "lhs": lhs.eval(at.r, at.x),
-                    "rhs": rhs.eval(at.r, at.x),
-                }
-                break
-        return VerifyReport(
-            identity_id=identity_id,
-            mode=mode,
-            range=range_desc,
-            passed=counterexample is None,
-            counterexample=counterexample,
-            skipped=skipped,
-        )
-
-    counterexample = None
-    skipped_points = list(skipped)
-    used = 0
-    for point in points:
-        if point.r_is_excluded_half_integer():
-            skipped_points.append(
-                {"r": point.r, "x": point.x, "reason": "r in excluded half-integer set"}
-            )
-            continue
-        used += 1
-        alg = _PointAlg(point, n_high, scalar_route=scalar_route)
-        for idx, (label, params, lhs, rhs) in enumerate(instances(alg)):
-            if idx == fault_index:
-                rhs = rhs + 1
-            if lhs != rhs:
-                counterexample = {
-                    "instance": label,
-                    "params": {**params, "r": point.r, "x": point.x},
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
-                break
-        if counterexample:
-            break
-    return VerifyReport(
-        identity_id=identity_id,
-        mode=Mode.POINT_GRID,
-        range=f"{range_desc} at {used} points",
-        passed=counterexample is None,
-        counterexample=counterexample,
-        skipped=tuple(skipped_points),
-    )
-
-
-_EXCLUDED_HALF_INT = {
-    "r": "{-1/2, -1, -3/2, ...}",
-    "reason": "statement excludes the half-integer set; cleared form holds identically",
-}
-
-
-def verify_square(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Closed form for d_n(x)^2 as a single binomial sum."""
-    return _run_identity(
-        "square",
-        Mode.CLEARED_DENOMINATOR,
-        f"n<={n_max}",
-        lambda alg: _square_instances(alg, n_max),
-        n_max,
-        points=points,
-        fault_index=fault_index,
-        skipped=(_EXCLUDED_HALF_INT,),
-    )
-
-
-def verify_linearization(
-    m_max: int,
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Product d_m * d_n as a signed combination of single d_k."""
-    return _run_identity(
-        "linearization",
-        Mode.SYMBOLIC_POLY,
-        f"m<={m_max}, n<={n_max}",
-        lambda alg: _linearization_instances(alg, m_max, n_max),
-        m_max + n_max,
-        points=points,
-        fault_index=fault_index,
-    )
-
-
-def verify_newform_consequences(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Binomial-inversion consequences of the alternative closed form."""
-    return _run_identity(
-        "inversion",
-        Mode.CLEARED_DENOMINATOR,
-        f"n<={n_max}",
-        lambda alg: _inversion_instances(alg, n_max),
-        n_max,
-        points=points,
-        fault_index=fault_index,
-        skipped=(_EXCLUDED_HALF_INT,),
-    )
-
-
-def verify_jacobi(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """The three Jacobi-polynomial representations of d_n."""
-    return _run_identity(
-        "jacobi",
-        Mode.SYMBOLIC_POLY,
-        f"n<={n_max}",
-        lambda alg: _jacobi_instances(alg, n_max),
-        n_max,
-        points=points,
-        fault_index=fault_index,
-    )
-
-
-def verify_recurrences(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Three-term and two-term recurrences plus their combination.
-
-    The symbolic run takes its polynomials from the defining-sum route, so
-    the recurrences are genuinely being proven about independently
-    constructed objects; the point run likewise evaluates the defining sum.
-    """
-    return _run_identity(
-        "recurrences",
-        Mode.SYMBOLIC_POLY,
-        f"n<={n_max}",
-        lambda alg: _recurrence_instances(alg, n_max),
-        n_max + 1,
-        route=Route.DIRECT,
-        scalar_route="direct-sum",
-        points=points,
-        fault_index=fault_index,
-    )
-
-
-def verify_special_values(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Closed forms of d_n at x in {-1/2, 0, -1, 1/2, 1, 3/2, 2}."""
-    return _run_identity(
-        "special-values",
-        Mode.CLEARED_DENOMINATOR,
-        f"n<={n_max}",
-        lambda alg: _special_value_instances(alg, n_max),
-        n_max,
-        points=points,
-        fault_index=fault_index,
-        skipped=(
-            {"r": "-1", "reason": "excluded for x=1 and x=3/2 closed forms"},
-            {"r": "-3/2", "reason": "factor 2r+3 in the x=3/2 form; skipped rather than resolved"},
-            {"r": "{-1, -2}", "reason": "excluded for the x=2 closed form"},
-        ),
-    )
-
-
-def verify_shift_identities(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """Half-step parameter/argument shift identities and the x -> 1-x swap."""
-    return _run_identity(
-        "shift-identities",
-        Mode.SYMBOLIC_POLY,
-        f"n<={n_max}",
-        lambda alg: _shift_instances(alg, n_max),
-        n_max + 1,
-        points=points,
-        fault_index=fault_index,
-    )
-
-
-def verify_weighted_square_sum(
-    n_max: int,
-    *,
-    points: Iterable[EvalPoint] | None = None,
-    fault_index: int | None = None,
-) -> VerifyReport:
-    """(1+2x) * sum of weighted d_k^2 equals (n+2r) d_n d_{n-1}."""
-    return _run_identity(
-        "weighted-square-sum",
-        Mode.SYMBOLIC_POLY,
-        f"n<={n_max}",
-        lambda alg: _weighted_square_sum_instances(alg, n_max),
-        n_max,
-        points=points,
-        fault_index=fault_index,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Interpolation-grid verifiers.
-# ---------------------------------------------------------------------------
-
-
-def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
-    """Meixner connection d_n = (2r+1)_n / n! * M_n(x-r; 2r+1, -1).
-
-    Both sides have degree <= n in x and in r, so exact agreement on an
-    (n+1) x (n+1) product grid proves the identity for each n.  The
-    re-parameterized form with b = 2r+1 is checked on its own grid.
-    """
+def _meixner_instances(n_max: int) -> Iterator:
     # The same integer (r, x) points recur for every larger n, so each
     # point's whole scalar sequence is built once and indexed.
-    sequences: dict[EvalPoint, list[Fraction]] = {}
+    sequence_at = cache(lambda point: d_eval_sequence(n_max, point))
 
-    def d_at(n: int, point: EvalPoint) -> Fraction:
-        if point not in sequences:
-            sequences[point] = d_eval_sequence(n_max, point)
-        return sequences[point][n]
-
-    counterexample = None
-    idx = 0
     for n in range(n_max + 1):
-        if counterexample:
-            break
         for rv in range(1, n + 2):
-            if counterexample:
-                break
             for xv in range(n + 1):
-                lhs = d_at(n, EvalPoint(Fraction(rv), Fraction(xv)))
-                rhs = pochhammer(2 * rv + 1, n) / factorial(n) * meixner_eval(
-                    n, xv - rv, 2 * rv + 1, -1
+                yield (
+                    f"connection n={n}",
+                    {"n": n, "r": rv, "x": xv},
+                    sequence_at(EvalPoint(Fraction(rv), Fraction(xv)))[n],
+                    pochhammer(2 * rv + 1, n) / factorial(n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
                 )
-                if idx == fault_index:
-                    rhs = rhs + 1
-                idx += 1
-                if lhs != rhs:
-                    counterexample = {
-                        "instance": f"connection n={n}",
-                        "params": {"n": n, "r": rv, "x": xv},
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                    break
-        if counterexample:
-            break
         for bv in range(1, n + 2):
-            if counterexample:
-                break
             b = Fraction(bv)
             shift = (b - 1) / 2
             for xv in range(n + 1):
-                lhs = d_at(n, EvalPoint(shift, xv + shift))
-                rhs = binom_gen(b + n - 1, n) * meixner_eval(n, xv, b, -1)
-                if idx == fault_index:
-                    rhs = rhs + 1
-                idx += 1
-                if lhs != rhs:
-                    counterexample = {
-                        "instance": f"reparameterized n={n}",
-                        "params": {"n": n, "b": b, "x": xv},
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                    break
-    return VerifyReport(
-        identity_id="meixner",
-        mode=Mode.INTERPOLATION_GRID,
-        range=f"n<={n_max}, per-n grid (n+1)^2 points in (r, x)",
-        passed=counterexample is None,
-        counterexample=counterexample,
-        skipped=(_EXCLUDED_HALF_INT,),
-        degree_bound=n_max,
-        sample_count=(n_max + 1) ** 2,
-    )
+                yield (
+                    f"reparameterized n={n}",
+                    {"n": n, "b": b, "x": xv},
+                    sequence_at(EvalPoint(shift, xv + shift))[n],
+                    binom_gen(b + n - 1, n) * meixner_eval(n, xv, b, -1),
+                )
 
 
 def _parametric_square_sides_symbolic(n: int, a: Fraction) -> tuple[BiPoly, BiPoly]:
@@ -779,44 +478,12 @@ def _meixner_square_rhs(n: int, b: Fraction) -> BiPoly:
     return total / binom_gen(b + n - 1, n)
 
 
-def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
-    """Square identities with a free parameter and their specializations.
-
-    For each n, both sides times the clearing factor are polynomials of
-    degree <= 2n in the parameter, so agreement at 2n+2 parameter values
-    (with the x-dependence handled symbolically) is a proof.
-    """
-    counterexample = None
-    idx = 0
-
-    def check(label, params, lhs, rhs):
-        nonlocal counterexample, idx
-        if counterexample:
-            return
-        if idx == fault_index:
-            rhs = rhs + 1
-        idx += 1
-        if lhs != rhs:
-            entry = {"instance": label, "params": dict(params)}
-            if isinstance(lhs, BiPoly):
-                diff = lhs - rhs
-                for xv in range(diff.deg_x + 1):
-                    if diff.eval(0, xv) != 0:
-                        entry["params"]["x"] = Fraction(xv)
-                        entry["lhs"] = lhs.eval(0, xv)
-                        entry["rhs"] = rhs.eval(0, xv)
-                        break
-            else:
-                entry["lhs"] = lhs
-                entry["rhs"] = rhs
-            counterexample = entry
-
+def _parametric_square_instances(n_max: int) -> Iterator:
     for n in range(n_max + 1):
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         for a in a_grid:
-            lhs, rhs = _parametric_square_sides_symbolic(n, a)
-            check(f"free-parameter square n={n}", {"n": n, "a": a}, lhs, rhs)
+            yield (f"free-parameter square n={n}", {"n": n, "a": a}, *_parametric_square_sides_symbolic(n, a))
             # specialization x = -1, where binom(-1, k) = (-1)^k; the
             # (a+1)/(a+1-k) factor is binom(a+1,k)/binom(a,k) in reduced
             # form, which stays defined at a = -1, k = 0
@@ -835,7 +502,7 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
                 ),
                 Fraction(0),
             ) / binom_gen(a, n)
-            check(f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s)
+            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
 
         # a = -1/2: central-binomial form
         lhs_c = sum(
@@ -849,16 +516,15 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
             ),
             Fraction(0),
         ) / binom_gen(Fraction(2 * n), n)
-        check(f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c)
+        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c
 
         # b parameterization over positive integers, plus the Meixner tie-in
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
             base = _squared_binomial_sum(n, b)
-            rhs_m = _meixner_square_rhs(n, b)
-            check(f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs_m)
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, _meixner_square_rhs(n, b)
             for xv in range(n + 1):
-                check(
+                yield (
                     f"meixner-square tie n={n}",
                     {"n": n, "b": b, "x": xv},
                     meixner_eval(n, xv, b, -1),
@@ -878,23 +544,310 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
                 * ys[k]
                 * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1))
             )
-        check(f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs_t * lhs_t, rhs_t / (n + 1))
+        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs_t * lhs_t, rhs_t / (n + 1)
 
+
+_CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))
+_CLAUSEN_C = (Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4))
+_CLAUSEN_Z = (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
+_CLAUSEN_RX = ((Fraction(1), Fraction(1, 3)), (Fraction(7, 3), Fraction(1, 5)), (Fraction(1, 2), Fraction(-2, 5)))
+
+
+def _clausen_instances(n_max: int) -> Iterator:
+    triples = [(b, c, z) for b in _CLAUSEN_B for c in _CLAUSEN_C for z in _CLAUSEN_Z]
+    triples += [(r + 1 + x, 2 * r + 1, Fraction(2)) for (r, x) in _CLAUSEN_RX]
+    for n in range(n_max + 1):
+        for b, c, z in triples:
+            yield (f"n={n}", {"n": n, "b": b, "c": c, "z": z}, *clausen_product_sides(n, b, c, z))
+
+
+# ---------------------------------------------------------------------------
+# Generic driver.
+# ---------------------------------------------------------------------------
+
+
+def _witness_point(diff: BiPoly, axes: tuple[str, ...]) -> EvalPoint:
+    """A point where a non-zero ``diff`` provably does not vanish; r is 0 unless in ``axes``."""
+    for rv in range(1, diff.deg_r + 2) if "r" in axes else (0,):
+        for xv in range(diff.deg_x + 1):
+            if diff.eval(rv, xv) != 0:
+                return EvalPoint(Fraction(rv), Fraction(xv))
+    raise AssertionError("non-zero polynomial vanished on its witness grid")
+
+
+def _first_counterexample(cases: Iterable, fault_index: int | None, axes: tuple[str, ...]) -> dict | None:
+    """The first case whose sides differ, as a counterexample, or None.
+
+    Case ``fault_index`` gets rhs + 1; an index never reached is a ValueError.
+    BiPoly sides are reported at a witness point on ``axes``.
+    """
+    count = 0
+    for count, (label, params, lhs, rhs) in enumerate(cases, 1):
+        if count - 1 == fault_index:
+            rhs = rhs + 1
+        if lhs != rhs:
+            if isinstance(lhs, BiPoly):
+                at = _witness_point(lhs - rhs, axes)
+                params = {**params, **{axis: getattr(at, axis) for axis in axes}}
+                lhs, rhs = lhs.eval(at.r, at.x), rhs.eval(at.r, at.x)
+            return {"instance": label, "params": params, "lhs": lhs, "rhs": rhs}
+    if fault_index is not None:
+        raise ValueError(f"fault index {fault_index!r} is not among the {count} checked cases")
+    return None
+
+
+def _run_identity(
+    identity_id: str,
+    mode: Mode,
+    depth: int,
+    instances: Callable[[object], Iterator],
+    *,
+    n_high: int | None = None,
+    range_desc: str | None = None,
+    route: Route | None = Route.THREE_TERM,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+    skipped: tuple = (),
+    witness_axes: tuple[str, ...] = ("r", "x"),
+    **grid,
+) -> VerifyReport:
+    """Report on the cases ``instances(alg)`` yields over exact polynomials
+    d_0..d_{n_high} (n_high defaults to depth) from ``route``, or at each of
+    ``points`` over rationals; with no route the generator gets no algebra."""
+    check_natural(depth, "depth")
+    n_high = depth if n_high is None else n_high
+    skipped, used = list(skipped), []
+
+    def point_cases() -> Iterator:
+        for point in points:
+            if point.r_is_excluded_half_integer():
+                skipped.append({"r": point.r, "x": point.x, "reason": "r in excluded half-integer set"})
+                continue
+            used.append(point)
+            for label, params, lhs, rhs in instances(_PointAlg(point, n_high, route)):
+                yield label, {**params, "r": point.r, "x": point.x}, lhs, rhs
+
+    if points is not None:
+        cases = point_cases()
+    else:
+        cases = instances(None if route is None else _SymbolicAlg(d_sequence(route, n_high).polys))
+    counterexample = _first_counterexample(cases, fault_index, witness_axes)
+    range_desc = range_desc or f"n<={depth}"
+    if points is not None:
+        mode, range_desc = Mode.POINT_GRID, f"{range_desc} at {len(used)} points"
     return VerifyReport(
-        identity_id="parametric-square",
-        mode=Mode.INTERPOLATION_GRID,
-        range=f"n<={n_max}, 2n+2 parameter values per n, symbolic in x",
+        identity_id=identity_id,
+        mode=mode,
+        range=range_desc,
         passed=counterexample is None,
         counterexample=counterexample,
-        skipped=({"a": "{0, 1, 2, ...}", "reason": "excluded by the statement"},),
-        degree_bound=2 * n_max,
-        sample_count=2 * n_max + 2,
+        skipped=tuple(skipped),
+        **grid,
     )
 
 
-# ---------------------------------------------------------------------------
-# Hypergeometric-bridge verifiers (PointGrid by nature).
-# ---------------------------------------------------------------------------
+_EXCLUDED_HALF_INT = {
+    "r": "{-1/2, -1, -3/2, ...}",
+    "reason": "statement excludes the half-integer set; cleared form holds identically",
+}
+
+
+def verify_square(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Closed form for d_n(x)^2 as a single binomial sum."""
+    return _run_identity(
+        "square",
+        Mode.CLEARED_DENOMINATOR,
+        n_max,
+        lambda alg: _square_instances(alg, n_max),
+        points=points,
+        fault_index=fault_index,
+        skipped=(_EXCLUDED_HALF_INT,),
+    )
+
+
+def verify_linearization(
+    m_max: int,
+    n_max: int | None = None,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Product d_m * d_n as a signed combination of single d_k."""
+    n_max = m_max if n_max is None else check_natural(n_max, "n_max")
+    return _run_identity(
+        "linearization",
+        Mode.SYMBOLIC_POLY,
+        m_max,
+        lambda alg: _linearization_instances(alg, m_max, n_max),
+        n_high=m_max + n_max,
+        range_desc=f"m<={m_max}, n<={n_max}",
+        points=points,
+        fault_index=fault_index,
+    )
+
+
+def verify_newform_consequences(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Binomial-inversion consequences of the alternative closed form."""
+    return _run_identity(
+        "inversion",
+        Mode.CLEARED_DENOMINATOR,
+        n_max,
+        lambda alg: _inversion_instances(alg, n_max),
+        points=points,
+        fault_index=fault_index,
+        skipped=(_EXCLUDED_HALF_INT,),
+    )
+
+
+def verify_jacobi(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """The three Jacobi-polynomial representations of d_n."""
+    return _run_identity(
+        "jacobi",
+        Mode.SYMBOLIC_POLY,
+        n_max,
+        lambda alg: _jacobi_instances(alg, n_max),
+        points=points,
+        fault_index=fault_index,
+    )
+
+
+def verify_recurrences(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Three-term and two-term recurrences plus their combination.
+
+    Both runs take d_n from the defining sum, so the recurrences are
+    genuinely being proven about independently constructed objects.
+    """
+    return _run_identity(
+        "recurrences",
+        Mode.SYMBOLIC_POLY,
+        n_max,
+        lambda alg: _recurrence_instances(alg, n_max),
+        n_high=n_max + 1,
+        route=Route.DIRECT,
+        points=points,
+        fault_index=fault_index,
+    )
+
+
+def verify_special_values(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Closed forms of d_n at x in {-1/2, 0, -1, 1/2, 1, 3/2, 2}."""
+    return _run_identity(
+        "special-values",
+        Mode.CLEARED_DENOMINATOR,
+        n_max,
+        lambda alg: _special_value_instances(alg, n_max),
+        points=points,
+        fault_index=fault_index,
+        skipped=(
+            {"r": "-1", "reason": "excluded for x=1 and x=3/2 closed forms"},
+            {"r": "-3/2", "reason": "factor 2r+3 in the x=3/2 form; skipped rather than resolved"},
+            {"r": "{-1, -2}", "reason": "excluded for the x=2 closed form"},
+        ),
+    )
+
+
+def verify_shift_identities(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """Half-step parameter/argument shift identities and the x -> 1-x swap."""
+    return _run_identity(
+        "shift-identities",
+        Mode.SYMBOLIC_POLY,
+        n_max,
+        lambda alg: _shift_instances(alg, n_max),
+        n_high=n_max + 1,
+        points=points,
+        fault_index=fault_index,
+    )
+
+
+def verify_weighted_square_sum(
+    n_max: int,
+    *,
+    points: Iterable[EvalPoint] | None = None,
+    fault_index: int | None = None,
+) -> VerifyReport:
+    """(1+2x) * sum of weighted d_k^2 equals (n+2r) d_n d_{n-1}."""
+    return _run_identity(
+        "weighted-square-sum",
+        Mode.SYMBOLIC_POLY,
+        n_max,
+        lambda alg: _weighted_square_sum_instances(alg, n_max),
+        points=points,
+        fault_index=fault_index,
+    )
+
+
+def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
+    """Meixner connection d_n = (2r+1)_n / n! * M_n(x-r; 2r+1, -1).
+
+    Both sides have degree <= n in x and in r, so exact agreement on an
+    (n+1) x (n+1) product grid proves the identity for each n.  The
+    re-parameterized form with b = 2r+1 is checked on its own grid.
+    """
+    return _run_identity(
+        "meixner",
+        Mode.INTERPOLATION_GRID,
+        n_max,
+        lambda _: _meixner_instances(n_max),
+        route=None,
+        range_desc=f"n<={n_max}, per-n grid (n+1)^2 points in (r, x)",
+        fault_index=fault_index,
+        skipped=(_EXCLUDED_HALF_INT,),
+        degree_bound=n_max,
+        sample_count=(n_max + 1) ** 2,
+    )
+
+
+def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
+    """Square identities with a free parameter and their specializations.
+
+    For each n, both sides times the clearing factor are polynomials of
+    degree <= 2n in the parameter, so agreement at 2n+2 parameter values
+    (with the x-dependence handled symbolically) is a proof.  A symbolic
+    counterexample is reported at a value of x alone.
+    """
+    return _run_identity(
+        "parametric-square",
+        Mode.INTERPOLATION_GRID,
+        n_max,
+        lambda _: _parametric_square_instances(n_max),
+        route=None,
+        range_desc=f"n<={n_max}, 2n+2 parameter values per n, symbolic in x",
+        fault_index=fault_index,
+        skipped=({"a": "{0, 1, 2, ...}", "reason": "excluded by the statement"},),
+        witness_axes=("x",),
+        degree_bound=2 * n_max,
+        sample_count=2 * n_max + 2,
+    )
 
 
 def verify_hyper_bridge(
@@ -904,55 +857,14 @@ def verify_hyper_bridge(
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Terminating-2F1 bridge and its mirror match the scalar evaluator."""
-    if points is None:
-        points = deterministic_points(50)
-    counterexample = None
-    skipped = []
-    idx = 0
-    used = 0
-    for point in points:
-        if point.r_is_excluded_half_integer():
-            skipped.append(
-                {"r": point.r, "x": point.x, "reason": "r in excluded half-integer set"}
-            )
-            continue
-        used += 1
-        seq = d_eval_sequence(n_max, point)
-        for n in range(n_max + 1):
-            for label, fn in (
-                ("bridge", d_via_hyper),
-                ("mirror-bridge", d_via_hyper_companion),
-            ):
-                rhs = fn(n, point.r, point.x)
-                if idx == fault_index:
-                    rhs = rhs + 1
-                idx += 1
-                if seq[n] != rhs:
-                    counterexample = {
-                        "instance": f"{label} n={n}",
-                        "params": {"n": n, "r": point.r, "x": point.x},
-                        "lhs": seq[n],
-                        "rhs": rhs,
-                    }
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return VerifyReport(
-        identity_id="hyper-bridge",
-        mode=Mode.POINT_GRID,
-        range=f"n<={n_max} at {used} points",
-        passed=counterexample is None,
-        counterexample=counterexample,
-        skipped=tuple(skipped),
+    return _run_identity(
+        "hyper-bridge",
+        Mode.POINT_GRID,
+        n_max,
+        lambda alg: _hyper_bridge_instances(alg, n_max),
+        points=deterministic_points(50) if points is None else points,
+        fault_index=fault_index,
     )
-
-
-_CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))
-_CLAUSEN_C = (Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4))
-_CLAUSEN_Z = (Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3))
-_CLAUSEN_RX = ((Fraction(1), Fraction(1, 3)), (Fraction(7, 3), Fraction(1, 5)), (Fraction(1, 2), Fraction(-2, 5)))
 
 
 def verify_clausen_product(n_max: int = 15, *, fault_index: int | None = None) -> VerifyReport:
@@ -962,32 +874,14 @@ def verify_clausen_product(n_max: int = 15, *, fault_index: int | None = None) -
     pole before termination; the parameterization (b, c) = (r+1+x, 2r+1)
     used by the square-formula derivation is also sampled.
     """
-    counterexample = None
-    idx = 0
-    for n in range(n_max + 1):
-        triples = [(b, c, z) for b in _CLAUSEN_B for c in _CLAUSEN_C for z in _CLAUSEN_Z]
-        triples += [(r + 1 + x, 2 * r + 1, Fraction(2)) for (r, x) in _CLAUSEN_RX]
-        for b, c, z in triples:
-            lhs, rhs = clausen_product_sides(n, b, c, z)
-            if idx == fault_index:
-                rhs = rhs + 1
-            idx += 1
-            if lhs != rhs:
-                counterexample = {
-                    "instance": f"n={n}",
-                    "params": {"n": n, "b": b, "c": c, "z": z},
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
-                break
-        if counterexample:
-            break
-    return VerifyReport(
-        identity_id="clausen-product",
-        mode=Mode.POINT_GRID,
-        range=f"n<={n_max}, {len(_CLAUSEN_B) * len(_CLAUSEN_C) * len(_CLAUSEN_Z) + len(_CLAUSEN_RX)} parameter triples per n",
-        passed=counterexample is None,
-        counterexample=counterexample,
+    return _run_identity(
+        "clausen-product",
+        Mode.POINT_GRID,
+        n_max,
+        lambda _: _clausen_instances(n_max),
+        route=None,
+        range_desc=f"n<={n_max}, {len(_CLAUSEN_B) * len(_CLAUSEN_C) * len(_CLAUSEN_Z) + len(_CLAUSEN_RX)} parameter triples per n",
+        fault_index=fault_index,
     )
 
 
@@ -995,20 +889,27 @@ def verify_clausen_product(n_max: int = 15, *, fault_index: int | None = None) -
 # Suite runner.
 # ---------------------------------------------------------------------------
 
-DEFAULT_DEPTHS: dict[str, int] = {
-    "square": 12,
-    "linearization": 8,
-    "inversion": 15,
-    "jacobi": 12,
-    "meixner": 12,
-    "recurrences": 25,
-    "special-values": 25,
-    "shift-identities": 20,
-    "parametric-square": 10,
-    "weighted-square-sum": 15,
-    "hyper-bridge": 15,
-    "clausen-product": 15,
-}
+
+def _suite() -> dict[str, tuple[int, Callable[..., VerifyReport]]]:
+    """id -> (default depth, verifier), in suite order.  Built per call so
+    each verifier is looked up by its module-global name when the suite runs."""
+    return {
+        "square": (12, verify_square),
+        "linearization": (8, verify_linearization),
+        "inversion": (15, verify_newform_consequences),
+        "jacobi": (12, verify_jacobi),
+        "meixner": (12, verify_meixner),
+        "recurrences": (25, verify_recurrences),
+        "special-values": (25, verify_special_values),
+        "shift-identities": (20, verify_shift_identities),
+        "parametric-square": (10, verify_parametric_square),
+        "weighted-square-sum": (15, verify_weighted_square_sum),
+        "hyper-bridge": (15, verify_hyper_bridge),
+        "clausen-product": (15, verify_clausen_product),
+    }
+
+
+DEFAULT_DEPTHS: dict[str, int] = {identity_id: depth for identity_id, (depth, _) in _suite().items()}
 
 SUITE_IDS: tuple[str, ...] = tuple(DEFAULT_DEPTHS)
 
@@ -1021,51 +922,26 @@ class SuiteConfig:
     selection: tuple[str, ...] | None = None
     fault: tuple[str, int] | None = None
 
-    def depth_for(self, identity_id: str) -> int:
-        return self.depths.get(identity_id, DEFAULT_DEPTHS[identity_id])
-
-
-def _dispatch(identity_id: str, depth: int, fault_index: int | None) -> VerifyReport:
-    if identity_id == "square":
-        return verify_square(depth, fault_index=fault_index)
-    if identity_id == "linearization":
-        return verify_linearization(depth, depth, fault_index=fault_index)
-    if identity_id == "inversion":
-        return verify_newform_consequences(depth, fault_index=fault_index)
-    if identity_id == "jacobi":
-        return verify_jacobi(depth, fault_index=fault_index)
-    if identity_id == "meixner":
-        return verify_meixner(depth, fault_index=fault_index)
-    if identity_id == "recurrences":
-        return verify_recurrences(depth, fault_index=fault_index)
-    if identity_id == "special-values":
-        return verify_special_values(depth, fault_index=fault_index)
-    if identity_id == "shift-identities":
-        return verify_shift_identities(depth, fault_index=fault_index)
-    if identity_id == "parametric-square":
-        return verify_parametric_square(depth, fault_index=fault_index)
-    if identity_id == "weighted-square-sum":
-        return verify_weighted_square_sum(depth, fault_index=fault_index)
-    if identity_id == "hyper-bridge":
-        return verify_hyper_bridge(depth, fault_index=fault_index)
-    if identity_id == "clausen-product":
-        return verify_clausen_product(depth, fault_index=fault_index)
-    raise ValueError(f"unknown identity id: {identity_id!r}")
-
 
 def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
-    """Run the configured verifiers and return their reports in suite order."""
+    """Run the configured verifiers and return their reports in suite order;
+    a bad config raises ValueError before any verifier runs."""
     config = config or SuiteConfig()
-    ids = config.selection if config.selection is not None else SUITE_IDS
-    unknown = [i for i in ids if i not in DEFAULT_DEPTHS]
+    suite = _suite()
+    ids = config.selection if config.selection is not None else tuple(suite)
+    unknown = sorted({*ids, *config.depths} - suite.keys())
     if unknown:
-        raise ValueError(f"unknown identity ids: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    fault_id, fault_index = config.fault or (None, None)
+    if config.fault is not None:
+        if fault_id not in ids:
+            raise ValueError(f"fault targets {fault_id!r}, which is not selected")
+        check_natural(fault_index, "fault index")
     reports = []
     for identity_id in ids:
-        fault_index = None
-        if config.fault is not None and config.fault[0] == identity_id:
-            fault_index = config.fault[1]
-        reports.append(_dispatch(identity_id, config.depth_for(identity_id), fault_index))
+        default_depth, verifier = suite[identity_id]
+        fault = fault_index if identity_id == fault_id else None
+        reports.append(verifier(config.depths.get(identity_id, default_depth), fault_index=fault))
     return reports
 
 

@@ -1,18 +1,11 @@
-"""Tests for the exact bivariate polynomial algebra and truncated series."""
+"""Tests for the exact bivariate polynomial algebra."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from delpoly.bipoly import (
-    BiPoly,
-    TruncatedSeries,
-    binom_poly,
-    binomial_series,
-    series_mul,
-    sum_products,
-)
+from delpoly.bipoly import BiPoly, binom_poly, sum_products
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -139,85 +132,11 @@ def test_binom_poly_rejects_non_natural_index(bad):
         binom_poly(X + R, bad)
 
 
-def geometric(order: int) -> TruncatedSeries:
-    return TruncatedSeries(tuple(BiPoly.one() for _ in range(order)))
-
-
-def test_series_mul():
-    one, t = BiPoly.one(), BiPoly.zero()
-    s_plus = TruncatedSeries((one, one, BiPoly.zero()))  # 1 + t at order 3
-    s_minus = TruncatedSeries((one, -one, BiPoly.zero()))  # 1 - t
-    prod = series_mul(s_plus, s_minus)
-    assert prod.coefficients == (one, BiPoly.zero(), -one)  # 1 - t^2
-
-    # geometric * (1 - t) telescopes to 1
-    order = 6
-    g = geometric(order)
-    m = TruncatedSeries((one, -one) + tuple(BiPoly.zero() for _ in range(order - 2)))
-    collapsed = g * m
-    assert collapsed.coefficients[0] == one
-    assert all(c.is_zero for c in collapsed.coefficients[1:])
-
-    # geometric^2 has coefficient n+1 at t^n
-    sq = g * g
-    for n in range(order):
-        assert sq.coefficients[n] == BiPoly.const(n + 1)
-
-
-def test_series_order_mismatch():
-    with pytest.raises(ValueError):
-        geometric(3) * geometric(4)
-    with pytest.raises(ValueError):
-        geometric(3) + geometric(2)
-
-
-def test_binomial_series_basics():
-    s = binomial_series(BiPoly.one(), +1, 4)
-    assert s.coefficients[0] == BiPoly.one()
-    assert s.coefficients[1] == BiPoly.one()
-    assert s.coefficients[2].is_zero and s.coefficients[3].is_zero
-
-    # (1 - t)^(-1) is the geometric series
-    g = binomial_series(BiPoly.const(-1), -1, 6)
-    assert all(c == BiPoly.one() for c in g.coefficients)
-
-    s = binomial_series(X - R, +1, 5)
-    for k in range(5):
-        assert s.coefficients[k] == binom_poly(X - R, k)
-
-
-def test_binomial_series_exponent_additivity():
-    # (1+t)^E1 * (1+t)^E2 = (1+t)^(E1+E2), the Vandermonde convolution
-    cases = [
-        (X - R, 2 * R + 3),
-        (X + R + 1, -X),
-        (BiPoly.const(Fraction(1, 2)), X - 1),
-    ]
-    for e1, e2 in cases:
-        lhs = binomial_series(e1, +1, 8) * binomial_series(e2, +1, 8)
-        rhs = binomial_series(e1 + e2, +1, 8)
-        assert lhs.coefficients == rhs.coefficients
-
-
-def test_binomial_series_rejects_bad_input():
-    with pytest.raises(ValueError):
-        binomial_series(X * R, +1, 3)
-    with pytest.raises(ValueError):
-        binomial_series(X, 2, 3)
-
-
 @pytest.mark.parametrize("bad", [-1, True, 2.5])
 def test_pow_rejects_non_natural_exponent(bad):
     # X ** True used to return X
     with pytest.raises(ValueError, match="exponent must be a natural number"):
         X**bad
-
-
-@pytest.mark.parametrize("bad", [-1, True, 2.5])
-def test_binomial_series_rejects_non_natural_order(bad):
-    # order=2.5 used to escape as a bare TypeError, and order=True was accepted
-    with pytest.raises(ValueError, match="order must be a natural number"):
-        binomial_series(X, +1, bad)
 
 
 def test_canonical_text_form():

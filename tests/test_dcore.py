@@ -24,7 +24,6 @@ from delpoly.dcore import (
     delannoy_dp,
     jacobi_eval,
     meixner_eval,
-    poly_eval,
 )
 from delpoly.exactnum import binom_gen, pochhammer
 
@@ -74,15 +73,20 @@ def test_five_route_agreement_small():
 
 
 def test_series_route_is_the_truncated_product():
-    from delpoly.bipoly import binomial_series, series_mul
-
-    order = 9
-    product = series_mul(
-        binomial_series(X - R, +1, order),
-        binomial_series(-(X + R + 1), -1, order),
-    )
-    seq = d_series(order - 1)
-    assert seq.polys == product.coefficients
+    """Every route's d_n is the t^n coefficient of (1+t)^(x-r) (1-t)^(-(x+r+1)),
+    expanded by sympy, for n <= 7."""
+    sympy = pytest.importorskip("sympy")
+    x, r, t = sympy.symbols("x r t")
+    order = 8
+    expansion = sympy.series((1 + t) ** (x - r) * (1 - t) ** (-(x + r + 1)), t, 0, order).removeO()
+    for route in Route:
+        seq = d_sequence(route, order - 1)
+        for n in range(order):
+            ours = sum(
+                (sympy.Rational(c.numerator, c.denominator) * x**dx * r**dr for (dx, dr), c in seq.polys[n].terms()),
+                sympy.Integer(0),
+            )
+            assert sympy.expand(ours - expansion.coeff(t, n)) == 0, (route, n)
 
 
 def test_dsequence_validates_base_values():
@@ -150,7 +154,7 @@ def test_d_eval_matches_symbolic():
         )
         values = d_eval_sequence(9, at)
         for n in range(10):
-            assert values[n] == poly_eval(seq.polys[n], at)
+            assert values[n] == seq.polys[n].eval(at.r, at.x)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])

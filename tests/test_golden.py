@@ -4,9 +4,11 @@
 --format json`` printed at the default depths when the benchmark was
 defined; ``perfbench/reference/routes.json`` holds the sha256 of what
 ``delpoly poly`` printed for each route at the benchmark's depths;
-``tests/golden/fault_lines.jsonl`` holds, for every verifier, the report
-line with the fault injected at instance 1 and all depths 5, which pins the
-exact counterexample values; ``tests/golden/scan_default.jsonl`` and
+``tests/golden/fault_lines.jsonl`` and ``tests/golden/fault_lines_0.jsonl``
+hold, for every verifier, the report line with the fault injected at case 1
+and at case 0, all depths 5, which pins the exact counterexample values
+(case 0 reaches meixner's connection grid, the x-only parametric-square
+witness and hyper-bridge's first bridge); ``tests/golden/scan_default.jsonl`` and
 ``tests/golden/scan_deep.jsonl`` hold what ``delpoly scan --format json``
 printed on the default grid and on ``tests/golden/scan_deep.grid`` (a 3x4
 grid at n_max 800) before the scans carried the squared recurrence state.
@@ -30,7 +32,7 @@ ROUTES_REFERENCE = ROOT / "perfbench" / "reference" / "routes.json"
 # The depths at which the benchmark's routes workload prints each route.
 ROUTE_DEPTHS = {"direct": 22, "newform": 28, "series": 22, "three-term": 90, "two-term": 72}
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FAULT_LINES = GOLDEN / "fault_lines.jsonl"
+FAULT_LINES = {1: GOLDEN / "fault_lines.jsonl", 0: GOLDEN / "fault_lines_0.jsonl"}
 FAST_DEPTHS = {identity_id: 5 for identity_id in SUITE_IDS}
 
 
@@ -68,13 +70,16 @@ def test_poly_output_matches_reference_hash(route):
     assert digest == json.loads(ROUTES_REFERENCE.read_text())[route]
 
 
-def _golden_fault_lines() -> dict[str, str]:
-    return {json.loads(line)["id"]: line for line in FAULT_LINES.read_text().splitlines()}
+def _golden_fault_lines(index: int) -> dict[str, str]:
+    return {json.loads(line)["id"]: line for line in FAULT_LINES[index].read_text().splitlines()}
 
 
-@pytest.mark.parametrize("identity_id", SUITE_IDS)
-def test_fault_injected_line_matches_golden(identity_id):
-    config = SuiteConfig(depths=FAST_DEPTHS, selection=(identity_id,), fault=(identity_id, 1))
+@pytest.mark.parametrize(
+    "identity_id, index",
+    [pytest.param(i, index, id=i if index == 1 else f"{i}-at-0") for index in (1, 0) for i in SUITE_IDS],
+)
+def test_fault_injected_line_matches_golden(identity_id, index):
+    config = SuiteConfig(depths=FAST_DEPTHS, selection=(identity_id,), fault=(identity_id, index))
     (report,) = run_suite(config)
     assert not report.passed
-    assert report.to_json_line() == _golden_fault_lines()[identity_id]
+    assert report.to_json_line() == _golden_fault_lines(index)[identity_id]

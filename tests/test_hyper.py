@@ -10,13 +10,13 @@ from delpoly.dcore import EvalPoint, d_eval
 from delpoly.exactnum import pochhammer
 from delpoly.hyper import (
     HyperSpec,
-    clausen_product_check,
     clausen_product_sides,
     d_via_hyper,
     d_via_hyper_companion,
     hyper2f1,
     hyper_eval,
 )
+from delpoly.verify import verify_clausen_product
 
 
 def hyper_sum_oracle(nums, dens, z) -> Fraction:
@@ -91,13 +91,9 @@ def test_bridge_matches_scalar_evaluator():
 
 
 def test_clausen_product_trivial_and_small():
-    report = clausen_product_check(0, Fraction(1, 3), Fraction(5, 2), Fraction(7))
-    assert report.passed
     lhs, rhs = clausen_product_sides(0, Fraction(1, 3), Fraction(5, 2), Fraction(7))
     assert lhs == rhs == 1
 
-    report = clausen_product_check(1, 2, 3, 2)
-    assert report.passed
     lhs, rhs = clausen_product_sides(1, 2, 3, 2)
     assert lhs == rhs == Fraction(-1, 9)
 
@@ -115,10 +111,14 @@ def test_clausen_product_rejects_z_one():
 
 
 def test_clausen_report_counterexample_shape():
-    report = clausen_product_check(3, Fraction(-3, 2), Fraction(1, 2), Fraction(3))
-    assert report.passed
-    assert report.counterexample is None
+    lhs, rhs = clausen_product_sides(3, Fraction(-3, 2), Fraction(1, 2), Fraction(3))
+    assert lhs == rhs
+    report = verify_clausen_product(1, fault_index=0)
     assert report.identity_id == "clausen-product"
+    ce = report.counterexample
+    assert ce["instance"] == "n=0"
+    assert ce["params"] == {"n": 0, "b": Fraction(-3, 2), "c": Fraction(1, 2), "z": Fraction(-1)}
+    assert ce["rhs"] == ce["lhs"] + 1
 
 
 @pytest.mark.parametrize("bad", [-1, True, 2.5])

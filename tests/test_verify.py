@@ -168,42 +168,26 @@ def test_deterministic_points_avoid_exclusions():
     assert not any(p.r_is_excluded_half_integer() for p in points)
 
 
-SYMBOLIC_IDS = (
-    "square",
-    "linearization",
-    "inversion",
-    "jacobi",
-    "recurrences",
-    "special-values",
-    "shift-identities",
-    "weighted-square-sum",
-)
+SYMBOLIC_VERIFIERS = {
+    "square": verify_square,
+    "linearization": verify_linearization,
+    "inversion": verify_newform_consequences,
+    "jacobi": verify_jacobi,
+    "recurrences": verify_recurrences,
+    "special-values": verify_special_values,
+    "shift-identities": verify_shift_identities,
+    "weighted-square-sum": verify_weighted_square_sum,
+}
+SYMBOLIC_IDS = tuple(SYMBOLIC_VERIFIERS)
 
 
 @pytest.mark.parametrize("identity_id", SYMBOLIC_IDS)
 def test_point_grid_agrees_with_symbolic(identity_id):
     """Symbolic/cleared verdicts are spot-checked at >= 20 random points."""
-    from delpoly.verify import _dispatch
-
     depth = SMALL_DEPTH[identity_id]
-    symbolic = _dispatch(identity_id, depth, None)
-    kwargs = {"points": random_points(20, seed=sum(map(ord, identity_id)))}
-    if identity_id == "square":
-        pointwise = verify_square(depth, **kwargs)
-    elif identity_id == "linearization":
-        pointwise = verify_linearization(depth, depth, **kwargs)
-    elif identity_id == "inversion":
-        pointwise = verify_newform_consequences(depth, **kwargs)
-    elif identity_id == "jacobi":
-        pointwise = verify_jacobi(depth, **kwargs)
-    elif identity_id == "recurrences":
-        pointwise = verify_recurrences(depth, **kwargs)
-    elif identity_id == "special-values":
-        pointwise = verify_special_values(depth, **kwargs)
-    elif identity_id == "shift-identities":
-        pointwise = verify_shift_identities(depth, **kwargs)
-    else:
-        pointwise = verify_weighted_square_sum(depth, **kwargs)
+    (symbolic,) = run_suite(SuiteConfig(depths=SMALL_DEPTH, selection=(identity_id,)))
+    verifier = SYMBOLIC_VERIFIERS[identity_id]
+    pointwise = verifier(depth, points=random_points(20, seed=sum(map(ord, identity_id))))
     assert symbolic.passed == pointwise.passed is True
     assert pointwise.mode is Mode.POINT_GRID
 
@@ -212,9 +196,8 @@ def test_point_grid_agrees_with_symbolic(identity_id):
 def test_fault_injection_flips_each_verifier(identity_id):
     """A +1 perturbation of one instance's reference side must fail with a
     concrete counterexample."""
-    from delpoly.verify import _dispatch
-
-    report = _dispatch(identity_id, SMALL_DEPTH[identity_id], 2)
+    config = SuiteConfig(depths=SMALL_DEPTH, selection=(identity_id,), fault=(identity_id, 2))
+    (report,) = run_suite(config)
     assert not report.passed
     ce = report.counterexample
     assert ce is not None
@@ -241,6 +224,44 @@ def test_run_suite_selection_and_unknown_id():
     assert [r.identity_id for r in reports] == ["square", "jacobi"]
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(selection=("no-such-identity",)))
+
+
+def test_fault_index_counts_cases_across_points():
+    # square at n_max 2 checks 3 cases per point, so index 3 is the first
+    # case at the second point
+    report = verify_square(2, points=deterministic_points(3), fault_index=3)
+    assert not report.passed
+    assert report.range == "n<=2 at 2 points"
+    assert report.counterexample["params"]["n"] == 0
+    assert report.counterexample["params"]["r"] == deterministic_points(3)[1].r
+
+
+def test_fault_index_past_the_last_case_is_an_error():
+    with pytest.raises(ValueError, match="fault index"):
+        verify_meixner(2, fault_index=10**6)
+    # the last in-range index still fails: 6 cases per point, 2 points
+    assert not verify_square(5, points=deterministic_points(2), fault_index=11).passed
+    with pytest.raises(ValueError, match="fault index"):
+        verify_square(5, points=deterministic_points(2), fault_index=12)
+
+
+@pytest.mark.parametrize("identity_id", SUITE_IDS)
+def test_suite_rejects_bad_config_for_each_id(identity_id):
+    one = (identity_id,)
+    with pytest.raises(ValueError, match="natural number"):
+        run_suite(SuiteConfig(depths={identity_id: -1}, selection=one))
+    with pytest.raises(ValueError, match="natural number"):
+        run_suite(SuiteConfig(depths=SMALL_DEPTH, selection=one, fault=(identity_id, -1)))
+    with pytest.raises(ValueError, match="fault index"):
+        run_suite(SuiteConfig(depths={identity_id: 1}, selection=one, fault=(identity_id, 10**6)))
+    other = "square" if identity_id != "square" else "jacobi"
+    with pytest.raises(ValueError, match="not selected"):
+        run_suite(SuiteConfig(depths=SMALL_DEPTH, selection=one, fault=(other, 0)))
+
+
+def test_suite_rejects_depth_for_unknown_id():
+    with pytest.raises(ValueError, match="unknown identity ids: no-such-identity"):
+        run_suite(SuiteConfig(depths={"no-such-identity": 3}, selection=("square",)))
 
 
 def test_default_depths_cover_all_ids():
