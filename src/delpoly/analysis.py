@@ -5,16 +5,13 @@ tolerance, and there is no floating point.  Grids are explicit lists of
 rationals (never float ranges) and scans are deterministic: identical grids
 yield identical reports.
 
-The three scans share one gcd-free integer kernel.  At a point x = p/q,
-r = a/b, with L = lcm(q, b), the scaled values D_n = n! L^n d_n(x) are
-plain integers obeying
-
-    D_0 = 1,  D_1 = A,  D_{n+1} = A D_n + n L^2 (n+2r) D_{n-1},  A = L(1+2x),
-
-so each scanned quantity is an integer numerator over a known positive
-integer scale.  A verdict is the sign of that numerator; a ``Fraction`` is
-built (and reduced) only for a reported violation, and it equals the value
-the plain rational recurrence gives.
+The three scans run on the gcd-free integer kernel of ``dcore`` (the
+scaled values D_n = n! L^n d_n(x), with A = L(1+2x) and L the common
+denominator of x and r) that ``d_eval_sequence`` also reads, so each
+scanned quantity is an integer numerator over a known positive integer
+scale.  A verdict is the sign of that numerator; a ``Fraction`` is built
+(and reduced) only for a reported violation, and it equals the value the
+plain rational recurrence gives.
 
 The Turán and product-lower-bound numerators are quadratic in D, so those
 two scans carry the symmetric square of the recurrence instead of D itself:
@@ -33,9 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .dcore import EvalPoint, d_eval_sequence
+from .dcore import EvalPoint, _scale, _scaled_d, _twice_r, d_eval_sequence
 from .exactnum import as_rational, check_natural
 from .reports import ScanReport
 
@@ -101,21 +97,6 @@ def default_conjecture_grid() -> GridSpec:
     )
 
 
-def _scaled_d(at: EvalPoint, L: int, A: int):
-    """Yield D_0, D_1, D_2, ... with D_n = n! L^n d_n(x) at ``at``, forever.
-
-    Only the last two values are kept; each is a plain ``int``.
-    """
-    L2, K = L * L, _twice_r(at, L)
-    yield 1
-    prev, cur = 1, A
-    n = 1
-    while True:
-        yield cur
-        prev, cur = cur, A * cur + n * (L2 * n + K) * prev
-        n += 1
-
-
 def _squared_d(at: EvalPoint, L: int, A: int):
     """Yield (P_{n-1}, Q_n, P_n, E_n) for n = 1, 2, 3, ..., forever, where
     P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}.
@@ -133,17 +114,6 @@ def _squared_d(at: EvalPoint, L: int, A: int):
         q = A * p + c * q
         p_prev, p = p, A * q + c * e
         n += 1
-
-
-def _twice_r(at: EvalPoint, L: int) -> int:
-    """L^2 * 2r, an integer because the denominator of r divides L."""
-    return 2 * at.r.numerator * (L // at.r.denominator) * L
-
-
-def _scale(at: EvalPoint) -> tuple[int, int]:
-    """(L, A): the common denominator L of x and r, and A = L(1+2x)."""
-    L = lcm(at.x.denominator, at.r.denominator)
-    return L, L + 2 * at.x.numerator * (L // at.x.denominator)
 
 
 def _turan_terms(at: EvalPoint, n_max: int):
@@ -290,6 +260,7 @@ def check_positivity(grid: GridSpec) -> ScanReport:
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:
     """(-1)^n (d_n^2 - d_{n+1} d_{n-1}) at a point, exactly (n >= 1)."""
+    check_natural(n, "n")
     if n < 1:
         raise ValueError("turan_value requires n >= 1")
     seq = d_eval_sequence(n + 1, at)

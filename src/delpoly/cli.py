@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import GridSpec, default_conjecture_grid, scan_conjecture
-from .dcore import EvalPoint, Route, d_eval, d_sequence, delannoy_dp
+from .dcore import EvalPoint, Route, d_eval, d_eval_sequence, d_sequence, delannoy_dp
 from .exactnum import check_natural, format_rational, parse_rational
 from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 
@@ -151,9 +151,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
-    for n in range(args.n_max + 1):
-        rows.append([d_eval(n, EvalPoint(args.r, x)) for x in args.x])
+    columns = [d_eval_sequence(args.n_max, EvalPoint(args.r, x)) for x in args.x]
+    rows = [[column[n] for column in columns] for n in range(args.n_max + 1)]
     if args.format == "json":
         import json
 

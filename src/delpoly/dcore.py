@@ -10,6 +10,15 @@ polynomials is the package's strongest self-check.
 Also provided: a fast scalar evaluator, the classical Delannoy number DP
 (the r=0, integer-x specialization), and exact Jacobi/Meixner evaluators
 used by the connection-formula verifiers.
+
+The scalar evaluator and the exact-sign scans share one gcd-free integer
+kernel.  At a point x = p/q, r = a/b, with L = lcm(q, b), the scaled values
+D_n = n! L^n d_n(x) are plain integers obeying
+
+    D_0 = 1,  D_1 = A,  D_{n+1} = A D_n + n L^2 (n+2r) D_{n-1},  A = L(1+2x),
+
+so d_n is the integer D_n over the known positive scale n! L^n, and a
+``Fraction`` is built (and reduced) only where a value is read.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import factorial, lcm
 
 from .bipoly import BiPoly, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
@@ -201,20 +212,51 @@ def _extend(route: Route, polys: list[BiPoly]) -> None:
 def d_eval(n: int, at: EvalPoint) -> Fraction:
     """Exact scalar d_n(x) at rational (r, x), via the three-term recurrence.
 
-    No symbolic algebra is involved, so this scales to n in the thousands.
+    No symbolic algebra is involved, so this scales to n in the thousands:
+    the integer kernel runs to D_n and one ``Fraction`` D_n / (n! L^n) is
+    built.
     """
-    return d_eval_sequence(check_natural(n, "n"), at)[n]
+    check_natural(n, "n")
+    L, A = _scale(at)
+    return Fraction(next(islice(_scaled_d(at, L, A), n, None)), factorial(n) * L**n)
 
 
 def d_eval_sequence(n_max: int, at: EvalPoint) -> list[Fraction]:
-    """Exact scalar values d_0 .. d_n_max at one point."""
+    """Exact scalar values d_0 .. d_n_max at one point, each D_n / (n! L^n)."""
     check_natural(n_max, "n_max")
-    out = [Fraction(1)]
-    if n_max >= 1:
-        out.append(1 + 2 * at.x)
-    for n in range(1, n_max):
-        out.append(((1 + 2 * at.x) * out[n] + (n + 2 * at.r) * out[n - 1]) / (n + 1))
+    L, A = _scale(at)
+    out = []
+    scale = 1
+    for n, D in zip(range(n_max + 1), _scaled_d(at, L, A)):
+        out.append(Fraction(D, scale))
+        scale *= (n + 1) * L
     return out
+
+
+def _scale(at: EvalPoint) -> tuple[int, int]:
+    """(L, A): the common denominator L of x and r, and A = L(1+2x)."""
+    L = lcm(at.x.denominator, at.r.denominator)
+    return L, L + 2 * at.x.numerator * (L // at.x.denominator)
+
+
+def _twice_r(at: EvalPoint, L: int) -> int:
+    """L^2 * 2r, an integer because the denominator of r divides L."""
+    return 2 * at.r.numerator * (L // at.r.denominator) * L
+
+
+def _scaled_d(at: EvalPoint, L: int, A: int):
+    """Yield D_0, D_1, D_2, ... with D_n = n! L^n d_n(x) at ``at``, forever.
+
+    Only the last two values are kept; each is a plain ``int``.
+    """
+    L2, K = L * L, _twice_r(at, L)
+    yield 1
+    prev, cur = 1, A
+    n = 1
+    while True:
+        yield cur
+        prev, cur = cur, A * cur + n * (L2 * n + K) * prev
+        n += 1
 
 
 def delannoy_dp(n: int, m: int) -> int:
@@ -246,9 +288,9 @@ def jacobi_eval(n: int, alpha: BiPoly, beta: BiPoly, point: RationalLike) -> BiP
     t = as_rational(point)
     alphas = binom_row(n + alpha, n)
     betas = binom_row(n + beta, n)
-    total = BiPoly.zero()
-    for k in range(n + 1):
-        total = total + alphas[k] * betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))
+    total = sum_products(
+        (alphas[k], betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))) for k in range(n + 1)
+    )
     return total / Fraction(2**n)
 
 

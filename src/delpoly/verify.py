@@ -10,14 +10,16 @@ Every verifier establishes its identity in one of three proof-grade modes:
   checked at more parameter values than a computed degree bound, which
   makes the grid verdict a proof rather than a sample.
 
-Each symbolic verifier can also run in PointGrid mode over explicit
-rational points: the sides are then rebuilt in plain scalar arithmetic
-(generalized binomials on Fractions, polynomial values from the scalar
-recurrence or the scalar defining sum), giving an independent cross-check
-of the polynomial machinery.
-
 Every identity is an instance generator yielding (label, params, lhs, rhs)
-cases, and all of them run through one compare loop.
+cases, and all of them run through one compare loop.  The SymbolicPoly and
+ClearedDenominator generators, and hyper-bridge's, are written once over an
+algebra bundle that supplies binomials, binomial rows, sums of products and
+the values d_n.  Over ``_SymbolicAlg`` the sides are BiPoly and each sum is
+one ``sum_products`` call; over ``_PointAlg`` (PointGrid mode, at explicit
+rational points) they are rebuilt in plain ``Fraction`` arithmetic with no
+BiPoly involved (generalized binomials, d_n from the scalar evaluator or the
+scalar defining sum), an independent cross-check of the polynomial
+machinery.  A PointGrid run with no usable point is a ValueError.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -32,7 +34,7 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .bipoly import BiPoly, binom_poly, binom_row
+from .bipoly import BiPoly, binom_poly, binom_row, sum_products
 from .dcore import (
     _R,
     _X,
@@ -63,9 +65,13 @@ class _SymbolicAlg:
         self.x = _X
 
     def binom(self, top, k: int):
-        if isinstance(top, (int, Fraction)):
-            top = BiPoly.const(top)
         return binom_poly(top, k)
+
+    def binom_row(self, top, k: int):
+        return binom_row(top, k)
+
+    def sum(self, pairs):
+        return sum_products(pairs)
 
     def d(self, n: int):
         return BiPoly.zero() if n < 0 else self._polys[n]
@@ -107,6 +113,15 @@ class _PointAlg:
     def binom(self, top, k: int):
         return binom_gen(top, k)
 
+    def binom_row(self, top, k: int):
+        row = [Fraction(1)]
+        for j in range(k):
+            row.append(row[j] * (top - j) / (j + 1))
+        return row
+
+    def sum(self, pairs):
+        return sum((a * b for a, b in pairs), Fraction(0))
+
     def d(self, n: int):
         return Fraction(0) if n < 0 else self._seq[n]
 
@@ -122,15 +137,11 @@ class _PointAlg:
 
     def jacobi(self, n: int, alpha, beta, point):
         t = as_rational(point)
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += (
-                binom_gen(n + alpha, k)
-                * binom_gen(n + beta, n - k)
-                * (t + 1) ** k
-                * (t - 1) ** (n - k)
-            )
-        return total / Fraction(2**n)
+        alphas = self.binom_row(n + alpha, n)
+        betas = self.binom_row(n + beta, n)
+        return self.sum(
+            (alphas[k], betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))) for k in range(n + 1)
+        ) / 2**n
 
 
 def _d_direct_scalar(n: int, at: EvalPoint) -> Fraction:
@@ -164,81 +175,68 @@ def deterministic_points(count: int) -> tuple[EvalPoint, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _cofactor_row(alg, n: int) -> list:
+    """binom(2r+n, n) / binom(2r+k, k) = binom(2r+n, n-k) / binom(n, k), k = 0..n.
+
+    Entry k is the polynomial (k!/n!) * prod_{j=k+1..n} (2r+j).
+    """
+    row = alg.binom_row(2 * alg.r + n, n)
+    return [row[n - k] / binom_int(n, k) for k in range(n + 1)]
+
+
 def _square_instances(alg, n_max: int) -> Iterator:
     # After absorbing the binom(2r+k, k) denominators, the k-th term picks
-    # up the polynomial cofactor (k!/n!) * prod_{j=k+1..n} (2r+j).
+    # up the cofactor binom(2r+n, n) / binom(2r+k, k).  Its x-dependent
+    # factor binom(x-r, k) binom(x+r+k, k) 4^k does not depend on n, and
+    # binom(x+r+k, k) = (-1)^k binom(-1-x-r, k).
+    lower = alg.binom_row(alg.x - alg.r, n_max)
+    upper = alg.binom_row(-1 - alg.x - alg.r, n_max)
+    outer = [lower[k] * (upper[k] * (-4) ** k) for k in range(n_max + 1)]
     for n in range(n_max + 1):
-        rhs = 0 * alg.r
-        for k in range(n + 1):
-            cof = Fraction(factorial(k), factorial(n))
-            term = (
-                alg.binom(alg.x - alg.r, k)
-                * alg.binom(alg.x + alg.r + k, k)
-                * alg.binom(n + 2 * alg.r + k, n - k)
-                * Fraction(4) ** k
-                * cof
-            )
-            for j in range(k + 1, n + 1):
-                term = term * (2 * alg.r + j)
-            rhs = rhs + term
+        cof = _cofactor_row(alg, n)
+        rhs = alg.sum(
+            (outer[k], alg.binom(n + 2 * alg.r + k, n - k) * cof[k]) for k in range(n + 1)
+        )
         yield f"n={n}", {"n": n}, alg.d(n) * alg.d(n), rhs
 
 
 def _linearization_instances(alg, m_max: int, n_max: int) -> Iterator:
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            rhs = 0 * alg.r
-            for k in range(min(m, n) + 1):
-                sign = -1 if k % 2 else 1
-                rhs = rhs + (
-                    binom_int(m + n - 2 * k, m - k)
-                    * alg.binom(2 * alg.r + m + n - k, k)
-                    * sign
-                    * alg.d(m + n - 2 * k)
+            rhs = alg.sum(
+                (
+                    alg.binom(2 * alg.r + m + n - k, k) * (binom_int(m + n - 2 * k, m - k) * (-1) ** k),
+                    alg.d(m + n - 2 * k),
                 )
+                for k in range(min(m, n) + 1)
+            )
             yield f"m={m},n={n}", {"m": m, "n": n}, alg.d(m) * alg.d(n), rhs
-
-
-def _inversion_cofactor(alg, k: int, n: int):
-    """binom(-2r-1, n) / binom(-2r-1, k) as an exact polynomial factor."""
-    cof = Fraction(factorial(k), factorial(n)) + 0 * alg.r
-    for j in range(k, n):
-        cof = cof * (-2 * alg.r - 1 - j)
-    return cof
 
 
 def _inversion_instances(alg, n_max: int) -> Iterator:
     # The scaled alternative form, its binomial inversion, and the
-    # even/odd-part splits, all multiplied through by binom(-2r-1, n).
+    # even/odd-part splits, all multiplied through by binom(-2r-1, n).  The
+    # k-th term then carries binom(-2r-1, n) / binom(-2r-1, k), which is
+    # (-1)^(n-k) times the cofactor row; in the scaled form that sign
+    # cancels against the form's own (-1)^k and the (-1)^n it is taken with.
+    lower = alg.binom_row(alg.x - alg.r, n_max)
+    mirror = alg.binom_row(-1 - alg.x - alg.r, n_max)
     for n in range(n_max + 1):
-        sign_n = -1 if n % 2 else 1
-        scaled = 0 * alg.r
-        for k in range(n + 1):
-            sign_k = -1 if k % 2 else 1
-            scaled = scaled + (
-                binom_int(n, k)
-                * sign_k
-                * alg.binom(alg.x - alg.r, k)
-                * Fraction(2) ** k
-                * _inversion_cofactor(alg, k, n)
-            )
-        yield f"scaled-form n={n}", {"n": n}, alg.d(n), sign_n * scaled
+        cof = _cofactor_row(alg, n)
+        scaled = alg.sum((lower[k] * (binom_int(n, k) * 2**k), cof[k]) for k in range(n + 1))
+        yield f"scaled-form n={n}", {"n": n}, alg.d(n), scaled
 
-        inv = 0 * alg.r
-        even = 0 * alg.r
-        odd = 0 * alg.r
-        for k in range(n + 1):
-            term = binom_int(n, k) * alg.d(k) * _inversion_cofactor(alg, k, n)
-            inv = inv + term
-            if k % 2 == 0:
-                even = even + term
-            else:
-                odd = odd + term
-        plus = alg.binom(alg.x - alg.r, n) + alg.binom(-1 - alg.x - alg.r, n)
-        minus = alg.binom(alg.x - alg.r, n) - alg.binom(-1 - alg.x - alg.r, n)
-        yield f"inversion n={n}", {"n": n}, inv, Fraction(2) ** n * alg.binom(alg.x - alg.r, n)
-        yield f"even-part n={n}", {"n": n}, even, plus * Fraction(2) ** (n - 1)
-        yield f"odd-part n={n}", {"n": n}, odd, minus * Fraction(2) ** (n - 1)
+        even, odd = (
+            alg.sum(
+                (alg.d(k) * (binom_int(n, k) * (-1) ** (n - k)), cof[k])
+                for k in range(parity, n + 1, 2)
+            )
+            for parity in (0, 1)
+        )
+        half_power = Fraction(2) ** (n - 1)
+        yield f"inversion n={n}", {"n": n}, even + odd, Fraction(2) ** n * lower[n]
+        yield f"even-part n={n}", {"n": n}, even, (lower[n] + mirror[n]) * half_power
+        yield f"odd-part n={n}", {"n": n}, odd, (lower[n] - mirror[n]) * half_power
 
 
 def _jacobi_instances(alg, n_max: int) -> Iterator:
@@ -290,46 +288,38 @@ def _recurrence_instances(alg, n_max: int) -> Iterator:
 
 
 def _special_value_instances(alg, n_max: int) -> Iterator:
+    # Every closed form reads one of three rows with an n-independent top:
+    # binom(-r-1/2, m), binom(-r-1, m) = (-1)^m binom(r+m, m) and
+    # binom(-r-3/2, m) = (-1)^m binom(r+1/2+m, m).
     half = Fraction(1, 2)
+    neg_half = alg.binom_row(-alg.r - half, n_max // 2)
+    neg_one = alg.binom_row(-alg.r - 1, n_max // 2)
+    neg_three_halves = alg.binom_row(-alg.r - Fraction(3, 2), n_max // 2)
     for n in range(n_max + 1):
         m = n // 2
         sign = -1 if n % 2 else 1
+        central = (-1) ** m * neg_one[m]  # binom(r+m, m)
         yield (
             f"x=-1/2 n={n}",
             {"n": n, "x": "-1/2"},
             alg.d_at_x(n, -half),
-            0 * alg.r if n % 2 else (-1 if m % 2 else 1) * alg.binom(-alg.r - half, m),
+            0 * alg.r if n % 2 else (-1) ** m * neg_half[m],
         )
-        yield (
-            f"x=0 n={n}",
-            {"n": n, "x": "0"},
-            alg.d_at_x(n, 0),
-            alg.binom(alg.r + m, m),
-        )
-        yield (
-            f"x=-1 n={n}",
-            {"n": n, "x": "-1"},
-            alg.d_at_x(n, -1),
-            sign * alg.binom(alg.r + m, m),
-        )
+        yield f"x=0 n={n}", {"n": n, "x": "0"}, alg.d_at_x(n, 0), central
+        yield f"x=-1 n={n}", {"n": n, "x": "-1"}, alg.d_at_x(n, -1), sign * central
         if n >= 1:
             if n % 2:
                 h = (n - 1) // 2
-                rhs = 2 * (-1 if h % 2 else 1) * alg.binom(-alg.r - Fraction(3, 2), h)
+                rhs = 2 * (-1) ** h * neg_three_halves[h]
             else:
                 h = n // 2 - 1
-                rhs = (
-                    (-1 if h % 2 else 1)
-                    * alg.binom(-alg.r - Fraction(3, 2), h)
-                    * (2 * n + 2 * alg.r + 1)
-                    * Fraction(1, n)
-                )
+                rhs = (-1) ** h * neg_three_halves[h] * (2 * n + 2 * alg.r + 1) * Fraction(1, n)
             yield f"x=1/2 n={n}", {"n": n, "x": "1/2"}, alg.d_at_x(n, half), rhs
         yield (
             f"x=1 cleared n={n}",
             {"n": n, "x": "1"},
             (alg.r + 1) * alg.d_at_x(n, 1),
-            (2 * n + 1 + (2 - sign) * alg.r) * alg.binom(alg.r + m, m),
+            (2 * n + 1 + (2 - sign) * alg.r) * central,
         )
         if n >= 1:
             m1 = (n + 1) // 2
@@ -338,7 +328,7 @@ def _special_value_instances(alg, n_max: int) -> Iterator:
             rhs = (
                 (n + 1) * (4 * n + 6 + (2 + sign) * (2 * alg.r - 1)) * (2 * alg.r + 3)
                 - (2 * alg.r - 3) * (4 * n - 2 + (2 + sign) * (2 * alg.r + 1)) * 2 * m1
-            ) * alg.binom(alg.r + half + m2, m2)
+            ) * ((-1) ** m2 * neg_three_halves[m2])
             yield f"x=3/2 cleared n={n}", {"n": n, "x": "3/2"}, lhs, rhs
         yield (
             f"x=2 cleared n={n}",
@@ -349,7 +339,7 @@ def _special_value_instances(alg, n_max: int) -> Iterator:
                 + (4 - sign) * (2 * n + 1) * alg.r
                 + (4 * n * n + 4 * n + 2)
             )
-            * alg.binom(alg.r + m, m),
+            * central,
         )
 
 
@@ -388,13 +378,12 @@ def _shift_instances(alg, n_max: int) -> Iterator:
 
 
 def _weighted_square_sum_instances(alg, n_max: int) -> Iterator:
+    # The weight prod_{j=k+1..n} (2r+j)/j of d_k^2 is entry k of the
+    # cofactor row.
+    squares = [alg.d(k) * alg.d(k) for k in range(n_max)]
     for n in range(1, n_max + 1):
-        total = 0 * alg.r
-        for k in range(n):
-            w = 1 + 0 * alg.r
-            for j in range(k + 1, n + 1):
-                w = w * (2 * alg.r + j) / j
-            total = total + w * alg.d(k) * alg.d(k)
+        cof = _cofactor_row(alg, n)
+        total = alg.sum((cof[k], squares[k]) for k in range(n))
         yield (
             f"n={n}",
             {"n": n},
@@ -435,55 +424,50 @@ def _meixner_instances(n_max: int) -> Iterator:
                 )
 
 
-def _parametric_square_sides_symbolic(n: int, a: Fraction) -> tuple[BiPoly, BiPoly]:
-    """Both sides of the free-parameter square identity, symbolic in x."""
-    xs = binom_row(_X, n)
-    lhs_sum = BiPoly.zero()
-    for k in range(n + 1):
-        lhs_sum = lhs_sum + (
-            binom_int(n, k) * xs[k] * (Fraction(-2) ** k / binom_gen(a, k))
-        )
+def _parametric_square_sides_symbolic(xs: list[BiPoly], n: int, a: Fraction) -> tuple[BiPoly, BiPoly]:
+    """Both sides of the free-parameter square identity, symbolic in x;
+    ``xs`` holds binom(x, k) for k <= n at least."""
+    lhs_sum = sum_products(
+        (xs[k], BiPoly.const(binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k)))
+        for k in range(n + 1)
+    )
     ys = binom_row(a - _X, n)
-    rhs_sum = BiPoly.zero()
-    for k in range(n + 1):
-        rhs_sum = rhs_sum + (
-            xs[k] * ys[k] * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k))
-        )
+    rhs_sum = sum_products(
+        (xs[k], ys[k] * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k)))
+        for k in range(n + 1)
+    )
     sign = -1 if n % 2 else 1
     return lhs_sum * lhs_sum, rhs_sum * (sign / binom_gen(a, n))
 
 
-def _squared_binomial_sum(n: int, b: Fraction) -> BiPoly:
-    xs = binom_row(_X, n)
-    total = BiPoly.zero()
-    for k in range(n + 1):
-        total = total + binom_int(n, k) * xs[k] * (
-            Fraction(2) ** k / binom_gen(b - 1 + k, k)
-        )
-    return total
+def _squared_binomial_sum(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
+    return sum_products(
+        (xs[k], BiPoly.const(binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k)))
+        for k in range(n + 1)
+    )
 
 
-def _meixner_square_rhs(n: int, b: Fraction) -> BiPoly:
-    xs = binom_row(_X, n)
-    total = BiPoly.zero()
-    upper = BiPoly.one()  # binom(x+b-1+k, k), grown by (x+b-1+k)/k
-    for k in range(n + 1):
-        if k:
-            upper = upper * ((_X + b - 1 + k) / k)
-        total = total + (
-            xs[k]
-            * upper
-            * (binom_gen(n + k + b - 1, n - k) * Fraction(4) ** k / binom_gen(b - 1 + k, k))
+def _meixner_square_rhs(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
+    # binom(x+b-1+k, k) = (-1)^k binom(-x-b, k)
+    upper = binom_row(-b - _X, n)
+    total = sum_products(
+        (
+            xs[k],
+            upper[k]
+            * (Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k)),
         )
+        for k in range(n + 1)
+    )
     return total / binom_gen(b + n - 1, n)
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
+    xs = binom_row(_X, n_max)  # binom(x, k); entry k does not depend on n
     for n in range(n_max + 1):
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         for a in a_grid:
-            yield (f"free-parameter square n={n}", {"n": n, "a": a}, *_parametric_square_sides_symbolic(n, a))
+            yield (f"free-parameter square n={n}", {"n": n, "a": a}, *_parametric_square_sides_symbolic(xs, n, a))
             # specialization x = -1, where binom(-1, k) = (-1)^k; the
             # (a+1)/(a+1-k) factor is binom(a+1,k)/binom(a,k) in reduced
             # form, which stays defined at a = -1, k = 0
@@ -521,8 +505,8 @@ def _parametric_square_instances(n_max: int) -> Iterator:
         # b parameterization over positive integers, plus the Meixner tie-in
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
-            base = _squared_binomial_sum(n, b)
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, _meixner_square_rhs(n, b)
+            base = _squared_binomial_sum(xs, n, b)
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, _meixner_square_rhs(xs, n, b)
             for xv in range(n + 1):
                 yield (
                     f"meixner-square tie n={n}",
@@ -532,18 +516,12 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                 )
 
         # a = -2 specialization, symbolic in x
-        xs = binom_row(_X, n)
-        lhs_t = BiPoly.zero()
-        for k in range(n + 1):
-            lhs_t = lhs_t + binom_int(n, k) * xs[k] * Fraction(2**k, k + 1)
+        lhs_t = sum_products((xs[k], BiPoly.const(binom_int(n, k) * Fraction(2**k, k + 1))) for k in range(n + 1))
         ys = binom_row(-2 - _X, n)
-        rhs_t = BiPoly.zero()
-        for k in range(n + 1):
-            rhs_t = rhs_t + (
-                xs[k]
-                * ys[k]
-                * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1))
-            )
+        rhs_t = sum_products(
+            (xs[k], ys[k] * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1)))
+            for k in range(n + 1)
+        )
         yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs_t * lhs_t, rhs_t / (n + 1)
 
 
@@ -613,10 +591,15 @@ def _run_identity(
 ) -> VerifyReport:
     """Report on the cases ``instances(alg)`` yields over exact polynomials
     d_0..d_{n_high} (n_high defaults to depth) from ``route``, or at each of
-    ``points`` over rationals; with no route the generator gets no algebra."""
+    ``points`` over rationals; with no route the generator gets no algebra.
+    Points that leave no usable one are a ValueError, not a vacuous pass."""
     check_natural(depth, "depth")
     n_high = depth if n_high is None else n_high
     skipped, used = list(skipped), []
+    if points is not None:
+        points = tuple(points)
+        if all(point.r_is_excluded_half_integer() for point in points):
+            raise ValueError(f"{identity_id}: none of the {len(points)} given points is usable")
 
     def point_cases() -> Iterator:
         for point in points:

@@ -110,6 +110,13 @@ def test_turan_values():
         turan_value(0, EvalPoint(0, 0))
 
 
+@pytest.mark.parametrize("bad", [True, 2.5], ids=["bool", "float"])
+def test_turan_value_rejects_non_natural_n(bad):
+    # True is not read as n = 1, and 2.5 is named as n, not as a derived n_max
+    with pytest.raises(ValueError, match=r"^n must be a natural number"):
+        turan_value(bad, EvalPoint(0, 0))
+
+
 def test_turan_value_against_direct_formula():
     for n, r, x in [(3, Fraction(1, 3), Fraction(-1, 4)), (5, Fraction(2), Fraction(-7, 8))]:
         seq = d_eval_sequence(n + 1, EvalPoint(r, x))

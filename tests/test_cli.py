@@ -1,10 +1,13 @@
 """Tests for the command-line surface: golden outputs and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from delpoly.cli import EXIT_CLAIM_FAILED, EXIT_OK, EXIT_USAGE, main, parse_grid_file
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +84,17 @@ def test_table_json(capsys):
     assert payload["r"] == "1/2"
     assert payload["rows"][0]["values"] == ["1", "1"]
     assert payload["rows"][1]["values"] == ["1", "3"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_matches_golden_bytes(capsys, fmt):
+    """tests/golden/table_r7_3.* hold what the command printed for r = 7/3 at
+    three x values to n = 30 when it still evaluated every entry on its own."""
+    code, out, _ = run_cli(
+        capsys, "table", "--n-max", "30", "-r", "7/3", "-x", "-1,1/2,-5/7", "--format", fmt
+    )
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / f"table_r7_3.{fmt}").read_bytes()
 
 
 def test_delannoy(capsys):

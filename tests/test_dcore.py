@@ -157,6 +157,35 @@ def test_d_eval_matches_symbolic():
             assert values[n] == seq.polys[n].eval(at.r, at.x)
 
 
+def fraction_recurrence(n_max: int, at: EvalPoint) -> list[Fraction]:
+    """d_0..d_n_max from the three-term recurrence in plain ``Fraction``
+    arithmetic, the reference for the integer kernel behind d_eval_sequence."""
+    out = [Fraction(1)]
+    if n_max >= 1:
+        out.append(1 + 2 * at.x)
+    for n in range(1, n_max):
+        out.append(((1 + 2 * at.x) * out[n] + (n + 2 * at.r) * out[n - 1]) / (n + 1))
+    return out
+
+
+def test_scalar_evaluators_match_fraction_recurrence():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=60)
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(r=rational, x=rational, n_max=st.integers(0, 40))
+    @hypothesis.example(r=Fraction(-7, 3), x=Fraction(-9, 4), n_max=40)
+    @hypothesis.example(r=Fraction(-1, 2), x=Fraction(-5, 2), n_max=40)
+    def check(r, x, n_max):
+        at = EvalPoint(r, x)
+        want = fraction_recurrence(n_max, at)
+        assert d_eval_sequence(n_max, at) == want
+        assert d_eval(n_max, at) == want[n_max]
+
+    check()
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
 def test_bad_indices_fail_whatever_the_cache_holds(warm):
     clear_caches()

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from delpoly.bipoly import BiPoly, binom_poly
-from delpoly.dcore import EvalPoint, d_direct
+from delpoly.dcore import EvalPoint, Route, d_direct, jacobi_eval
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
+    _PointAlg,
     DEFAULT_DEPTHS,
     SUITE_IDS,
     SuiteConfig,
@@ -297,3 +298,47 @@ def test_counterexample_values_are_concrete():
     # the recorded values differ at the recorded witness point
     assert ce["lhs"] != ce["rhs"]
     assert set(ce["params"]) >= {"n", "r", "x"}
+
+
+@pytest.mark.parametrize(
+    "verify, points",
+    [
+        (verify_square, ()),
+        (verify_hyper_bridge, [EvalPoint(Fraction(-1, 2), 0)]),
+    ],
+    ids=["no-points", "only-excluded"],
+)
+def test_point_grid_without_a_usable_point_is_an_error(verify, points):
+    with pytest.raises(ValueError, match="none of the"):
+        verify(3, points=points)
+
+
+# The three Jacobi forms of d_n checked by verify_jacobi, as
+# (alpha, beta, t) from (x, r, n): P_n^(x-r-n, 2r)(3), P_n^(2r, x-r-n)(-3)
+# and P_n^(2r, -1-x-r-n)(-3).
+JACOBI_FORMS = {
+    "alpha=x-r-n at 3": lambda x, r, n: (x - r - n, 2 * r, 3),
+    "swapped at -3": lambda x, r, n: (2 * r, x - r - n, -3),
+    "reflected at -3": lambda x, r, n: (2 * r, -1 - x - r - n, -3),
+}
+
+
+@pytest.mark.parametrize("form", JACOBI_FORMS.values(), ids=JACOBI_FORMS.keys())
+def test_jacobi_forms_match_sympy(form):
+    sympy = pytest.importorskip("sympy")
+    x, r = sympy.symbols("x r")
+
+    def to_sympy(q: Fraction):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    for n in range(7):
+        alpha, beta, t = form(X, R, n)
+        got = jacobi_eval(n, alpha, beta, t)
+        got = sum((to_sympy(c) * x**dx * r**dr for (dx, dr), c in got.terms()), sympy.Integer(0))
+        alpha, beta, t = form(x, r, n)
+        assert sympy.expand(got - sympy.jacobi(n, alpha, beta, sympy.Integer(t))) == 0, n
+        for point in random_points(3, seed=n):
+            alpha, beta, t = form(point.x, point.r, n)
+            want = sympy.jacobi(n, to_sympy(alpha), to_sympy(beta), sympy.Integer(t))
+            got = _PointAlg(point, n, Route.THREE_TERM).jacobi(n, alpha, beta, t)
+            assert to_sympy(got) == want, (n, point)
