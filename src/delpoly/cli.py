@@ -29,7 +29,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [_rational(part) for part in text.split(",") if part.strip()]
+    values = [_rational(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no rationals in {text!r}")
+    return values
 
 
 def _parse_natural(text: str, name: str) -> int:

@@ -27,14 +27,13 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import factorial, lcm
+from typing import Iterator
 
-from .bipoly import BiPoly, binom_row, sum_products
+from .bipoly import R, X, BiPoly, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
-
-_X = BiPoly.x()
-_R = BiPoly.r()
+from .hyper import hyper2f1
 
 
 class Route(enum.Enum):
@@ -79,7 +78,7 @@ class DSequence:
         if self.polys:
             if self.polys[0] != BiPoly.one():
                 raise ValueError("sequence must start at d_0 = 1")
-            if len(self.polys) > 1 and self.polys[1] != 1 + 2 * _X:
+            if len(self.polys) > 1 and self.polys[1] != 1 + 2 * X:
                 raise ValueError("d_1 must equal 1 + 2x")
 
     @property
@@ -119,14 +118,11 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
     return DSequence(route, tuple(_cached_prefix(route, n_max)[: n_max + 1]))
 
 
-# One growing polynomial list per route; verifiers share prefixes heavily,
-# so sequences are extended in place (under a lock) rather than rebuilt.
-# _aux holds per-route working state: the two n-independent binomial rows of
-# the defining-sum route, the n-independent row 2^k binom(x-r, k) of the
-# new-form route, the mirror sequence d_n(-x) for the two-term route, and
-# the two factor coefficient lists for the series route.
-_cache: dict[Route, list[BiPoly]] = {}
-_aux: dict[Route, list] = {}
+# One lazily extended prefix per route, next to the generator that extends
+# it; verifiers share prefixes heavily, so sequences are extended in place
+# (under a lock) rather than rebuilt.  Each generator keeps its own working
+# rows in locals.
+_cache: dict[Route, tuple[Iterator[BiPoly], list[BiPoly]]] = {}
 _cache_lock = threading.Lock()
 
 
@@ -134,7 +130,6 @@ def clear_caches() -> None:
     """Drop all memoized sequences (used by timing-sensitive tests)."""
     with _cache_lock:
         _cache.clear()
-        _aux.clear()
 
 
 def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
@@ -142,71 +137,83 @@ def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
     # read (or slice) whatever prefix an earlier call happened to build.
     check_natural(n_max, "n_max")
     with _cache_lock:
-        polys = _cache.setdefault(route, [])
-        while len(polys) <= n_max:
-            _extend(route, polys)
+        if route not in _cache:
+            _cache[route] = (_GENERATORS[route](), [])
+        generator, polys = _cache[route]
+        try:
+            polys.extend(islice(generator, max(0, n_max + 1 - len(polys))))
+        except BaseException:
+            # An interrupted generator cannot resume; start the route afresh.
+            del _cache[route]
+            raise
         return polys
 
 
-def _extend(route: Route, polys: list[BiPoly]) -> None:
-    n = len(polys)
-    if route is Route.DIRECT:
-        # uppers[k] = binom(x+r+k, k) and lowers[j] = binom(x-r, j) do not
-        # depend on n; each grows by one factor per new n:
-        # binom(x+r+n, n) = binom(x+r+n-1, n-1) * (x+r+n) / n.
-        uppers, lowers = _aux.setdefault(route, [[BiPoly.one()], [BiPoly.one()]])
+def _direct() -> Iterator[BiPoly]:
+    # uppers[k] = binom(x+r+k, k) and lowers[j] = binom(x-r, j) do not
+    # depend on n; each grows by one factor per new n:
+    # binom(x+r+n, n) = binom(x+r+n-1, n-1) * (x+r+n) / n.
+    uppers, lowers = [BiPoly.one()], [BiPoly.one()]
+    for n in count():
         if n:
-            uppers.append(uppers[n - 1] * ((_X + _R + n) / n))
-            lowers.append(lowers[n - 1] * ((_X - _R - (n - 1)) / n))
-        polys.append(sum_products((uppers[k], lowers[n - k]) for k in range(n + 1)))
-    elif route is Route.NEWFORM:
-        # lowers[k] = 2^k binom(x-r, k) does not depend on n and grows by
-        # one factor per new n, as DIRECT's rows do; the row binom(n+2r, j)
-        # depends on n and is taken afresh.
-        uppers = binom_row(n + 2 * _R, n)
-        lowers = _aux.setdefault(route, [BiPoly.one()])
+            uppers.append(uppers[n - 1] * ((X + R + n) / n))
+            lowers.append(lowers[n - 1] * ((X - R - (n - 1)) / n))
+        yield sum_products((uppers[k], lowers[n - k]) for k in range(n + 1))
+
+
+def _newform() -> Iterator[BiPoly]:
+    # lowers[k] = 2^k binom(x-r, k) does not depend on n and grows by one
+    # factor per new n, as _direct's rows do; the row binom(n+2r, j)
+    # depends on n and is taken afresh.
+    lowers = [BiPoly.one()]
+    for n in count():
+        uppers = binom_row(n + 2 * R, n)
         if n:
-            lowers.append(lowers[n - 1] * (_X - _R - (n - 1)) * Fraction(2, n))
-        polys.append(sum_products((uppers[n - k], lowers[k]) for k in range(n + 1)))
-    elif route is Route.THREE_TERM:
-        if n == 0:
-            polys.append(BiPoly.one())
-        elif n == 1:
-            polys.append(1 + 2 * _X)
-        else:
-            m = n - 1
-            polys.append(
-                sum_products((((1 + 2 * _X) / n, polys[m]), ((m + 2 * _R) / n, polys[m - 1])))
-            )
-    elif route is Route.TWO_TERM:
-        # d_n(x) and its mirror d_n(-x) advance together: each step packs
-        # d_m and its mirror once to build d_{m+1}, whose mirror is then the
-        # one-pass sign flip of its odd-in-x terms.
-        mirror = _aux.setdefault(route, [])
-        if n == 0:
-            polys.append(BiPoly.one())
-            mirror.append(BiPoly.one())
-        else:
-            m = n - 1
-            sign = 1 if m % 2 == 0 else -1
-            plain_next = sum_products(
-                (((_X + _R + n) / n, polys[m]), (sign * (_X - _R) / n, mirror[m]))
-            )
-            polys.append(plain_next)
-            mirror.append(plain_next.subst_neg_x())
-    elif route is Route.SERIES:
-        # The factor coefficients binom_poly(E, k) * sign^k do not depend on
-        # the truncation order, so both factors and the Cauchy product all
-        # extend one coefficient at a time.
-        factors = _aux.setdefault(route, [[BiPoly.one()], [BiPoly.one()]])
-        left, right = factors
-        while len(left) <= n:
-            k = len(left) - 1
-            left.append(left[k] * (_X - _R - k) / (k + 1))
-            right.append(right[k] * (-(_X + _R + 1) - k) * Fraction(-1, k + 1))
-        polys.append(sum_products((left[k], right[n - k]) for k in range(n + 1)))
-    else:  # pragma: no cover - exhaustive enum
-        raise AssertionError(route)
+            lowers.append(lowers[n - 1] * (X - R - (n - 1)) * Fraction(2, n))
+        yield sum_products((uppers[n - k], lowers[k]) for k in range(n + 1))
+
+
+def _three_term() -> Iterator[BiPoly]:
+    prev, cur = BiPoly.one(), 1 + 2 * X
+    yield prev
+    for m in count(1):
+        yield cur
+        n = m + 1
+        prev, cur = cur, sum_products((((1 + 2 * X) / n, cur), ((m + 2 * R) / n, prev)))
+
+
+def _two_term() -> Iterator[BiPoly]:
+    # d_n(x) and its mirror d_n(-x) advance together: each step packs d_m
+    # and its mirror once to build d_{m+1}, whose mirror is then the
+    # one-pass sign flip of its odd-in-x terms.
+    plain = mirror = BiPoly.one()
+    for n in count(1):
+        yield plain
+        sign = 1 if n % 2 else -1
+        plain = sum_products((((X + R + n) / n, plain), (sign * (X - R) / n, mirror)))
+        mirror = plain.subst_neg_x()
+
+
+def _series() -> Iterator[BiPoly]:
+    # The factor coefficients binom_poly(E, k) * sign^k do not depend on
+    # the truncation order, so both factors and the Cauchy product all
+    # extend one coefficient at a time.
+    left, right = [BiPoly.one()], [BiPoly.one()]
+    for n in count():
+        if n:
+            k = n - 1
+            left.append(left[k] * (X - R - k) / (k + 1))
+            right.append(right[k] * (-(X + R + 1) - k) * Fraction(-1, k + 1))
+        yield sum_products((left[k], right[n - k]) for k in range(n + 1))
+
+
+_GENERATORS = {
+    Route.DIRECT: _direct,
+    Route.NEWFORM: _newform,
+    Route.THREE_TERM: _three_term,
+    Route.TWO_TERM: _two_term,
+    Route.SERIES: _series,
+}
 
 
 def d_eval(n: int, at: EvalPoint) -> Fraction:
@@ -295,19 +302,12 @@ def jacobi_eval(n: int, alpha: BiPoly, beta: BiPoly, point: RationalLike) -> BiP
 
 
 def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> Fraction:
-    """Meixner polynomial M_n(x; b, c), evaluated exactly.
+    """Meixner polynomial M_n(x; b, c) = 2F1(-n, -x; b; 1 - 1/c), evaluated
+    exactly by ``hyper``'s terminating-series kernel.
 
-    Defined by sum_k (-n)_k (-x)_k / ((b)_k k!) * (1 - 1/c)^k; requires
-    c != 0 and (b)_k != 0 for k <= n.
-
-    With x = xn/xd, b = bn/bd and z = 1 - 1/c = zn/zd, the term ratio
-    t_{k+1}/t_k is the integer quotient
-
-        (k - n)(k*xd - xn) * bd * zn  /  (xd * (bn + k*bd) * (k+1) * zd),
-
-    so the sum runs on plain ints over a running denominator and one
-    ``Fraction`` is built at the end.  The sum stops early where a factor
-    vanishes (k = n, or a natural x below n).
+    Requires c != 0 and (b)_k != 0 for k <= n.  The pole check is made here
+    for every k <= n, not only up to the kernel's stop: ``HyperSpec`` accepts
+    a pole that lies after an early stop (a natural x below n).
     """
     check_natural(n, "n")
     xv, bv, cv = as_rational(x), as_rational(b), as_rational(c)
@@ -315,18 +315,4 @@ def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> F
         raise ValueError("meixner_eval requires c != 0")
     if bv.denominator == 1 and -(n - 1) <= bv <= 0:
         raise ValueError(f"pole in (b)_k for b = {bv} with n = {n}")
-    z = 1 - 1 / cv
-    xn, xd = xv.numerator, xv.denominator
-    bn, bd = bv.numerator, bv.denominator
-    num_scale = bd * z.numerator
-    den_scale = xd * z.denominator
-    term = total = den = 1
-    for k in range(n):
-        fn = (k - n) * (k * xd - xn) * num_scale
-        if fn == 0:
-            break
-        fd = (bn + k * bd) * (k + 1) * den_scale
-        term *= fn
-        total = total * fd + term
-        den *= fd
-    return Fraction(total, den)
+    return hyper2f1(-n, -xv, bv, 1 - 1 / cv)

@@ -12,10 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-# The scalar field of the whole package.  Fraction already guarantees the
-# canonical-form invariants we need: positive denominator, fully reduced.
-ExactRational = Fraction
-
 RationalLike = Fraction | int | str
 
 

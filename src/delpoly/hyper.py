@@ -16,10 +16,6 @@ from math import factorial, prod
 from .exactnum import RationalLike, as_rational, check_natural, format_rational, pochhammer
 
 
-def _is_nonpositive_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q <= 0
-
-
 @dataclass(frozen=True)
 class HyperSpec:
     """Parameters of a terminating hypergeometric series.
@@ -41,12 +37,13 @@ class HyperSpec:
             self, "denominator_params", tuple(as_rational(b) for b in self.denominator_params)
         )
         object.__setattr__(self, "argument", as_rational(self.argument))
-        stops = [-a for a in self.numerator_params if _is_nonpositive_int(a)]
+        # Denominators are positive, so each sign test reads the numerator.
+        stops = [-a.numerator for a in self.numerator_params if a.denominator == 1 and a.numerator <= 0]
         if not stops:
             raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
-        bound = int(min(stops))
+        bound = min(stops)
         for b in self.denominator_params:
-            if b.denominator == 1 and -(bound - 1) <= b <= 0:
+            if b.denominator == 1 and -(bound - 1) <= b.numerator <= 0:
                 raise ValueError(
                     f"pole in denominator parameter {format_rational(b)} before termination at k={bound}"
                 )

@@ -34,10 +34,8 @@ from functools import cache
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
-from .bipoly import BiPoly, binom_poly, binom_row, sum_products
+from .bipoly import R, X, BiPoly, binom_poly, binom_row, sum_products
 from .dcore import (
-    _R,
-    _X,
     EvalPoint,
     Route,
     d_eval,
@@ -61,8 +59,8 @@ class _SymbolicAlg:
 
     def __init__(self, polys: tuple[BiPoly, ...]):
         self._polys = polys
-        self.r = _R
-        self.x = _X
+        self.r = R
+        self.x = X
 
     def binom(self, top, k: int):
         return binom_poly(top, k)
@@ -431,7 +429,7 @@ def _parametric_square_sides_symbolic(xs: list[BiPoly], n: int, a: Fraction) -> 
         (xs[k], BiPoly.const(binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k)))
         for k in range(n + 1)
     )
-    ys = binom_row(a - _X, n)
+    ys = binom_row(a - X, n)
     rhs_sum = sum_products(
         (xs[k], ys[k] * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k)))
         for k in range(n + 1)
@@ -449,7 +447,7 @@ def _squared_binomial_sum(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
 
 def _meixner_square_rhs(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
     # binom(x+b-1+k, k) = (-1)^k binom(-x-b, k)
-    upper = binom_row(-b - _X, n)
+    upper = binom_row(-b - X, n)
     total = sum_products(
         (
             xs[k],
@@ -462,7 +460,7 @@ def _meixner_square_rhs(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
-    xs = binom_row(_X, n_max)  # binom(x, k); entry k does not depend on n
+    xs = binom_row(X, n_max)  # binom(x, k); entry k does not depend on n
     for n in range(n_max + 1):
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
@@ -517,7 +515,7 @@ def _parametric_square_instances(n_max: int) -> Iterator:
 
         # a = -2 specialization, symbolic in x
         lhs_t = sum_products((xs[k], BiPoly.const(binom_int(n, k) * Fraction(2**k, k + 1))) for k in range(n + 1))
-        ys = binom_row(-2 - _X, n)
+        ys = binom_row(-2 - X, n)
         rhs_t = sum_products(
             (xs[k], ys[k] * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1)))
             for k in range(n + 1)
@@ -912,6 +910,8 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
     config = config or SuiteConfig()
     suite = _suite()
     ids = config.selection if config.selection is not None else tuple(suite)
+    if not ids:
+        raise ValueError("no identity ids selected")
     unknown = sorted({*ids, *config.depths} - suite.keys())
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")

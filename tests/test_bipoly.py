@@ -242,3 +242,43 @@ def test_sum_products_property():
         assert sum_products(pairs) == schoolbook_sum(pairs)
 
     check()
+
+
+def test_ring_ops_and_substitutions_match_sympy():
+    # An outside oracle for the ring and the five substitutions: each result
+    # is compared with the same operation done by sympy on sympy.Poly.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    x, r = sympy.symbols("x r")
+
+    def to_sympy(p: BiPoly):
+        terms = {(dx, dr): sympy.Rational(c.numerator, c.denominator) for (dx, dr), c in p.terms()}
+        return sympy.Poly.from_dict(terms, x, r, domain=sympy.QQ)
+
+    def poly_of(expr):
+        return sympy.Poly(sympy.expand(expr), x, r, domain=sympy.QQ)
+
+    coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficient, max_size=5
+    ).map(BiPoly)
+    value = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(a=poly, b=poly, k=st.integers(0, 3), v=value, negate=st.booleans())
+    def check(a, b, k, v, negate):
+        sa, sb, sv = to_sympy(a), to_sympy(b), sympy.Rational(v.numerator, v.denominator)
+        ea = sa.as_expr()
+        assert to_sympy(a * b) == sa * sb
+        assert to_sympy(a + b) == sa + sb
+        assert to_sympy(a**k) == sa**k
+        assert to_sympy(a.subst_neg_x()) == poly_of(ea.subs(x, -x))
+        assert to_sympy(a.subst_affine_x(v, negate=negate)) == poly_of(
+            ea.subs(x, (-x if negate else x) + sv)
+        )
+        assert to_sympy(a.subst_affine_r(v)) == poly_of(ea.subs(r, r + sv))
+        assert to_sympy(a.subst_x_value(v)) == poly_of(ea.subs(x, sv))
+        assert to_sympy(a.subst_r_value(v)) == poly_of(ea.subs(r, sv))
+
+    check()

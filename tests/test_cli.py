@@ -97,6 +97,15 @@ def test_table_matches_golden_bytes(capsys, fmt):
     assert out.encode() == (GOLDEN / f"table_r7_3.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("xs", ["", ",", " , ,"])
+def test_table_rejects_empty_x_list(capsys, xs):
+    # a table with no columns is a usage error, not a header and empty rows
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n-max", "2", "-r", "1", "-x", xs])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_delannoy(capsys):
     code, out, _ = run_cli(capsys, "delannoy", "-n", "2", "-m", "2")
     assert code == EXIT_OK
@@ -125,6 +134,15 @@ def test_verify_unknown_id(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "no-such-id")
     assert code == EXIT_USAGE
     assert "unknown identity ids" in err
+
+
+@pytest.mark.parametrize("suite", ["", ",", " , "])
+def test_verify_empty_suite_is_a_usage_error(capsys, suite):
+    # running no verifier would print nothing and exit 0: a vacuous pass
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "no identity ids selected" in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from delpoly import dcore
 from delpoly.bipoly import BiPoly, binom_poly
 from delpoly.dcore import (
     DSequence,
@@ -203,6 +204,31 @@ def test_bad_indices_fail_whatever_the_cache_holds(warm):
             d_eval_sequence(bad, at)
     # the rejected calls left the cache as it was
     assert d_sequence(Route.DIRECT, 5).polys == d_threeterm(5).polys
+    clear_caches()
+
+
+@pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+def test_interrupted_build_leaves_no_trace(route, monkeypatch):
+    # A build that raises part-way (a Ctrl-C, say) must not leave working
+    # state behind that a later, uninterrupted build then reads.
+    clear_caches()
+    want = d_sequence(Route.THREE_TERM, 6).polys
+    clear_caches()
+    real = dcore.sum_products
+    calls = 0
+
+    def interrupted_on_fourth_call(pairs):
+        nonlocal calls
+        calls += 1
+        if calls == 4:
+            raise RuntimeError("interrupted")
+        return real(pairs)
+
+    monkeypatch.setattr(dcore, "sum_products", interrupted_on_fourth_call)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        d_sequence(route, 6)
+    monkeypatch.setattr(dcore, "sum_products", real)
+    assert d_sequence(route, 6).polys == want
     clear_caches()
 
 

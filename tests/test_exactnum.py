@@ -139,6 +139,23 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(0)) == "0"
 
 
+def test_format_then_parse_round_trips():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rational = st.one_of(
+        st.fractions(),
+        st.fractions(max_denominator=10**40),
+        st.integers(min_value=-(10**60), max_value=10**60).map(Fraction),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(q=rational)
+    def check(q):
+        assert parse_rational(format_rational(q)) == q
+
+    check()
+
+
 @pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", ""])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):

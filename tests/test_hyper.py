@@ -73,6 +73,36 @@ def test_spec_rejects_pole_before_termination():
     HyperSpec((Fraction(-5),), (Fraction(-5),), Fraction(1))
 
 
+def test_spec_pole_check_matches_pochhammer_oracle():
+    # The spec must be rejected exactly when some term up to the stop has a
+    # zero denominator, judged by sympy's rising factorial: a pole before
+    # termination is an error, a pole after an early stop is not.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(
+        stops=st.lists(st.integers(0, 8), min_size=1, max_size=2),
+        other=st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        b=st.integers(-10, 3),
+    )
+    def check(stops, other, b):
+        nums = tuple(Fraction(-m) for m in stops) + (other,)
+        stop = min(-a for a in nums if a.denominator == 1 and a <= 0)
+        has_pole = any(sympy.rf(b, k) == 0 for k in range(int(stop) + 1))
+        if has_pole:
+            with pytest.raises(ValueError, match="pole"):
+                HyperSpec(nums, (Fraction(b),), Fraction(1, 3))
+        else:
+            assert HyperSpec(nums, (Fraction(b),), Fraction(1, 3)).termination_index == stop
+
+    check()
+    # the spec behind meixner_eval(3, 1, -2, -1): 2F1(-3, -1; -2; 2) stops
+    # at k = 1, before its pole at k = 3
+    assert HyperSpec((Fraction(-3), Fraction(-1)), (Fraction(-2),), Fraction(2)).termination_index == 1
+
+
 def test_bridge_example():
     # prefactor form at n=2, r=1, x=0 gives the closed-form value 2
     assert d_via_hyper(2, 1, 0) == 2

@@ -1,10 +1,11 @@
 """Property tests of the k-indexed series kernels.
 
-``hyper_eval`` and ``meixner_eval`` sum their series on plain ints through
-an integer term ratio, and ``binom_row`` builds each binomial coefficient
-from the previous one.  Each is compared here with the textbook formula,
-written out in plain ``Fraction`` arithmetic in this file; ``binom_row`` is
-also checked against sympy.
+``hyper_eval`` sums its series on plain ints through an integer term ratio;
+``meixner_eval`` is that kernel applied to 2F1(-n, -x; b; 1 - 1/c), behind
+its own pole check; and ``binom_row`` builds each binomial coefficient from
+the previous one.  Each is compared here with the textbook formula, written
+out in plain ``Fraction`` arithmetic in this file; ``binom_row`` is also
+checked against sympy.
 """
 
 from fractions import Fraction

@@ -227,6 +227,12 @@ def test_run_suite_selection_and_unknown_id():
         run_suite(SuiteConfig(selection=("no-such-identity",)))
 
 
+def test_run_suite_rejects_empty_selection():
+    # an empty run would otherwise be a vacuous pass: suite_passed([]) is True
+    with pytest.raises(ValueError, match="no identity ids selected"):
+        run_suite(SuiteConfig(selection=()))
+
+
 def test_fault_index_counts_cases_across_points():
     # square at n_max 2 checks 3 cases per point, so index 3 is the first
     # case at the second point
