@@ -13,7 +13,7 @@ operation instead of once per coefficient.  The public surface speaks
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .exactnum import RationalLike, as_rational, check_natural, format_rational
 
@@ -195,17 +195,7 @@ class BiPoly:
 
     def eval(self, r: RationalLike, x: RationalLike) -> Fraction:
         """Exact value at rational r and x."""
-        rv, xv = as_rational(r), as_rational(x)
-        xpow: dict[int, Fraction] = {0: Fraction(1)}
-        rpow: dict[int, Fraction] = {0: Fraction(1)}
-        total = Fraction(0)
-        for (dx, dr), c in self._coeffs.items():
-            if dx not in xpow:
-                xpow[dx] = xv**dx
-            if dr not in rpow:
-                rpow[dr] = rv**dr
-            total += c * xpow[dx] * rpow[dr]
-        return total / self._den
+        return self.subst_x_value(x).subst_r_value(r).coefficient(0, 0)
 
     def subst_neg_x(self) -> "BiPoly":
         """Substitute x -> -x (flip the sign of odd-degree-in-x terms)."""
@@ -216,45 +206,45 @@ class BiPoly:
 
     def subst_affine_x(self, shift: RationalLike, negate: bool = False) -> "BiPoly":
         """Substitute x -> (-x if negate else x) + shift, exactly."""
-        return self._subst_affine(axis=0, shift=as_rational(shift), negate=negate)
+        return self._subst(0, -1 if negate else 1, as_rational(shift))
 
     def subst_affine_r(self, shift: RationalLike) -> "BiPoly":
         """Substitute r -> r + shift, exactly."""
-        return self._subst_affine(axis=1, shift=as_rational(shift), negate=False)
-
-    def _subst_affine(self, axis: int, shift: Fraction, negate: bool) -> "BiPoly":
-        base = {(1, 0): Fraction(-1 if negate else 1), (0, 0): shift}
-        if axis == 1:
-            base = {(k[1], k[0]): v for k, v in base.items()}
-        sub = BiPoly(base)
-        powers = [BiPoly.one()]
-        out = BiPoly.zero()
-        for (dx, dr), c in self._coeffs.items():
-            d = (dx, dr)[axis]
-            while len(powers) <= d:
-                powers.append(powers[-1] * sub)
-            keep = (0, dr) if axis == 0 else (dx, 0)
-            mono = BiPoly._raw({keep: c}, self._den)
-            out = out + mono * powers[d]
-        return out
+        return self._subst(1, 1, as_rational(shift))
 
     def subst_x_value(self, value: RationalLike) -> "BiPoly":
         """Pin x to a rational, leaving a polynomial in r alone."""
-        v = as_rational(value)
-        out: dict[Key, Fraction] = {}
-        for (dx, dr), c in self._coeffs.items():
-            key = (0, dr)
-            out[key] = out.get(key, Fraction(0)) + Fraction(c, self._den) * v**dx
-        return BiPoly(out)
+        return self._subst(0, 0, as_rational(value))
 
     def subst_r_value(self, value: RationalLike) -> "BiPoly":
         """Pin r to a rational, leaving a polynomial in x alone."""
-        v = as_rational(value)
-        out: dict[Key, Fraction] = {}
-        for (dx, dr), c in self._coeffs.items():
-            key = (dx, 0)
-            out[key] = out.get(key, Fraction(0)) + Fraction(c, self._den) * v**dr
-        return BiPoly(out)
+        return self._subst(1, 0, as_rational(value))
+
+    def _subst(self, axis: int, sign: int, shift: Fraction) -> "BiPoly":
+        """Substitute v -> sign*v + shift for the variable v on ``axis`` (0: x, 1: r).
+
+        With shift = p/q and D the top degree in v,
+
+            (sign*v + p/q)^d = sum_j C(d, j) * sign^j * p^(d-j) * q^(D-d+j) * v^j / q^D,
+
+        so every output coefficient is an integer over den * q^D.  The
+        weights of each degree d are built once, the products accumulate on
+        plain ints, and the result is normalised once.  Sign 0 pins v to
+        the value p/q: only the j = 0 weight is left.
+        """
+        p, q = shift.numerator, shift.denominator
+        top = max((k[axis] for k in self._coeffs), default=0)
+        weights = [
+            [comb(d, j) * sign**j * p ** (d - j) * q ** (top - d + j) for j in range(d + 1 if sign else 1)]
+            for d in range(top + 1)
+        ]
+        out: dict[Key, int] = {}
+        for key, c in self._coeffs.items():
+            other = key[1 - axis]
+            for j, w in enumerate(weights[key[axis]]):
+                k = (j, other) if axis == 0 else (other, j)
+                out[k] = out.get(k, 0) + c * w
+        return BiPoly._raw(out, self._den * q**top)
 
     # -- canonical text form -------------------------------------------------
 

@@ -16,10 +16,15 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce a Fraction, an int (not a bool) or a "p/q" string to an exact
+    rational; raise ValueError on anything else, a float included."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(f"not an exact rational (use an int, Fraction or p/q string): {value!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -90,7 +90,7 @@ def hyper_eval(spec: HyperSpec) -> Fraction:
 
 def hyper2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:
     """Terminating 2F1(a, b; c; z)."""
-    return hyper_eval(HyperSpec((as_rational(a), as_rational(b)), (as_rational(c),), as_rational(z)))
+    return hyper_eval(HyperSpec((a, b), (c,), z))
 
 
 def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:

@@ -245,8 +245,10 @@ def test_sum_products_property():
 
 
 def test_ring_ops_and_substitutions_match_sympy():
-    # An outside oracle for the ring and the five substitutions: each result
-    # is compared with the same operation done by sympy on sympy.Poly.
+    # An outside oracle for the ring, the five substitutions and eval: each
+    # result is compared with the same operation done by sympy on sympy.Poly.
+    # Degrees up to 5 in each variable give the substitution kernel mixed
+    # top degrees, so its q^D denominators are exercised.
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -261,14 +263,15 @@ def test_ring_ops_and_substitutions_match_sympy():
 
     coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=9)
     poly = st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficient, max_size=5
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), coefficient, max_size=5
     ).map(BiPoly)
     value = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(a=poly, b=poly, k=st.integers(0, 3), v=value, negate=st.booleans())
-    def check(a, b, k, v, negate):
+    @hypothesis.given(a=poly, b=poly, k=st.integers(0, 3), u=value, v=value, negate=st.booleans())
+    def check(a, b, k, u, v, negate):
         sa, sb, sv = to_sympy(a), to_sympy(b), sympy.Rational(v.numerator, v.denominator)
+        su = sympy.Rational(u.numerator, u.denominator)
         ea = sa.as_expr()
         assert to_sympy(a * b) == sa * sb
         assert to_sympy(a + b) == sa + sb
@@ -280,5 +283,6 @@ def test_ring_ops_and_substitutions_match_sympy():
         assert to_sympy(a.subst_affine_r(v)) == poly_of(ea.subs(r, r + sv))
         assert to_sympy(a.subst_x_value(v)) == poly_of(ea.subs(x, sv))
         assert to_sympy(a.subst_r_value(v)) == poly_of(ea.subs(r, sv))
+        assert a.eval(u, v) == Fraction(str(ea.subs({r: su, x: sv})))
 
     check()

@@ -7,6 +7,9 @@ from math import factorial
 
 import pytest
 
+from delpoly.analysis import GridSpec
+from delpoly.bipoly import BiPoly
+from delpoly.dcore import EvalPoint
 from delpoly.exactnum import (
     binom_gen,
     binom_int,
@@ -15,6 +18,7 @@ from delpoly.exactnum import (
     parse_rational,
     pochhammer,
 )
+from delpoly.hyper import hyper2f1
 
 
 def falling_product_oracle(z: Fraction, k: int) -> Fraction:
@@ -160,3 +164,22 @@ def test_format_then_parse_round_trips():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+# Every rational entry point coerces through as_rational, so a float, a
+# decimal string or a bool must fail there instead of running on a binary
+# fraction or on 1.
+RATIONAL_ENTRY_POINTS = {
+    "EvalPoint": lambda v: EvalPoint(v, 0),
+    "GridSpec": lambda v: GridSpec((v,), (0,), 3),
+    "binom_gen": lambda v: binom_gen(v, 2),
+    "hyper2f1": lambda v: hyper2f1(-2, v, 1, 2),
+    "BiPoly.eval": lambda v: BiPoly.x().eval(0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, "0.5", True], ids=["float", "decimal-string", "bool"])
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_rational_entry_points_reject_inexact_values(entry, bad):
+    with pytest.raises(ValueError):
+        RATIONAL_ENTRY_POINTS[entry](bad)
