@@ -49,6 +49,10 @@ class GridSpec:
         object.__setattr__(self, "x_values", tuple(as_rational(v) for v in self.x_values))
         if not self.r_values or not self.x_values:
             raise ValueError("grid value lists must be non-empty")
+        for name in ("r_values", "x_values"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
         check_natural(self.n_max, "n_max")
 
     def points(self):

@@ -121,6 +121,8 @@ def parse_grid_file(path: str) -> GridSpec:
                 if not sep:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {token!r}")
                 if key == "n_max":
+                    if n_max is not None:
+                        raise ValueError(f"{path}:{lineno}: repeated n_max= header")
                     try:
                         n_max = _parse_natural(value, "n_max")
                     except ValueError as exc:

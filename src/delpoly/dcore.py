@@ -4,8 +4,9 @@ The central family d_n(x) (with parameter r) is built by five independent
 routes -- the defining binomial sum, an alternative closed-form sum, the
 three-term recurrence, a two-term recurrence coupling d_n(x) with d_n(-x),
 and coefficient extraction from the generating function
-(1+t)^(x-r) / (1-t)^(x+r+1).  Cross-route equality of the resulting exact
-polynomials is the package's strongest self-check.
+G = (1+t)^(x-r) / (1-t)^(x+r+1) through the recurrence its logarithmic
+derivative gives (G' = G * (log G)').  Cross-route equality of the
+resulting exact polynomials is the package's strongest self-check.
 
 Also provided: a fast scalar evaluator, the classical Delannoy number DP
 (the r=0, integer-x specialization), and exact Jacobi/Meixner evaluators
@@ -121,7 +122,7 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 # One lazily extended prefix per route, next to the generator that extends
 # it; verifiers share prefixes heavily, so sequences are extended in place
 # (under a lock) rather than rebuilt.  Each generator keeps its own working
-# rows in locals.
+# state in locals.
 _cache: dict[Route, tuple[Iterator[BiPoly], list[BiPoly]]] = {}
 _cache_lock = threading.Lock()
 
@@ -195,16 +196,15 @@ def _two_term() -> Iterator[BiPoly]:
 
 
 def _series() -> Iterator[BiPoly]:
-    # The factor coefficients binom_poly(E, k) * sign^k do not depend on
-    # the truncation order, so both factors and the Cauchy product all
-    # extend one coefficient at a time.
-    left, right = [BiPoly.one()], [BiPoly.one()]
-    for n in count():
-        if n:
-            k = n - 1
-            left.append(left[k] * (X - R - k) / (k + 1))
-            right.append(right[k] * (-(X + R + 1) - k) * Fraction(-1, k + 1))
-        yield sum_products((left[k], right[n - k]) for k in range(n + 1))
+    # G = (1+t)^(x-r) (1-t)^-(x+r+1) has G'/G = sum_j c_j t^j with c_j = 1+2x
+    # for even j and 1+2r for odd j, so the t^(n-1) coefficient of G' = G G'/G
+    # reads n d_n = (1+2x) E_{n-1} + (1+2r) E_{n-2}, E_m = d_m + E_{m-2}.
+    older, old = BiPoly.zero(), BiPoly.one()  # E_{n-2}, E_{n-1}
+    yield old
+    for n in count(1):
+        d = sum_products((((1 + 2 * X) / n, old), ((1 + 2 * R) / n, older)))
+        yield d
+        older, old = old, d + older
 
 
 _GENERATORS = {

@@ -422,41 +422,17 @@ def _meixner_instances(n_max: int) -> Iterator:
                 )
 
 
-def _parametric_square_sides_symbolic(xs: list[BiPoly], n: int, a: Fraction) -> tuple[BiPoly, BiPoly]:
-    """Both sides of the free-parameter square identity, symbolic in x;
-    ``xs`` holds binom(x, k) for k <= n at least."""
-    lhs_sum = sum_products(
-        (xs[k], BiPoly.const(binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k)))
-        for k in range(n + 1)
+def _square_sides(
+    xs: list[BiPoly], n: int, alpha: Callable, top: Fraction | int, beta: Callable
+) -> tuple[BiPoly, BiPoly]:
+    """The sums over k <= n of alpha(k) binom(x, k) and of
+    beta(k) binom(x, k) binom(top - x, k), symbolic in x; ``xs`` holds
+    binom(x, k) for k <= n at least."""
+    ys = binom_row(top - X, n)
+    return (
+        sum_products((xs[k], BiPoly.const(alpha(k))) for k in range(n + 1)),
+        sum_products((xs[k], ys[k] * beta(k)) for k in range(n + 1)),
     )
-    ys = binom_row(a - X, n)
-    rhs_sum = sum_products(
-        (xs[k], ys[k] * (binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k)))
-        for k in range(n + 1)
-    )
-    sign = -1 if n % 2 else 1
-    return lhs_sum * lhs_sum, rhs_sum * (sign / binom_gen(a, n))
-
-
-def _squared_binomial_sum(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
-    return sum_products(
-        (xs[k], BiPoly.const(binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k)))
-        for k in range(n + 1)
-    )
-
-
-def _meixner_square_rhs(xs: list[BiPoly], n: int, b: Fraction) -> BiPoly:
-    # binom(x+b-1+k, k) = (-1)^k binom(-x-b, k)
-    upper = binom_row(-b - X, n)
-    total = sum_products(
-        (
-            xs[k],
-            upper[k]
-            * (Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k)),
-        )
-        for k in range(n + 1)
-    )
-    return total / binom_gen(b + n - 1, n)
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
@@ -465,7 +441,15 @@ def _parametric_square_instances(n_max: int) -> Iterator:
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         for a in a_grid:
-            yield (f"free-parameter square n={n}", {"n": n, "a": a}, *_parametric_square_sides_symbolic(xs, n, a))
+            scale = (-1) ** n / binom_gen(a, n)
+            lhs, rhs = _square_sides(
+                xs,
+                n,
+                lambda k: binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k),
+                a,
+                lambda k: binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k) * scale,
+            )
+            yield f"free-parameter square n={n}", {"n": n, "a": a}, lhs * lhs, rhs
             # specialization x = -1, where binom(-1, k) = (-1)^k; the
             # (a+1)/(a+1-k) factor is binom(a+1,k)/binom(a,k) in reduced
             # form, which stays defined at a = -1, k = 0
@@ -503,8 +487,16 @@ def _parametric_square_instances(n_max: int) -> Iterator:
         # b parameterization over positive integers, plus the Meixner tie-in
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
-            base = _squared_binomial_sum(xs, n, b)
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, _meixner_square_rhs(xs, n, b)
+            # binom(x+b-1+k, k) = (-1)^k binom(-x-b, k)
+            scale = 1 / binom_gen(b + n - 1, n)
+            base, rhs = _square_sides(
+                xs,
+                n,
+                lambda k: binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
+                -b,
+                lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
+            )
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs
             for xv in range(n + 1):
                 yield (
                     f"meixner-square tie n={n}",
@@ -514,13 +506,14 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                 )
 
         # a = -2 specialization, symbolic in x
-        lhs_t = sum_products((xs[k], BiPoly.const(binom_int(n, k) * Fraction(2**k, k + 1))) for k in range(n + 1))
-        ys = binom_row(-2 - X, n)
-        rhs_t = sum_products(
-            (xs[k], ys[k] * (binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / (k + 1)))
-            for k in range(n + 1)
+        lhs, rhs = _square_sides(
+            xs,
+            n,
+            lambda k: binom_int(n, k) * Fraction(2**k, k + 1),
+            -2,
+            lambda k: binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / ((k + 1) * (n + 1)),
         )
-        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs_t * lhs_t, rhs_t / (n + 1)
+        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs * lhs, rhs
 
 
 _CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))

@@ -26,6 +26,16 @@ def test_gridspec_validation():
         GridSpec((Fraction(0),), (Fraction(0),), -1)
 
 
+@pytest.mark.parametrize(
+    "r_values, x_values, axis",
+    [((0, 0), (0,), "r_values"), ((0,), (0, "0"), "x_values"), ((Fraction(1, 2), "1/2"), (0,), "r_values")],
+)
+def test_gridspec_rejects_repeated_axis_values(r_values, x_values, axis):
+    # a repeated value would scan (and report) its grid points twice
+    with pytest.raises(ValueError, match=f"{axis} must not repeat a value"):
+        GridSpec(r_values, x_values, 2)
+
+
 @pytest.mark.parametrize("bad", [2.5, True, "3", -1])
 def test_gridspec_rejects_non_natural_n_max(bad):
     with pytest.raises(ValueError, match=f"n_max must be a natural number, got {bad!r}"):

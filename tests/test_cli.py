@@ -214,6 +214,15 @@ def test_scan_malformed_grid_file(tmp_path, capsys):
     assert "n_max" in err
 
 
+def test_scan_rejects_repeated_n_max_header(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("n_max=2\nn_max=3\nr=0 x=0\n")
+    code, out, err = run_cli(capsys, "scan", "--grid-file", str(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "grid.txt:2: repeated n_max= header" in err
+
+
 @pytest.mark.parametrize("bad", ["-1", "2.5", "True"])
 def test_scan_rejects_non_natural_n_max_flag(capsys, bad):
     with pytest.raises(SystemExit) as exc:
