@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .exactnum import RationalLike, as_rational, check_natural, format_rational
+from .exactnum import RationalLike, as_rational, check_natural, int_to_decimal
 
 Key = tuple[int, int]  # (degree in x, degree in r)
 
@@ -109,7 +109,7 @@ class BiPoly:
 
     def terms(self):
         """Yield ((deg_x, deg_r), coefficient) in canonical order."""
-        for key in sorted(self._coeffs, key=lambda k: (-k[0], -k[1])):
+        for key in sorted(self._coeffs, reverse=True):  # keys are unique
             yield key, Fraction(self._coeffs[key], self._den)
 
     # -- ring operations ---------------------------------------------------
@@ -252,27 +252,29 @@ class BiPoly:
         """Canonical text form: terms sorted by (deg_x desc, deg_r desc).
 
         This rendering is the stable wire format used by the CLI and the
-        golden-file tests; it must not change shape.
+        golden-file tests; it must not change shape.  Each coefficient is
+        reduced from the shared denominator with one integer gcd, so the
+        text is written from ints without building a Fraction per term.
         """
-        if not self._coeffs:
+        coeffs, den = self._coeffs, self._den
+        if not coeffs:
             return "0"
         chunks: list[str] = []
-        for (dx, dr), coeff in self.terms():
-            mono = "*".join(
-                part
-                for part in (_var_power("x", dx), _var_power("r", dr))
-                if part
-            )
-            mag = format_rational(abs(coeff))
-            if mono:
-                body = mono if mag == "1" else f"{mag}*{mono}"
+        for key in sorted(coeffs, reverse=True):  # keys are unique
+            c = coeffs[key]
+            g = gcd(c, den)
+            num, q = abs(c) // g, den // g
+            mono = _monomial(*key)
+            if q != 1:
+                mag = f"{int_to_decimal(num)}/{int_to_decimal(q)}"
+            elif num != 1 or not mono:
+                mag = int_to_decimal(num)
             else:
-                body = mag
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+                mag = ""
+            body = f"{mag}*{mono}" if mag and mono else mag or mono
+            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -281,12 +283,11 @@ class BiPoly:
         return f"BiPoly({self.to_text()!r})"
 
 
-def _var_power(name: str, deg: int) -> str:
-    if deg == 0:
-        return ""
-    if deg == 1:
-        return name
-    return f"{name}^{deg}"
+def _monomial(deg_x: int, deg_r: int) -> str:
+    """``x^a*r^b``, with degree-1 powers bare and degree-0 factors left out."""
+    x = "" if deg_x == 0 else "x" if deg_x == 1 else f"x^{deg_x}"
+    r = "" if deg_r == 0 else "r" if deg_r == 1 else f"r^{deg_r}"
+    return f"{x}*{r}" if x and r else x or r
 
 
 def _coerce(value) -> "BiPoly":

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .analysis import GridSpec, default_conjecture_grid, scan_conjecture
 from .dcore import EvalPoint, Route, d_eval, d_eval_sequence, d_sequence, delannoy_dp
-from .exactnum import check_natural, format_rational, parse_rational
+from .exactnum import check_natural, format_rational, int_to_decimal, parse_rational
 from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -32,6 +32,9 @@ def _rational_list(text: str) -> list[Fraction]:
     values = [_rational(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"no rationals in {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"{format_rational(value)} repeats in {text!r}")
     return values
 
 
@@ -235,7 +238,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_delannoy(args) -> int:
-    print(delannoy_dp(args.n, args.m))
+    print(int_to_decimal(delannoy_dp(args.n, args.m)))
     return EXIT_OK
 
 

@@ -9,10 +9,19 @@ this package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 RationalLike = Fraction | int | str
+
+# CPython 3.11+ refuses ``str(int)`` and ``int(str)`` past a digit limit
+# (4300 by default, never set below 640).  Exact values can be longer, so
+# the conversions below fall back to pieces of _CHUNK digits, each under any
+# limit; the limit itself is left as the interpreter has it.
+_CHUNK = 512
+_CHUNK_BASE = 10**_CHUNK
+_PLAIN_RATIONAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -36,18 +45,47 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"not an exact rational (use p/q form): {text!r}")
+    match = _PLAIN_RATIONAL.fullmatch(text)
     try:
-        return Fraction(text)
+        if match is None:  # digit groups with "_", or no rational at all
+            return Fraction(text)
+        sign, num, den = match.groups()
+        value = Fraction(_digits_to_int(num), _digits_to_int(den or "1"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
+    return -value if sign == "-" else value
 
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p/q", or just "p" when the denominator is 1."""
     value = as_rational(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_to_decimal(value.numerator)
+    return f"{int_to_decimal(value.numerator)}/{int_to_decimal(value.denominator)}"
+
+
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` for an int of any length, whatever the digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        pieces.append(str(low).zfill(_CHUNK))
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))
+
+
+def _digits_to_int(digits: str) -> int:
+    """``int(digits)`` for a string of ASCII decimal digits of any length."""
+    head = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:head])
+    for start in range(head, len(digits), _CHUNK):
+        value = value * _CHUNK_BASE + int(digits[start : start + _CHUNK])
+    return value
 
 
 def check_natural(value: int, name: str) -> int:

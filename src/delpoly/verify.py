@@ -905,6 +905,9 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
     ids = config.selection if config.selection is not None else tuple(suite)
     if not ids:
         raise ValueError("no identity ids selected")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"repeated identity ids: {', '.join(repeated)}")
     unknown = sorted({*ids, *config.depths} - suite.keys())
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")

@@ -1,7 +1,9 @@
 """Tests for the exact bivariate polynomial algebra."""
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -148,6 +150,76 @@ def test_canonical_text_form():
     assert (-X + Fraction(3, 8) * R**2).to_text() == "-x + 3/8*r^2"
     assert (Fraction(1, 2) * X * R).to_text() == "1/2*x*r"
     assert (X**2 * R - 1).to_text() == "x^2*r - 1"
+
+
+@pytest.mark.parametrize(
+    "poly, text",
+    [
+        (-X, "-x"),
+        (-R, "-r"),
+        (BiPoly.const(-1), "-1"),
+        (BiPoly.const(Fraction(-2, 4)), "-1/2"),
+        (X - X, "0"),
+        (X**2 - Fraction(1, 2) * X * R, "x^2 - 1/2*x*r"),
+        (-Fraction(1, 2) * X * R + X, "-1/2*x*r + x"),
+        (X**2 - Fraction(1, 2) * X * R - 1, "x^2 - 1/2*x*r - 1"),
+        (X**2 * R + X**2 + X * R**3 + R + 1, "x^2*r + x^2 + x*r^3 + r + 1"),
+        (R**2 - R + 1, "r^2 - r + 1"),
+        (Fraction(4, 6) * X + Fraction(-5, 10), "2/3*x - 1/2"),
+        (BiPoly.const(3) * X * R**2 / 3, "x*r^2"),
+        (-(10**5000) * X, f"-1{'0' * 5000}*x"),  # past CPython's 4300-digit str(int) limit
+    ],
+)
+def test_canonical_text_edge_cases(poly, text):
+    assert poly.to_text() == text == str(poly)
+
+
+# One term of the canonical form: a reduced coefficient and "*" before a
+# monomial, or a bare monomial, or a constant.
+_COEFF = r"[0-9]+(?:/[0-9]+)?"
+_MONO = r"(?:x(?:\^[0-9]+)?(?:\*r(?:\^[0-9]+)?)?|r(?:\^[0-9]+)?)"
+_TERM = rf"(?:{_COEFF}\*)?{_MONO}|{_COEFF}"
+_CANONICAL = re.compile(rf"0|-?(?:{_TERM})(?: [-+] (?:{_TERM}))*")
+
+
+def test_text_form_matches_sympy():
+    # An outside oracle for the renderer: sympy parses the text, and the
+    # polynomial it reads must be the one terms() describes.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    x, r = sympy.symbols("x r")
+
+    coefficient = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        st.integers(min_value=-(10**40), max_value=10**40).map(Fraction),
+        st.fractions(max_denominator=10**6),
+    )
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficient, max_size=10
+    ).map(BiPoly)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(p=poly)
+    @hypothesis.example(p=BiPoly.zero())
+    @hypothesis.example(p=BiPoly.const(-1))
+    @hypothesis.example(p=BiPoly.const(Fraction(7, 3)))
+    @hypothesis.example(p=-(R**3) + R)
+    @hypothesis.example(p=-X - Fraction(1, 2) * X * R)
+    def check(p):
+        text = p.to_text()
+        assert _CANONICAL.fullmatch(text), text
+        assert not re.search(r"(?:^|[ -])1\*", text), text  # a unit coefficient is dropped
+        for num, den in re.findall(r"([0-9]+)/([0-9]+)", text):
+            assert int(den) > 1 and gcd(int(num), int(den)) == 1, text
+        read = sympy.parse_expr(text.replace("^", "**"), local_dict={"x": x, "r": r})
+        want = sum(
+            (sympy.Rational(c.numerator, c.denominator) * x**dx * r**dr for (dx, dr), c in p.terms()),
+            sympy.Integer(0),
+        )
+        assert sympy.expand(read - want) == 0
+
+    check()
 
 
 def test_text_form_is_stable_under_reconstruction():

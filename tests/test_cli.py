@@ -1,11 +1,16 @@
 """Tests for the command-line surface: golden outputs and exit codes."""
 
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from delpoly.cli import EXIT_CLAIM_FAILED, EXIT_OK, EXIT_USAGE, main, parse_grid_file
+from delpoly.dcore import EvalPoint, d_eval
+from delpoly.exactnum import parse_rational
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -20,6 +25,29 @@ def test_eval(capsys):
     code, out, _ = run_cli(capsys, "eval", "-n", "2", "-r", "0", "-x", "2")
     assert code == EXIT_OK
     assert out == "13\n"
+
+
+def test_eval_prints_values_past_the_int_digit_limit(capsys):
+    # d_6000(1/3, 1/7) has a numerator and denominator of over 8000 digits,
+    # past CPython's default 4300-digit str(int) limit, which stays in force
+    want = d_eval(6000, EvalPoint(Fraction(1, 3), Fraction(1, 7)))
+    if hasattr(sys, "get_int_max_str_digits"):
+        with pytest.raises(ValueError):
+            str(want.numerator)
+    code, out, _ = run_cli(capsys, "eval", "-n", "6000", "-r", "1/3", "-x", "1/7")
+    assert code == EXIT_OK
+    num, den = out.rstrip("\n").split("/")
+    assert (num, den) == (str(Decimal(want.numerator)), str(Decimal(want.denominator)))
+    assert parse_rational(out) == want
+
+
+def test_delannoy_prints_past_the_int_digit_limit(capsys, monkeypatch):
+    from delpoly import cli
+
+    monkeypatch.setattr(cli, "delannoy_dp", lambda n, m: 10**5000 + 1)
+    code, out, _ = run_cli(capsys, "delannoy", "-n", "1", "-m", "1")
+    assert code == EXIT_OK
+    assert out == "1" + "0" * 4999 + "1\n"
 
 
 def test_eval_negative_rational(capsys):
@@ -106,6 +134,17 @@ def test_table_rejects_empty_x_list(capsys, xs):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("xs", ["0,0", "0, 0/1", "1/2,-1,2/4"])
+def test_table_rejects_repeated_x_value(capsys, xs):
+    # a repeated value would print the same column twice
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n-max", "2", "-r", "0", "-x", xs])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeats" in captured.err
+
+
 def test_delannoy(capsys):
     code, out, _ = run_cli(capsys, "delannoy", "-n", "2", "-m", "2")
     assert code == EXIT_OK
@@ -143,6 +182,13 @@ def test_verify_empty_suite_is_a_usage_error(capsys, suite):
     assert code == EXIT_USAGE
     assert out == ""
     assert "no identity ids selected" in err
+
+
+def test_verify_repeated_id_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "square,jacobi,square", "--depth", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "repeated identity ids: square" in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +17,7 @@ from delpoly.exactnum import (
     binom_int,
     check_natural,
     format_rational,
+    int_to_decimal,
     parse_rational,
     pochhammer,
 )
@@ -160,7 +163,45 @@ def test_format_then_parse_round_trips():
     check()
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", ""])
+def _digit_limit() -> int:
+    """The interpreter's int/str digit limit; 0 where it has none (before 3.11)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# Around the 512-digit pieces and the default 4300-digit limit, with zeros
+# inside pieces and on both signs.
+LONG_INTS = [
+    0, 1, -1, 10**511, 10**512 - 1, 10**512, 10**1024,
+    7 * 10**4299, 10**4300 - 1, 10**4300, -(10**5000 + 12345), 3**20000, -(3**20000),
+]
+
+
+@pytest.mark.parametrize("n", LONG_INTS, ids=lambda n: f"{len(str(Decimal(n)))}-chars")
+def test_decimal_conversion_has_no_digit_limit(n):
+    limit = _digit_limit()
+    text = int_to_decimal(n)
+    assert text == str(Decimal(n))  # Decimal converts without the int/str limit
+    assert parse_rational(text) == n
+    assert parse_rational(f"{text}/7") == Fraction(n, 7)
+    if n:
+        assert parse_rational(f"-3/{int_to_decimal(abs(n))}") == Fraction(-3, abs(n))
+    assert _digit_limit() == limit  # the interpreter's limit is left as it was
+
+
+def test_long_rationals_round_trip_under_the_digit_limit():
+    q = Fraction(3**9000, 7**6000)  # 4295 and 5071 digits
+    if _digit_limit():
+        with pytest.raises(ValueError):
+            str(q.denominator)
+    for value in (q, -q, 1 / q):
+        text = format_rational(value)
+        num, _, den = text.lstrip("-").partition("/")
+        assert (num, den) == (str(Decimal(abs(value.numerator))), str(Decimal(value.denominator)))
+        assert parse_rational(text) == value
+    assert parse_rational(f" +{format_rational(q)} ") == q
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", "", "-", "1/", "/2", "1//2", "--1", "1/000"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

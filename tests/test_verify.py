@@ -233,6 +233,16 @@ def test_run_suite_rejects_empty_selection():
         run_suite(SuiteConfig(selection=()))
 
 
+@pytest.mark.parametrize(
+    "selection, named",
+    [(("square", "square"), "square"), (("jacobi", "square", "meixner", "jacobi", "square"), "jacobi, square")],
+)
+def test_run_suite_rejects_repeated_ids(selection, named):
+    # a repeated id would run that verifier twice and report it twice
+    with pytest.raises(ValueError, match=f"repeated identity ids: {named}$"):
+        run_suite(SuiteConfig(selection=selection))
+
+
 def test_fault_index_counts_cases_across_points():
     # square at n_max 2 checks 3 cases per point, so index 3 is the first
     # case at the second point
