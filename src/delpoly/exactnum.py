@@ -10,18 +10,15 @@ this package.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
 RationalLike = Fraction | int | str
 
-# CPython 3.11+ refuses ``str(int)`` and ``int(str)`` past a digit limit
-# (4300 by default, never set below 640).  Exact values can be longer, so
-# the conversions below fall back to pieces of _CHUNK digits, each under any
-# limit; the limit itself is left as the interpreter has it.
-_CHUNK = 512
-_CHUNK_BASE = 10**_CHUNK
-_PLAIN_RATIONAL = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+# Fraction's own integer and ratio grammar: "_" digit groups, whitespace
+# around "/"; no decimal point and no exponent.
+_RATIONAL = re.compile(r"([-+]?)(\d+(?:_\d+)*)(?:\s*/\s*(\d+(?:_\d+)*))?")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -42,16 +39,13 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: values cross every boundary of
     this package exactly, never rounded.
     """
-    text = text.strip()
-    if "." in text or "e" in text.lower():
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not an exact rational (use p/q form): {text!r}")
-    match = _PLAIN_RATIONAL.fullmatch(text)
+    sign, num, den = match.groups()
     try:
-        if match is None:  # digit groups with "_", or no rational at all
-            return Fraction(text)
-        sign, num, den = match.groups()
         value = Fraction(_digits_to_int(num), _digits_to_int(den or "1"))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
     return -value if sign == "-" else value
 
@@ -64,28 +58,24 @@ def format_rational(value: Fraction) -> str:
     return f"{int_to_decimal(value.numerator)}/{int_to_decimal(value.denominator)}"
 
 
+# CPython 3.11+ refuses ``str(int)`` and ``int(str)`` past a digit limit
+# (4300 by default).  Exact values can be longer, so past it the two
+# conversions below go through ``Decimal``, which has no such limit; the
+# limit itself is left as the interpreter has it.
 def int_to_decimal(n: int) -> str:
     """``str(n)`` for an int of any length, whatever the digit limit."""
     try:
         return str(n)
     except ValueError:
-        pass
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    pieces = []
-    while n >= _CHUNK_BASE:
-        n, low = divmod(n, _CHUNK_BASE)
-        pieces.append(str(low).zfill(_CHUNK))
-    pieces.append(str(n))
-    return sign + "".join(reversed(pieces))
+        return str(Decimal(n))
 
 
 def _digits_to_int(digits: str) -> int:
-    """``int(digits)`` for a string of ASCII decimal digits of any length."""
-    head = len(digits) % _CHUNK or _CHUNK
-    value = int(digits[:head])
-    for start in range(head, len(digits), _CHUNK):
-        value = value * _CHUNK_BASE + int(digits[start : start + _CHUNK])
-    return value
+    """``int(digits)`` for decimal digits of any length, whatever the limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def check_natural(value: int, name: str) -> int:

@@ -175,9 +175,12 @@ def test_canonical_text_edge_cases(poly, text):
 
 
 # One term of the canonical form: a reduced coefficient and "*" before a
-# monomial, or a bare monomial, or a constant.
-_COEFF = r"[0-9]+(?:/[0-9]+)?"
-_MONO = r"(?:x(?:\^[0-9]+)?(?:\*r(?:\^[0-9]+)?)?|r(?:\^[0-9]+)?)"
+# monomial, or a bare monomial, or a constant.  A power of degree 1 is
+# written bare, a factor of degree 0 is left out, and no number is 0 or
+# starts with 0.
+_COEFF = r"[1-9][0-9]*(?:/[1-9][0-9]*)?"
+_POWER = r"(?:\^(?:[2-9]|[1-9][0-9]+))?"
+_MONO = rf"(?:x{_POWER}(?:\*r{_POWER})?|r{_POWER})"
 _TERM = rf"(?:{_COEFF}\*)?{_MONO}|{_COEFF}"
 _CANONICAL = re.compile(rf"0|-?(?:{_TERM})(?: [-+] (?:{_TERM}))*")
 

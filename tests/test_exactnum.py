@@ -3,7 +3,6 @@
 import random
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -141,6 +140,10 @@ def test_parse_and_format_rational():
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("5") == 5
     assert parse_rational(" 10/4 ") == Fraction(5, 2)
+    assert parse_rational("1_000/3") == Fraction(1000, 3)  # Fraction's own integer grammar
+    assert parse_rational("-3 / 7") == Fraction(-3, 7)
+    assert parse_rational("+12/\t4") == 3
+    assert parse_rational("\u0663/\u0667") == Fraction(3, 7)  # Arabic-Indic digits, as int() reads them
     assert format_rational(Fraction(5, 2)) == "5/2"
     assert format_rational(Fraction(-3)) == "-3"
     assert format_rational(Fraction(0)) == "0"
@@ -168,23 +171,34 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-# Around the 512-digit pieces and the default 4300-digit limit, with zeros
-# inside pieces and on both signs.
+def _repeated(block: str, times: int) -> int:
+    """The int whose decimal text is ``block * times``, built by arithmetic."""
+    width = len(block)
+    return int(block) * (10 ** (width * times) - 1) // (10**width - 1)
+
+
+# Ints whose decimal text is known by construction, around and past the
+# default 4300-digit limit, with zeros inside and on both signs.
 LONG_INTS = [
-    0, 1, -1, 10**511, 10**512 - 1, 10**512, 10**1024,
-    7 * 10**4299, 10**4300 - 1, 10**4300, -(10**5000 + 12345), 3**20000, -(3**20000),
+    (0, "0"),
+    (-1, "-1"),
+    (10**4300 - 1, "9" * 4300),
+    (10**4300, "1" + "0" * 4300),
+    (7 * 10**4299, "7" + "0" * 4299),
+    (-(10**5000 + 12345), "-1" + "0" * 4995 + "12345"),
+    (_repeated("1234567890", 600), "1234567890" * 600),
+    (-_repeated("9876543210", 800), "-" + "9876543210" * 800),
 ]
 
 
-@pytest.mark.parametrize("n", LONG_INTS, ids=lambda n: f"{len(str(Decimal(n)))}-chars")
-def test_decimal_conversion_has_no_digit_limit(n):
+@pytest.mark.parametrize(("n", "text"), LONG_INTS, ids=[f"{len(t)}-chars-{t[:2]}" for _, t in LONG_INTS])
+def test_decimal_conversion_has_no_digit_limit(n, text):
     limit = _digit_limit()
-    text = int_to_decimal(n)
-    assert text == str(Decimal(n))  # Decimal converts without the int/str limit
+    assert int_to_decimal(n) == text
     assert parse_rational(text) == n
     assert parse_rational(f"{text}/7") == Fraction(n, 7)
     if n:
-        assert parse_rational(f"-3/{int_to_decimal(abs(n))}") == Fraction(-3, abs(n))
+        assert parse_rational(f"-3/{text.lstrip('-')}") == Fraction(-3, abs(n))
     assert _digit_limit() == limit  # the interpreter's limit is left as it was
 
 
@@ -195,13 +209,19 @@ def test_long_rationals_round_trip_under_the_digit_limit():
             str(q.denominator)
     for value in (q, -q, 1 / q):
         text = format_rational(value)
-        num, _, den = text.lstrip("-").partition("/")
-        assert (num, den) == (str(Decimal(abs(value.numerator))), str(Decimal(value.denominator)))
+        assert text.count("/") == 1 and len(text) > 9000
         assert parse_rational(text) == value
     assert parse_rational(f" +{format_rational(q)} ") == q
+    grouped = "_".join(int_to_decimal(q.denominator))  # every digit its own group
+    assert parse_rational(f"1 / {grouped}") == Fraction(1, q.denominator)
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", "", "-", "1/", "/2", "1//2", "--1", "1/000"])
+
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", "1e3", "a/b", "1/0", "", "-", "1/", "/2", "1//2", "--1", "1/000",
+     "1__0", "_1", "1_", "1/_2", "1 2", "- 1", ".5", "1/2/3"],
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
