@@ -194,20 +194,24 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
 def _scan(claim_id: str, grid: GridSpec, skip_reason, terms) -> ScanReport:
     """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
     does not exclude; a negative numerator is a violation, a zero one a
-    zero hit."""
+    zero hit.  A scan that checks no (n, point) pair is a ValueError, not a
+    vacuous pass."""
     violations = []
     zero_hits = []
     skipped = []
+    checked = 0
     for point in grid.points():
         reason = skip_reason(point)
         if reason is not None:
             skipped.append({"r": point.r, "x": point.x, "reason": reason})
             continue
-        for n, t, s in terms(point, grid.n_max):
+        for checked, (n, t, s) in enumerate(terms(point, grid.n_max), checked + 1):
             if t < 0:
                 violations.append((n, point.r, point.x, Fraction(t, s)))
             elif t == 0:
                 zero_hits.append((n, point.r, point.x))
+    if not checked:
+        raise ValueError(f"{claim_id}: no (n, point) pair checked at n_max={grid.n_max}")
     return ScanReport(
         claim_id=claim_id,
         grid=grid.as_dict(),

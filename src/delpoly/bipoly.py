@@ -418,11 +418,23 @@ class _Slots:
             out[(x, dr)] = from_bytes(data[start : start + width], "little", signed=True)
 
 
-def binom_row(linear: BiPoly, k: int) -> list[BiPoly]:
+def _affine(value: BiPoly | int | Fraction, message: str) -> BiPoly:
+    """``value`` as a BiPoly of total degree <= 1, an int or ``Fraction``
+    being a constant one; anything else, a bool, float or str included, is a
+    ValueError with ``message``."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return BiPoly.const(value)
+    if not (isinstance(value, BiPoly) and value.is_affine):
+        raise ValueError(message)
+    return value
+
+
+def binom_row(linear: BiPoly | int | Fraction, k: int) -> list[BiPoly]:
     """The binomial coefficients binom(linear, 0), ..., binom(linear, k).
 
-    ``linear`` must be affine in x and r.  Each entry is built from the one
-    before it with a single affine factor,
+    ``linear`` must be affine in x and r (an int or ``Fraction`` is a
+    constant).  Each entry is built from the one before it with a single
+    affine factor,
 
         binom(linear, j+1) = binom(linear, j) * (linear - j) / (j + 1),
 
@@ -430,15 +442,14 @@ def binom_row(linear: BiPoly, k: int) -> list[BiPoly]:
     instead of rebuilding each falling product from 1.
     """
     check_natural(k, "lower index")
-    if not linear.is_affine:
-        raise ValueError("a polynomial binomial needs an affine top argument")
+    linear = _affine(linear, "a polynomial binomial needs an affine top argument")
     row = [BiPoly.one()]
     for j in range(k):
         row.append(row[j] * ((linear - j) / (j + 1)))
     return row
 
 
-def binom_poly(linear: BiPoly, k: int) -> BiPoly:
+def binom_poly(linear: BiPoly | int | Fraction, k: int) -> BiPoly:
     """Binomial coefficient with a polynomial top argument.
 
     Computes linear*(linear-1)*...*(linear-k+1) / k! for an affine

@@ -209,17 +209,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.grid_file is not None:
-        try:
-            grid = parse_grid_file(args.grid_file)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        grid = default_conjecture_grid()
-    if args.n_max is not None:
-        grid = GridSpec(grid.r_values, grid.x_values, args.n_max)
-    report = scan_conjecture(grid)
+    try:
+        grid = default_conjecture_grid() if args.grid_file is None else parse_grid_file(args.grid_file)
+        if args.n_max is not None:
+            grid = GridSpec(grid.r_values, grid.x_values, args.n_max)
+        report = scan_conjecture(grid)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         print(report.to_json_line())
     else:

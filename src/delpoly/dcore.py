@@ -32,7 +32,7 @@ from itertools import count, islice
 from math import factorial, lcm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
 from .hyper import hyper2f1
 
@@ -283,15 +283,18 @@ def delannoy_dp(n: int, m: int) -> int:
     return row[m]
 
 
-def jacobi_eval(n: int, alpha: BiPoly, beta: BiPoly, point: RationalLike) -> BiPoly:
+def jacobi_eval(
+    n: int, alpha: BiPoly | int | Fraction, beta: BiPoly | int | Fraction, point: RationalLike
+) -> BiPoly:
     """Jacobi polynomial P_n^(alpha, beta) at a rational point.
 
     alpha and beta may be affine in x and r (that is how the connection
-    formulas use them), so the result is again a BiPoly.
+    formulas use them; an int or ``Fraction`` is a constant), so the result
+    is again a BiPoly.
     """
     check_natural(n, "n")
-    if not (alpha.is_affine and beta.is_affine):
-        raise ValueError("jacobi_eval requires affine alpha and beta")
+    message = "jacobi_eval requires affine alpha and beta"
+    alpha, beta = _affine(alpha, message), _affine(beta, message)
     t = as_rational(point)
     alphas = binom_row(n + alpha, n)
     betas = binom_row(n + beta, n)
@@ -306,8 +309,8 @@ def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> F
     exactly by ``hyper``'s terminating-series kernel.
 
     Requires c != 0 and (b)_k != 0 for k <= n.  The pole check is made here
-    for every k <= n, not only up to the kernel's stop: ``HyperSpec`` accepts
-    a pole that lies after an early stop (a natural x below n).
+    for every k <= n, not only up to the kernel's stop: ``hyper_eval``
+    accepts a pole that lies after an early stop (a natural x below n).
     """
     check_natural(n, "n")
     xv, bv, cv = as_rational(x), as_rational(b), as_rational(c)

@@ -9,54 +9,24 @@ into a single terminating 4F3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from typing import Iterable
 
-from .exactnum import RationalLike, as_rational, check_natural, format_rational, pochhammer
-
-
-@dataclass(frozen=True)
-class HyperSpec:
-    """Parameters of a terminating hypergeometric series.
-
-    At least one numerator parameter must be a non-positive integer (this
-    bounds the sum), and no denominator parameter may hit a pole of the
-    Pochhammer products before that bound.
-    """
-
-    numerator_params: tuple[Fraction, ...]
-    denominator_params: tuple[Fraction, ...]
-    argument: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "numerator_params", tuple(as_rational(a) for a in self.numerator_params)
-        )
-        object.__setattr__(
-            self, "denominator_params", tuple(as_rational(b) for b in self.denominator_params)
-        )
-        object.__setattr__(self, "argument", as_rational(self.argument))
-        # Denominators are positive, so each sign test reads the numerator.
-        stops = [-a.numerator for a in self.numerator_params if a.denominator == 1 and a.numerator <= 0]
-        if not stops:
-            raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
-        bound = min(stops)
-        for b in self.denominator_params:
-            if b.denominator == 1 and -(bound - 1) <= b.numerator <= 0:
-                raise ValueError(
-                    f"pole in denominator parameter {format_rational(b)} before termination at k={bound}"
-                )
-        object.__setattr__(self, "_termination_index", bound)
-
-    @property
-    def termination_index(self) -> int:
-        """Largest k with a non-zero term; the sum runs to this inclusive."""
-        return self._termination_index
+from .exactnum import RationalLike, as_rational, check_natural, pochhammer
 
 
-def hyper_eval(spec: HyperSpec) -> Fraction:
+def hyper_eval(
+    numerator_params: Iterable[RationalLike],
+    denominator_params: Iterable[RationalLike],
+    argument: RationalLike,
+) -> Fraction:
     """Exact value of the terminating series sum_k prod(a_i)_k / prod(b_j)_k * z^k / k!.
+
+    The sum stops at the smallest -a_i over the non-positive-integer
+    numerator parameters; a series with none of them does not terminate,
+    and a denominator parameter in {0, -1, ...} whose pole comes before that
+    stop leaves a term undefined.  Both are a ValueError.
 
     Write each a_i as p_i/q_i, each b_j as u_j/v_j and z as zn/zd.  The
     term ratio t_{k+1}/t_k is then the integer quotient
@@ -67,13 +37,21 @@ def hyper_eval(spec: HyperSpec) -> Fraction:
     running total is kept over the current term's denominator
     (``total = total*fd + num``), and one ``Fraction`` is built at the end.
     """
-    nums = [(a.numerator, a.denominator) for a in spec.numerator_params]
-    dens = [(b.numerator, b.denominator) for b in spec.denominator_params]
-    z = spec.argument
+    nums = [(a.numerator, a.denominator) for a in map(as_rational, numerator_params)]
+    dens = [(b.numerator, b.denominator) for b in map(as_rational, denominator_params)]
+    z = as_rational(argument)
+    # Denominators are positive, so each sign test reads the numerator.
+    stops = [-p for p, q in nums if q == 1 and p <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
+    stop = min(stops)
+    for u, v in dens:
+        if v == 1 and -(stop - 1) <= u <= 0:
+            raise ValueError(f"pole in denominator parameter {u} before termination at k={stop}")
     num_scale = z.numerator * prod(v for _, v in dens)
     den_scale = z.denominator * prod(q for _, q in nums)
     term = total = den = 1
-    for k in range(spec.termination_index):
+    for k in range(stop):
         fn = num_scale
         for p, q in nums:
             fn *= p + k * q
@@ -90,7 +68,7 @@ def hyper_eval(spec: HyperSpec) -> Fraction:
 
 def hyper2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:
     """Terminating 2F1(a, b; c; z)."""
-    return hyper_eval(HyperSpec((a, b), (c,), z))
+    return hyper_eval((a, b), (c,), z)
 
 
 def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:
@@ -126,11 +104,5 @@ def clausen_product_sides(
         raise ValueError("z = 1 is outside the identity's domain")
     lhs = hyper2f1(-n, bv, cv, zv) * hyper2f1(-n, cv - bv, cv, zv)
     arg = zv * zv / (4 * (zv - 1))
-    rhs = (1 - zv) ** n * hyper_eval(
-        HyperSpec(
-            (Fraction(-n), bv, cv + n, cv - bv),
-            (cv, cv / 2, (cv + 1) / 2),
-            arg,
-        )
-    )
+    rhs = (1 - zv) ** n * hyper_eval((-n, bv, cv + n, cv - bv), (cv, cv / 2, (cv + 1) / 2), arg)
     return lhs, rhs

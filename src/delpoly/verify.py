@@ -19,7 +19,8 @@ one ``sum_products`` call; over ``_PointAlg`` (PointGrid mode, at explicit
 rational points) they are rebuilt in plain ``Fraction`` arithmetic with no
 BiPoly involved (generalized binomials, d_n from the scalar evaluator or the
 scalar defining sum), an independent cross-check of the polynomial
-machinery.  A PointGrid run with no usable point is a ValueError.
+machinery.  A run that checks no case, or a PointGrid run with no usable
+point, is a ValueError rather than a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -544,11 +545,14 @@ def _witness_point(diff: BiPoly, axes: tuple[str, ...]) -> EvalPoint:
     raise AssertionError("non-zero polynomial vanished on its witness grid")
 
 
-def _first_counterexample(cases: Iterable, fault_index: int | None, axes: tuple[str, ...]) -> dict | None:
+def _first_counterexample(
+    identity_id: str, cases: Iterable, fault_index: int | None, axes: tuple[str, ...]
+) -> dict | None:
     """The first case whose sides differ, as a counterexample, or None.
 
-    Case ``fault_index`` gets rhs + 1; an index never reached is a ValueError.
-    BiPoly sides are reported at a witness point on ``axes``.
+    Case ``fault_index`` gets rhs + 1; an index never reached, like a run
+    with no case at all, is a ValueError rather than a pass.  BiPoly sides
+    are reported at a witness point on ``axes``.
     """
     count = 0
     for count, (label, params, lhs, rhs) in enumerate(cases, 1):
@@ -560,6 +564,8 @@ def _first_counterexample(cases: Iterable, fault_index: int | None, axes: tuple[
                 params = {**params, **{axis: getattr(at, axis) for axis in axes}}
                 lhs, rhs = lhs.eval(at.r, at.x), rhs.eval(at.r, at.x)
             return {"instance": label, "params": params, "lhs": lhs, "rhs": rhs}
+    if not count:
+        raise ValueError(f"{identity_id}: no case checked, so nothing is verified")
     if fault_index is not None:
         raise ValueError(f"fault index {fault_index!r} is not among the {count} checked cases")
     return None
@@ -605,7 +611,7 @@ def _run_identity(
         cases = point_cases()
     else:
         cases = instances(None if route is None else _SymbolicAlg(d_sequence(route, n_high).polys))
-    counterexample = _first_counterexample(cases, fault_index, witness_axes)
+    counterexample = _first_counterexample(identity_id, cases, fault_index, witness_axes)
     range_desc = range_desc or f"n<={depth}"
     if points is not None:
         mode, range_desc = Mode.POINT_GRID, f"{range_desc} at {len(used)} points"

@@ -88,11 +88,33 @@ def test_product_lower_bound_strict_case():
 
 
 def test_product_lower_bound_skips_out_of_domain_points():
-    grid = GridSpec((Fraction(-1),), (Fraction(-1, 2), Fraction(1)), 4)
+    # (1, 1) is the one in-domain point; the other three are skipped, for r
+    # or for x
+    grid = GridSpec((Fraction(-1), Fraction(1)), (Fraction(-1, 2), Fraction(1)), 4)
     report = check_product_lower_bound(grid)
     assert report.passed
-    assert len(report.skipped) == 2
-    assert not report.violations and not report.zero_hits
+    assert [(s["r"], s["x"], s["reason"]) for s in report.skipped] == [
+        (-1, Fraction(-1, 2), "requires r > -1/2"),
+        (-1, 1, "requires r > -1/2"),
+        (1, Fraction(-1, 2), "requires x != -1/2"),
+    ]
+    assert not report.violations
+    assert report.zero_hits == ((2, 1, 1),)  # the first inequality is an equality at n = 2
+
+
+@pytest.mark.parametrize(
+    "scan, grid",
+    [
+        (check_product_lower_bound, GridSpec((Fraction(-1),), (Fraction(-1, 2), Fraction(1)), 4)),
+        (check_product_lower_bound, GridSpec((Fraction(0),), (Fraction(1),), 1)),  # starts at n = 2
+        (check_positivity, GridSpec((Fraction(0),), (Fraction(1),), 1)),  # x > -1/2 starts at n = 2
+        (scan_conjecture, GridSpec((Fraction(-1), Fraction(1)), (Fraction(1),), 5)),  # outside the region
+        (scan_conjecture, GridSpec((Fraction(0),), (Fraction(0),), 0)),  # starts at n = 1
+    ],
+)
+def test_scan_that_checks_nothing_is_an_error(scan, grid):
+    with pytest.raises(ValueError, match=r"no \(n, point\) pair checked"):
+        scan(grid)
 
 
 def test_positivity_examples():

@@ -242,6 +242,29 @@ def test_scan_grid_file(tmp_path, capsys):
     assert payload["grid"]["x_values"] == ["-1/2", "0"]
 
 
+@pytest.mark.parametrize("grid_text, n_max", [(None, "0"), ("n_max=4\nr=-1 x=1\nr=1 x=2\n", None)])
+def test_scan_that_checks_nothing_is_a_usage_error(tmp_path, capsys, grid_text, n_max):
+    argv = ["scan"]
+    if grid_text is not None:
+        grid = tmp_path / "grid.txt"
+        grid.write_text(grid_text)
+        argv += ["--grid-file", str(grid)]
+    if n_max is not None:
+        argv += ["--n-max", n_max]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: turan-conjecture: no (n, point) pair checked")
+
+
+def test_verify_depth_zero_is_a_usage_error(capsys):
+    # weighted-square-sum has no case at depth 0
+    code, out, err = run_cli(capsys, "verify", "--suite", "square,weighted-square-sum", "--depth", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: weighted-square-sum: no case checked")
+
+
 def test_scan_violation_exits_one(capsys, monkeypatch):
     from fractions import Fraction
 

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from delpoly import dcore
-from delpoly.bipoly import BiPoly, binom_poly
+from delpoly.bipoly import BiPoly, binom_poly, binom_row
 from delpoly.dcore import (
     DSequence,
     EvalPoint,
@@ -254,6 +254,36 @@ def test_jacobi_eval():
 def test_jacobi_eval_rejects_non_affine():
     with pytest.raises(ValueError):
         jacobi_eval(1, X * R, BiPoly.zero(), 3)
+
+
+def test_constant_top_arguments_are_constant_polynomials():
+    # an int or Fraction is an affine (constant) argument; these used to
+    # raise AttributeError on int.is_affine
+    assert jacobi_eval(2, 1, 1, 0) == Fraction(-3, 4)
+    assert jacobi_eval(3, Fraction(1, 2), BiPoly.const(2), Fraction(1, 3)) == jacobi_eval(
+        3, BiPoly.const(Fraction(1, 2)), 2, Fraction(1, 3)
+    )
+    assert binom_row(3, 2) == [1, 3, 3]
+    assert binom_poly(3, 2) == 3
+    assert binom_poly(Fraction(1, 2), 2) == Fraction(-1, 8)
+    for bad in (0.5, True, "1"):
+        with pytest.raises(ValueError, match="affine"):
+            jacobi_eval(2, bad, 1, 0)
+        with pytest.raises(ValueError, match="affine"):
+            jacobi_eval(2, 1, bad, 0)
+        with pytest.raises(ValueError, match="affine"):
+            binom_row(bad, 2)
+        with pytest.raises(ValueError, match="affine"):
+            binom_poly(bad, 2)
+
+
+def test_constant_jacobi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for alpha, beta, t in [(1, 1, 0), (Fraction(1, 2), -3, Fraction(2, 5)), (0, Fraction(7, 3), -2)]:
+        args = [sympy.Rational(v.numerator, v.denominator) for v in map(Fraction, (alpha, beta, t))]
+        for n in range(6):
+            want = sympy.jacobi(n, *args)
+            assert jacobi_eval(n, alpha, beta, t) == Fraction(int(want.p), int(want.q)), (n, alpha, beta, t)
 
 
 def test_meixner_eval():

@@ -20,7 +20,7 @@ from delpoly.exactnum import (
     parse_rational,
     pochhammer,
 )
-from delpoly.hyper import hyper2f1
+from delpoly.hyper import hyper2f1, hyper_eval
 
 
 def falling_product_oracle(z: Fraction, k: int) -> Fraction:
@@ -235,6 +235,9 @@ RATIONAL_ENTRY_POINTS = {
     "GridSpec": lambda v: GridSpec((v,), (0,), 3),
     "binom_gen": lambda v: binom_gen(v, 2),
     "hyper2f1": lambda v: hyper2f1(-2, v, 1, 2),
+    "hyper_eval-numerator": lambda v: hyper_eval((-2, v), (1,), 2),
+    "hyper_eval-denominator": lambda v: hyper_eval((-2, 1), (v,), 2),
+    "hyper_eval-argument": lambda v: hyper_eval((-2, 1), (1,), v),
     "BiPoly.eval": lambda v: BiPoly.x().eval(0, v),
 }
 

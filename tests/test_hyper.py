@@ -6,10 +6,9 @@ from math import factorial
 
 import pytest
 
-from delpoly.dcore import EvalPoint, d_eval
+from delpoly.dcore import EvalPoint, d_eval, meixner_eval
 from delpoly.exactnum import pochhammer
 from delpoly.hyper import (
-    HyperSpec,
     clausen_product_sides,
     d_via_hyper,
     d_via_hyper_companion,
@@ -41,13 +40,15 @@ def test_two_term_sum():
 
 
 def test_zero_argument():
-    spec = HyperSpec((Fraction(-4), Fraction(1, 3)), (Fraction(5, 7),), Fraction(0))
-    assert hyper_eval(spec) == 1
+    assert hyper_eval((Fraction(-4), Fraction(1, 3)), (Fraction(5, 7),), Fraction(0)) == 1
 
 
 def test_termination_index():
-    spec = HyperSpec((Fraction(-3), Fraction(-7), Fraction(2)), (Fraction(1),), Fraction(1))
-    assert spec.termination_index == 3
+    # the sum stops at the smaller stop, k = 3, so a pole at k = 5 from the
+    # denominator -4 never enters it
+    nums = (Fraction(-3), Fraction(-7), Fraction(2))
+    for dens in [(Fraction(1),), (Fraction(-4),)]:
+        assert hyper_eval(nums, dens, Fraction(1)) == hyper_sum_oracle(nums, dens, Fraction(1))
 
 
 def test_hyper_eval_matches_oracle():
@@ -57,25 +58,24 @@ def test_hyper_eval_matches_oracle():
         b = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
         c = Fraction(rng.randint(1, 20), rng.randint(1, 6))
         z = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        spec = HyperSpec((Fraction(-n), b), (c,), z)
-        assert hyper_eval(spec) == hyper_sum_oracle([Fraction(-n), b], [c], z)
+        assert hyper_eval((-n, b), (c,), z) == hyper_sum_oracle([Fraction(-n), b], [c], z)
 
 
 def test_spec_requires_termination():
-    with pytest.raises(ValueError):
-        HyperSpec((Fraction(1, 2), Fraction(3)), (Fraction(1),), Fraction(1))
+    with pytest.raises(ValueError, match="does not terminate"):
+        hyper_eval((Fraction(1, 2), Fraction(3)), (Fraction(1),), Fraction(1))
 
 
 def test_spec_rejects_pole_before_termination():
-    with pytest.raises(ValueError):
-        HyperSpec((Fraction(-5),), (Fraction(-2),), Fraction(1))
+    with pytest.raises(ValueError, match="pole in denominator parameter -2 before termination at k=5"):
+        hyper_eval((Fraction(-5),), (Fraction(-2),), Fraction(1))
     # a pole exactly at the termination cutoff is fine: (b)_k != 0 for k <= 5
-    HyperSpec((Fraction(-5),), (Fraction(-5),), Fraction(1))
+    assert hyper_eval((-5,), (-5,), 1) == hyper_sum_oracle([-5], [-5], 1)
 
 
 def test_spec_pole_check_matches_pochhammer_oracle():
-    # The spec must be rejected exactly when some term up to the stop has a
-    # zero denominator, judged by sympy's rising factorial: a pole before
+    # The series must be rejected exactly when some term up to the stop has
+    # a zero denominator, judged by sympy's rising factorial: a pole before
     # termination is an error, a pole after an early stop is not.
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
@@ -93,14 +93,17 @@ def test_spec_pole_check_matches_pochhammer_oracle():
         has_pole = any(sympy.rf(b, k) == 0 for k in range(int(stop) + 1))
         if has_pole:
             with pytest.raises(ValueError, match="pole"):
-                HyperSpec(nums, (Fraction(b),), Fraction(1, 3))
+                hyper_eval(nums, (b,), Fraction(1, 3))
         else:
-            assert HyperSpec(nums, (Fraction(b),), Fraction(1, 3)).termination_index == stop
+            assert hyper_eval(nums, (b,), Fraction(1, 3)) == hyper_sum_oracle(nums, (b,), Fraction(1, 3))
 
     check()
-    # the spec behind meixner_eval(3, 1, -2, -1): 2F1(-3, -1; -2; 2) stops
-    # at k = 1, before its pole at k = 3
-    assert HyperSpec((Fraction(-3), Fraction(-1)), (Fraction(-2),), Fraction(2)).termination_index == 1
+    # the series behind meixner_eval(3, 1, -2, -1): 2F1(-3, -1; -2; 2) stops
+    # at k = 1, before its pole at k = 3, so the kernel sums it; meixner_eval
+    # itself rejects the pole, which lies within n
+    assert hyper_eval((-3, -1), (-2,), 2) == hyper_sum_oracle([-3, -1], [-2], 2) == -2
+    with pytest.raises(ValueError, match="pole"):
+        meixner_eval(3, 1, -2, -1)
 
 
 def test_bridge_example():

@@ -15,7 +15,7 @@ import pytest
 
 from delpoly.bipoly import BiPoly, binom_poly, binom_row
 from delpoly.dcore import meixner_eval
-from delpoly.hyper import HyperSpec, hyper_eval
+from delpoly.hyper import hyper_eval
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -34,7 +34,8 @@ def rising(a: Fraction, k: int) -> Fraction:
 
 
 def hyper_reference(nums, dens, z) -> Fraction:
-    """Term-by-term sum of prod(a)_k / prod(b)_k * z^k / k!, each term from scratch."""
+    """Term-by-term sum of prod(a)_k / prod(b)_k * z^k / k!, each term from
+    scratch; a zero (b)_k up to the stop raises ZeroDivisionError."""
     stop = min(-int(a) for a in nums if a.denominator == 1 and a <= 0)
     total = Fraction(0)
     for k in range(stop + 1):
@@ -65,16 +66,18 @@ def meixner_reference(n: int, x: Fraction, b: Fraction, c: Fraction) -> Fraction
 def test_hyper_eval_matches_term_by_term_sum(stop, extra_nums, dens, z):
     nums = (Fraction(-stop), *extra_nums)
     try:
-        spec = HyperSpec(nums, tuple(dens), z)
-    except ValueError:
-        hypothesis.assume(False)  # a pole before termination
-    assert hyper_eval(spec) == hyper_reference(spec.numerator_params, spec.denominator_params, z)
+        expected = hyper_reference(nums, dens, z)
+    except ZeroDivisionError:  # a pole before the stop
+        with pytest.raises(ValueError, match="pole"):
+            hyper_eval(nums, dens, z)
+    else:
+        assert hyper_eval(nums, dens, z) == expected
 
 
 @pytest.mark.parametrize(
     "nums, dens, z",
     [
-        ((0, Fraction(5, 3)), (Fraction(-7, 2),), Fraction(9)),  # termination index 0
+        ((0, Fraction(5, 3)), (Fraction(-7, 2),), Fraction(9)),  # stops at k = 0
         ((-6, Fraction(-1, 3)), (Fraction(2, 5), Fraction(-9, 4)), Fraction(0)),  # z = 0
         ((-9, Fraction(-5, 2), 4), (Fraction(-11, 3),), Fraction(-7, 4)),  # negative z
         ((-8, -3, Fraction(1, 2)), (Fraction(-13, 2),), Fraction(3)),  # an earlier stop
@@ -82,8 +85,8 @@ def test_hyper_eval_matches_term_by_term_sum(stop, extra_nums, dens, z):
     ],
 )
 def test_hyper_eval_fixed_cases(nums, dens, z):
-    spec = HyperSpec(tuple(map(Fraction, nums)), tuple(map(Fraction, dens)), Fraction(z))
-    assert hyper_eval(spec) == hyper_reference(spec.numerator_params, spec.denominator_params, Fraction(z))
+    expected = hyper_reference(tuple(map(Fraction, nums)), tuple(map(Fraction, dens)), Fraction(z))
+    assert hyper_eval(nums, dens, z) == expected
 
 
 @hypothesis.settings(max_examples=150, deadline=None)

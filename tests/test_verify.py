@@ -213,11 +213,17 @@ def test_fault_injection_in_suite_fails_exactly_one():
     assert failed == ["jacobi"]
 
 
-def test_run_suite_depth_zero_trivially_passes():
-    config = SuiteConfig(depths={identity_id: 0 for identity_id in SUITE_IDS})
-    reports = run_suite(config)
+def test_run_suite_depth_zero_rejects_weighted_square_sum():
+    # weighted-square-sum starts at n = 1, so at depth 0 it would check no
+    # case; that is an error, not a pass.  The other eleven check n = 0.
+    others = tuple(i for i in SUITE_IDS if i != "weighted-square-sum")
+    reports = run_suite(SuiteConfig(depths=dict.fromkeys(SUITE_IDS, 0), selection=others))
     assert all(r.passed for r in reports)
-    assert [r.identity_id for r in reports] == list(SUITE_IDS)
+    assert [r.identity_id for r in reports] == list(others) and len(others) == 11
+    with pytest.raises(ValueError, match="weighted-square-sum: no case checked"):
+        run_suite(SuiteConfig(depths=dict.fromkeys(SUITE_IDS, 0)))
+    with pytest.raises(ValueError, match="weighted-square-sum: no case checked"):
+        verify_weighted_square_sum(0)
 
 
 def test_run_suite_selection_and_unknown_id():
