@@ -8,30 +8,22 @@ yield identical reports.
 The three scans run on the gcd-free integer kernel of ``dcore`` (the
 scaled values D_n = n! L^n d_n(x), with A = L(1+2x) and L the common
 denominator of x and r) that ``d_eval_sequence`` also reads, so each
-scanned quantity is an integer numerator over a known positive integer
-scale.  A verdict is the sign of that numerator; a ``Fraction`` is built
-(and reduced) only for a reported violation, and it equals the value the
-plain rational recurrence gives.
-
-The Turán and product-lower-bound numerators are quadratic in D, so those
-two scans carry the symmetric square of the recurrence instead of D itself:
-with c_n = n L^2 (n+2r), P_m = D_m^2, Q_n = D_n D_{n-1} and
-E_n = D_{n+1} D_{n-1},
-
-    E_n = A Q_n + c_n P_{n-1},  Q_{n+1} = A P_n + c_n Q_n,
-    P_{n+1} = A Q_{n+1} + c_n E_n,
-
-from P_0 = 1, Q_1 = A, P_1 = A^2.  Every product there has one factor of
-O(log n) bits (A or c_n), so no step multiplies two values of D's size.
-The positivity scan is linear in D and runs on D directly.
+scanned quantity is an integer numerator over a positive integer scale
+with a closed form in n, L and A.  A verdict is the sign of that
+numerator; the scale is computed, and a ``Fraction`` built (and reduced),
+only for a reported violation, and it equals the value the plain rational
+recurrence gives.  The Turán and product-lower-bound numerators are
+quadratic in D and are read off the squared state of ``dcore``; the
+positivity numerator is linear in D and is read off D directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .dcore import EvalPoint, _scale, _scaled_d, _twice_r, d_eval_sequence
+from .dcore import EvalPoint, _scale, _scaled_d, _squared_d, d_eval_sequence
 from .exactnum import as_rational, check_natural
 from .reports import ScanReport
 
@@ -101,75 +93,54 @@ def default_conjecture_grid() -> GridSpec:
     )
 
 
-def _squared_d(at: EvalPoint, L: int, A: int):
-    """Yield (P_{n-1}, Q_n, P_n, E_n) for n = 1, 2, 3, ..., forever, where
-    P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}.
-
-    Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
-    one big value by another; the state is three plain ``int``s.
-    """
-    L2, K = L * L, _twice_r(at, L)
-    p_prev, q, p = 1, A, A * A
-    n = 1
-    while True:
-        c = n * (L2 * n + K)
-        e = A * q + c * p_prev
-        yield p_prev, q, p, e
-        q = A * p + c * q
-        p_prev, p = p, A * q + c * e
-        n += 1
-
-
 def _turan_terms(at: EvalPoint, n_max: int):
-    """(n, t, s) for n = 1..n_max: turan_value(n, at) = t / s with s > 0.
+    """(n, t) for n = 1..n_max with turan_value(n, at) = t / _turan_scale(n, L, A).
 
-    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}),  s = (n+1)! n! L^(2n),
-    with t read off the squared state of ``_squared_d`` as
-    (-1)^n ((n+1) P_n - n E_n).
+    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}), read off the squared
+    state of ``_squared_d`` as (-1)^n ((n+1) P_n - n E_n).
     """
     L, A = _scale(at)
-    L2 = L * L
-    s = 2 * L2
     for n, (_, _, p, e) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
         t = (n + 1) * p - n * e
-        yield n, (-t if n % 2 else t), s
-        s *= (n + 2) * (n + 1) * L2
+        yield n, (-t if n % 2 else t)
+
+
+def _turan_scale(n: int, L: int, A: int) -> int:
+    return (n + 1) * factorial(n) ** 2 * L ** (2 * n)  # (n+1)! n! L^(2n)
 
 
 def _positivity_terms(at: EvalPoint, n_max: int):
-    """(n, t, s) with t / s the claimed-positive margin, s > 0.
+    """(n, t) with t / _positivity_scale(n, L, A) the claimed-positive margin.
 
     For x < -1/2: (-1)^n d_n = (-1)^n D_n / (n! L^n), n = 0..n_max.
     For x > -1/2: d_n - (1+2x)^n / n! = (D_n - A^n) / (n! L^n), n = 2..n_max;
     the bound (1+2x)^n / n! itself is positive there because A > 0.
     """
     L, A = _scale(at)
-    d = _scaled_d(at, L, A)
-    s = 1
-    if A < 0:
-        for n, D in zip(range(n_max + 1), d):
-            yield n, (-D if n % 2 else D), s
-            s *= (n + 1) * L
-        return
-    power = 1
-    for n, D in zip(range(n_max + 1), d):
-        if n >= 2:
-            yield n, D - power, s
-        s *= (n + 1) * L
-        power *= A
+    power = A * A  # A^n at n = 2
+    for n, D in zip(range(n_max + 1), _scaled_d(at, L, A)):
+        if A < 0:
+            yield n, (-D if n % 2 else D)
+        elif n >= 2:
+            yield n, D - power
+            power *= A
+
+
+def _positivity_scale(n: int, L: int, A: int) -> int:
+    return factorial(n) * L**n  # n! L^n
 
 
 def _lower_bound_terms(at: EvalPoint, n_max: int):
-    """(n, t, s) for n = 2..n_max with t / s = lhs - rhs, s > 0, where
-    lhs = d_n d_{n-1} / (1+2x) and rhs = (binom(2r+n-1, n-1) + d_{n-1}^2) / n.
+    """(n, t) for n = 2..n_max with t / _lower_bound_scale(n, L, A) = lhs - rhs,
+    where lhs = d_n d_{n-1} / (1+2x) and rhs = (binom(2r+n-1, n-1) + d_{n-1}^2) / n.
 
     With b the denominator of r, binom(2r+n-1, n-1) = Pi_n / (b^(n-1) (n-1)!)
     for Pi_n = prod_{j<n} (2a + jb), so over the scale n! (n-1)! L^(2n-2)
     the right side has numerator R = Pi_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2,
     and lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); the sign
-    of A moves to the numerator so that s stays positive.  For r > -1/2
-    every factor of Pi_n is positive, so R > 0: the claim rhs > 0 holds on
-    the whole domain and only the sign of lhs - rhs is in question.
+    of A moves to the numerator so that the scale stays positive.  For
+    r > -1/2 every factor of Pi_n is positive, so R > 0: the claim rhs > 0
+    holds on the whole domain and only the sign of lhs - rhs is in question.
 
     The numerator is read off the squared state of ``_squared_d``
     (Q_n = D_n D_{n-1}, P_{n-1} = D_{n-1}^2): D_n D_{n-1} - A R =
@@ -177,25 +148,26 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
     multiplies two values of D's size.
     """
     L, A = _scale(at)
-    L2 = L * L
     twice_a, b = 2 * at.r.numerator, at.r.denominator
-    M = L2 // b
+    M = L * L // b
     sign = 1 if A > 0 else -1
     squares = _squared_d(at, L, A)
     next(squares)  # n = 1
     T = (twice_a + b) * M  # Pi_n (n-1)! M^(n-1) at n = 2
-    s = 2 * L2 * abs(A)
     for n, (p_prev, q, _, _) in zip(range(2, n_max + 1), squares):
-        yield n, sign * (q - A * (T + p_prev)), s
+        yield n, sign * (q - A * (T + p_prev))
         T *= (twice_a + n * b) * n * M
-        s *= (n + 1) * n * L2
 
 
-def _scan(claim_id: str, grid: GridSpec, skip_reason, terms) -> ScanReport:
+def _lower_bound_scale(n: int, L: int, A: int) -> int:
+    return abs(A) * n * factorial(n - 1) ** 2 * L ** (2 * n - 2)  # |A| n! (n-1)! L^(2n-2)
+
+
+def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanReport:
     """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
-    does not exclude; a negative numerator is a violation, a zero one a
-    zero hit.  A scan that checks no (n, point) pair is a ValueError, not a
-    vacuous pass."""
+    does not exclude; a negative numerator t is a violation, reported as
+    t / scale(n, L, A), and a zero one a zero hit.  A scan that checks no
+    (n, point) pair is a ValueError, not a vacuous pass."""
     violations = []
     zero_hits = []
     skipped = []
@@ -205,9 +177,9 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms) -> ScanReport:
         if reason is not None:
             skipped.append({"r": point.r, "x": point.x, "reason": reason})
             continue
-        for checked, (n, t, s) in enumerate(terms(point, grid.n_max), checked + 1):
+        for checked, (n, t) in enumerate(terms(point, grid.n_max), checked + 1):
             if t < 0:
-                violations.append((n, point.r, point.x, Fraction(t, s)))
+                violations.append((n, point.r, point.x, Fraction(t, scale(n, *_scale(point)))))
             elif t == 0:
                 zero_hits.append((n, point.r, point.x))
     if not checked:
@@ -251,9 +223,13 @@ def check_product_lower_bound(grid: GridSpec) -> ScanReport:
 
     Checked for n >= 2 at grid points with r > -1/2 and x != -1/2; other
     points are recorded as skipped.  Points where the first inequality
-    degenerates to equality go to zero_hits.
+    degenerates to equality go to zero_hits.  At n = 2 it is an identity
+    (both sides are ((1+2x)^2 + 2r + 1) / 2), so every checked point has a
+    zero hit at n = 2.
     """
-    return _scan("product-lower-bound", grid, _lower_bound_skip, _lower_bound_terms)
+    return _scan(
+        "product-lower-bound", grid, _lower_bound_skip, _lower_bound_terms, _lower_bound_scale
+    )
 
 
 def check_positivity(grid: GridSpec) -> ScanReport:
@@ -263,7 +239,7 @@ def check_positivity(grid: GridSpec) -> ScanReport:
     d_n > (2x+1)^n / n! > 0.  Strict-inequality boundary hits are recorded
     separately from violations.
     """
-    return _scan("positivity", grid, _positivity_skip, _positivity_terms)
+    return _scan("positivity", grid, _positivity_skip, _positivity_terms, _positivity_scale)
 
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:
@@ -284,4 +260,4 @@ def scan_conjecture(grid: GridSpec) -> ScanReport:
     degenerates to equality at some boundary points, and this scanner
     records rather than resolves that.
     """
-    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_terms)
+    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_terms, _turan_scale)

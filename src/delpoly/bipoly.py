@@ -52,9 +52,7 @@ class BiPoly:
 
     @classmethod
     def _raw(cls, coeffs: dict[Key, int], den: int) -> "BiPoly":
-        if den < 0:
-            den = -den
-            coeffs = {k: -c for k, c in coeffs.items()}
+        """Integer coefficients over ``den``, which must be positive."""
         p = object.__new__(cls)
         p._coeffs, p._den = _normalize(coeffs, den)
         return p

@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from fractions import Fraction
 
@@ -195,11 +196,12 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    rows = csv.writer(sys.stdout, lineterminator="\n")
     for report in reports:
         if args.format == "json":
             print(report.to_json_line())
         elif args.format == "csv":
-            print(f"{report.identity_id},{report.mode.value},{report.passed},{report.range}")
+            rows.writerow([report.identity_id, report.mode.value, report.passed, report.range])
         else:
             status = "PASS" if report.passed else "FAIL"
             print(f"{status} {report.identity_id} [{report.mode.value}] {report.range}")

@@ -20,6 +20,17 @@ D_n = n! L^n d_n(x) are plain integers obeying
 
 so d_n is the integer D_n over the known positive scale n! L^n, and a
 ``Fraction`` is built (and reduced) only where a value is read.
+
+The Turán and product-lower-bound numerators are quadratic in D, so those
+two scans carry the symmetric square of the recurrence instead of D itself:
+with c_n = n L^2 (n+2r), P_m = D_m^2, Q_n = D_n D_{n-1} and
+E_n = D_{n+1} D_{n-1},
+
+    E_n = A Q_n + c_n P_{n-1},  Q_{n+1} = A P_n + c_n Q_n,
+    P_{n+1} = A Q_{n+1} + c_n E_n,
+
+from P_0 = 1, Q_1 = A, P_1 = A^2.  Every product there has one factor of
+O(log n) bits (A or c_n), so no step multiplies two values of D's size.
 """
 
 from __future__ import annotations
@@ -81,10 +92,6 @@ class DSequence:
                 raise ValueError("sequence must start at d_0 = 1")
             if len(self.polys) > 1 and self.polys[1] != 1 + 2 * X:
                 raise ValueError("d_1 must equal 1 + 2x")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.polys) - 1
 
 
 def d_direct(n: int) -> BiPoly:
@@ -263,6 +270,25 @@ def _scaled_d(at: EvalPoint, L: int, A: int):
     while True:
         yield cur
         prev, cur = cur, A * cur + n * (L2 * n + K) * prev
+        n += 1
+
+
+def _squared_d(at: EvalPoint, L: int, A: int):
+    """Yield (P_{n-1}, Q_n, P_n, E_n) for n = 1, 2, 3, ..., forever, where
+    P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}.
+
+    Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
+    one big value by another; the state is three plain ``int``s.
+    """
+    L2, K = L * L, _twice_r(at, L)
+    p_prev, q, p = 1, A, A * A
+    n = 1
+    while True:
+        c = n * (L2 * n + K)
+        e = A * q + c * p_prev
+        yield p_prev, q, p, e
+        q = A * p + c * q
+        p_prev, p = p, A * q + c * e
         n += 1
 
 

@@ -125,9 +125,6 @@ class _PointAlg:
         return Fraction(0) if n < 0 else self._seq[n]
 
     def d_subst(self, n: int, r_shift=0, x_shift=0, x_negate: bool = False):
-        r_shift, x_shift = as_rational(r_shift), as_rational(x_shift)
-        if not r_shift and not x_shift and not x_negate:
-            return self.d(n)
         xv = -self.x if x_negate else self.x
         return self._value(n, EvalPoint(self.r + r_shift, xv + x_shift))
 
@@ -831,7 +828,7 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
 
 
 def verify_hyper_bridge(
-    n_max: int = 15,
+    n_max: int,
     *,
     points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
@@ -847,7 +844,7 @@ def verify_hyper_bridge(
     )
 
 
-def verify_clausen_product(n_max: int = 15, *, fault_index: int | None = None) -> VerifyReport:
+def verify_clausen_product(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
     """Terminating 2F1-product identity over a deterministic grid.
 
     The grid keeps c positive so no denominator parameter of the 4F3 hits a

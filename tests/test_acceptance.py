@@ -96,8 +96,9 @@ def test_criterion_4_hypergeometric_bridge():
 
 
 def test_criterion_5_inequality_suite():
-    """Zero violations on the default grids; the documented equality case
-    at (n=2, r=0, x=1) is reproduced exactly."""
+    """Zero violations on the default grids; the first product inequality
+    is an equality at n=2 at every in-domain point, here reproduced exactly
+    at (r=0, x=1)."""
     grid = default_inequality_grid()
     assert {Fraction(-1, 4), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)} == set(
         grid.r_values

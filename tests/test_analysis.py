@@ -68,6 +68,19 @@ def test_product_lower_bound_equality_case():
     assert not report.violations
 
 
+def test_product_lower_bound_is_an_equality_at_n_2_on_the_whole_domain():
+    # at n = 2 both sides are ((1+2x)^2 + 2r + 1) / 2, so every in-domain
+    # point of the default grid adds exactly one zero hit, at n = 2
+    grid = default_inequality_grid()
+    in_domain = [
+        (p.r, p.x) for p in grid.points() if p.r > Fraction(-1, 2) and p.x != Fraction(-1, 2)
+    ]
+    assert len(in_domain) == 60
+    report = check_product_lower_bound(grid)
+    assert not report.violations
+    assert report.zero_hits == tuple((2, r, x) for r, x in in_domain)
+
+
 def test_product_lower_bound_negative_x_case():
     # at (n=2, r=0, x=-1): LHS = 1 and RHS = 1, equality again
     grid = GridSpec((Fraction(0),), (Fraction(-1),), 2)

@@ -141,6 +141,12 @@ def test_pow_rejects_non_natural_exponent(bad):
         X**bad
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_division_by_zero_scalar_raises(zero):
+    with pytest.raises(ZeroDivisionError, match="division of BiPoly by zero scalar"):
+        (X + R) / zero
+
+
 def test_canonical_text_form():
     assert BiPoly.zero().to_text() == "0"
     assert BiPoly.one().to_text() == "1"

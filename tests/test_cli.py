@@ -1,5 +1,7 @@
 """Tests for the command-line surface: golden outputs and exit codes."""
 
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -177,6 +179,19 @@ def test_verify_text_format(capsys):
     assert out.startswith("PASS square")
 
 
+def test_verify_csv_quotes_ranges_with_commas(capsys):
+    # default depths: several of these ranges contain a comma
+    suite = "square,linearization,meixner,parametric-square,clausen-product"
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    _, out, _ = run_cli(capsys, "verify", "--suite", suite, "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [len(row) for row in rows] == [4] * len(records)
+    assert [(row[0], row[3]) for row in rows] == [(r["id"], r["range"]) for r in records]
+    assert any("," in r["range"] for r in records)
+
+
 def test_verify_unknown_id(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "no-such-id")
     assert code == EXIT_USAGE
@@ -289,6 +304,24 @@ def test_scan_malformed_grid_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", "--grid-file", str(grid))
     assert code == EXIT_USAGE
     assert "n_max" in err
+
+
+@pytest.mark.parametrize(
+    "grid_text, message",
+    [
+        ("n_max=2\nr=0 x\n", "grid.txt:2: expected key=value, got 'x'"),
+        ("n_max=2\nr=0 r=1\n", "grid.txt: grid needs at least one r= and one x= entry"),
+    ],
+    ids=["token-without-equals", "no-x-entry"],
+)
+def test_scan_rejects_malformed_grid_file_entries(tmp_path, capsys, grid_text, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(grid_text)
+    code, out, err = run_cli(capsys, "scan", "--grid-file", str(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_scan_rejects_repeated_n_max_header(tmp_path, capsys):

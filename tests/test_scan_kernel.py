@@ -13,11 +13,12 @@ import pytest
 
 from delpoly.analysis import (
     GridSpec,
+    _lower_bound_scale,
     _lower_bound_terms,
+    _positivity_scale,
     _positivity_terms,
-    _scale,
-    _scaled_d,
     _scan,
+    _turan_scale,
     _turan_terms,
     check_positivity,
     check_product_lower_bound,
@@ -26,19 +27,32 @@ from delpoly.analysis import (
     scan_conjecture,
     turan_value,
 )
-from delpoly.dcore import EvalPoint, d_eval_sequence
+from delpoly.dcore import EvalPoint, _scale, _scaled_d, d_eval_sequence
 from delpoly.exactnum import binom_gen
 from delpoly.reports import ScanReport
 
 MINUS_HALF = Fraction(-1, 2)
 
 
-def _values(terms) -> dict[int, Fraction]:
-    out = {}
-    for n, t, s in terms:
-        assert s > 0
-        out[n] = Fraction(t, s)
-    return out
+# The closed-form positive scale of each claim's numerator, written out
+# from L and A = L(1+2x) at the point.
+
+
+def _turan_ref_scale(n: int, L: int, A: int) -> int:
+    return factorial(n + 1) * factorial(n) * L ** (2 * n)
+
+
+def _positivity_ref_scale(n: int, L: int, A: int) -> int:
+    return factorial(n) * L**n
+
+
+def _lower_bound_ref_scale(n: int, L: int, A: int) -> int:
+    return abs(A) * factorial(n) * factorial(n - 1) * L ** (2 * n - 2)
+
+
+def _values(terms, scale, at: EvalPoint) -> dict[int, Fraction]:
+    L, A = _scale(at)
+    return {n: Fraction(t, scale(n, L, A)) for n, t in terms}
 
 
 def _positivity_reference(n_max: int, at: EvalPoint) -> dict[int, Fraction]:
@@ -56,7 +70,7 @@ def _lower_bound_reference(n_max: int, at: EvalPoint) -> dict[int, Fraction]:
     for n in range(2, n_max + 1):
         lhs = seq[n] * seq[n - 1] / (1 + 2 * at.x)
         rhs = (binom_gen(2 * at.r + n - 1, n - 1) + seq[n - 1] ** 2) / n
-        assert rhs > 0
+        assert rhs > 0 or at.r <= MINUS_HALF  # the claim's own domain is r > -1/2
         out[n] = lhs - rhs
     return out
 
@@ -70,11 +84,13 @@ def test_kernel_matches_fraction_formulas_at_fixed_points():
         EvalPoint(2, -3),
     ]
     for at in points:
-        turan = _values(_turan_terms(at, 12))
+        turan = _values(_turan_terms(at, 12), _turan_ref_scale, at)
         assert turan == {n: turan_value(n, at) for n in range(1, 13)}
-        assert _values(_positivity_terms(at, 12)) == _positivity_reference(12, at)
+        positivity = _values(_positivity_terms(at, 12), _positivity_ref_scale, at)
+        assert positivity == _positivity_reference(12, at)
         if at.r > MINUS_HALF:
-            assert _values(_lower_bound_terms(at, 12)) == _lower_bound_reference(12, at)
+            lower_bound = _values(_lower_bound_terms(at, 12), _lower_bound_ref_scale, at)
+            assert lower_bound == _lower_bound_reference(12, at)
 
 
 def test_kernel_property():
@@ -88,7 +104,7 @@ def test_kernel_property():
     def check(r, x, n_max):
         at = EvalPoint(r, x)
         seq = d_eval_sequence(n_max + 1, at)
-        turan = _values(_turan_terms(at, n_max))
+        turan = _values(_turan_terms(at, n_max), _turan_ref_scale, at)
         assert set(turan) == set(range(1, n_max + 1))
         for n, value in turan.items():
             expected = seq[n] ** 2 - seq[n + 1] * seq[n - 1]
@@ -96,9 +112,11 @@ def test_kernel_property():
         if n_max >= 1:
             assert turan[n_max] == turan_value(n_max, at)
         if x != MINUS_HALF:
-            assert _values(_positivity_terms(at, n_max)) == _positivity_reference(n_max, at)
+            positivity = _values(_positivity_terms(at, n_max), _positivity_ref_scale, at)
+            assert positivity == _positivity_reference(n_max, at)
             if r > MINUS_HALF:
-                assert _values(_lower_bound_terms(at, n_max)) == _lower_bound_reference(n_max, at)
+                lower_bound = _values(_lower_bound_terms(at, n_max), _lower_bound_ref_scale, at)
+                assert lower_bound == _lower_bound_reference(n_max, at)
 
     check()
 
@@ -106,30 +124,28 @@ def test_kernel_property():
 # -- deep points against products of consecutive D_n -----------------------
 
 
-def _turan_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int, int]]:
-    """The (n, t, s) triples with t from (n+1) D_n^2 - n D_{n+1} D_{n-1}."""
+def _turan_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int]]:
+    """The (n, t) pairs with t from (n+1) D_n^2 - n D_{n+1} D_{n-1}."""
     L, A = _scale(at)
     D = [value for _, value in zip(range(n_max + 2), _scaled_d(at, L, A))]
-    out, s = [], 2 * L * L
+    out = []
     for n in range(1, n_max + 1):
         t = (n + 1) * D[n] * D[n] - n * D[n + 1] * D[n - 1]
-        out.append((n, -t if n % 2 else t, s))
-        s *= (n + 2) * (n + 1) * L * L
+        out.append((n, -t if n % 2 else t))
     return out
 
 
-def _lower_bound_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int, int]]:
-    """The (n, t, s) triples with t from D_n D_{n-1} - A (T + D_{n-1}^2)."""
+def _lower_bound_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int]]:
+    """The (n, t) pairs with t from D_n D_{n-1} - A (T + D_{n-1}^2)."""
     L, A = _scale(at)
     D = [value for _, value in zip(range(n_max + 1), _scaled_d(at, L, A))]
     twice_a, b = 2 * at.r.numerator, at.r.denominator
     M = L * L // b
     sign = 1 if A > 0 else -1
-    out, T, s = [], (twice_a + b) * M, 2 * L * L * abs(A)
+    out, T = [], (twice_a + b) * M
     for n in range(2, n_max + 1):
-        out.append((n, sign * (D[n] * D[n - 1] - A * (T + D[n - 1] * D[n - 1])), s))
+        out.append((n, sign * (D[n] * D[n - 1] - A * (T + D[n - 1] * D[n - 1]))))
         T *= (twice_a + n * b) * n * M
-        s *= (n + 1) * n * L * L
     return out
 
 
@@ -246,23 +262,20 @@ def test_mixed_grid_hits_every_skip_reason():
 
 def test_violation_reports_match_fraction_reference():
     # Scanning the mixed grid without the claims' domain restrictions makes
-    # the scan driver itself build and report violations.
-    grid = GridSpec(MIXED_GRID.r_values, tuple(x for x in MIXED_GRID.x_values if x != MINUS_HALF), 12)
+    # the scan driver itself build and report violations; the product lower
+    # bound fails only below its domain, at r = -5/2 and r = -5/4.
+    r_values = (Fraction(-5, 2), Fraction(-5, 4)) + MIXED_GRID.r_values
+    grid = GridSpec(r_values, tuple(x for x in MIXED_GRID.x_values if x != MINUS_HALF), 12)
 
     def no_skip(point):
         return None
 
-    def skip_small_r(point):
-        return "requires r > -1/2" if point.r <= MINUS_HALF else None
-
     cases = [
-        ("turan-conjecture", no_skip, _turan_terms, _turan_reference),
-        ("positivity", no_skip, _positivity_terms, _positivity_reference),
-        ("product-lower-bound", skip_small_r, _lower_bound_terms, _lower_bound_reference),
+        ("turan-conjecture", _turan_terms, _turan_scale, _turan_reference),
+        ("positivity", _positivity_terms, _positivity_scale, _positivity_reference),
+        ("product-lower-bound", _lower_bound_terms, _lower_bound_scale, _lower_bound_reference),
     ]
-    reported = 0
-    for claim_id, skip, terms, reference in cases:
-        report = _scan(claim_id, grid, skip, terms)
-        assert report.to_json_line() == _reference_scan(claim_id, grid, skip, reference)
-        reported += len(report.violations)
-    assert reported > 0
+    for claim_id, terms, scale, reference in cases:
+        report = _scan(claim_id, grid, no_skip, terms, scale)
+        assert report.to_json_line() == _reference_scan(claim_id, grid, no_skip, reference)
+        assert report.violations

@@ -335,6 +335,18 @@ def test_point_grid_without_a_usable_point_is_an_error(verify, points):
         verify(3, points=points)
 
 
+def test_point_grid_skips_excluded_points_and_runs_the_rest():
+    usable = deterministic_points(1)[0]
+    report = verify_square(2, points=[EvalPoint(-1, 0), usable, EvalPoint(Fraction(-3, 2), 1)])
+    assert report.passed
+    assert report.mode is Mode.POINT_GRID
+    assert report.range == "n<=2 at 1 points"
+    assert [(s["r"], s["x"], s["reason"]) for s in report.skipped if "x" in s] == [
+        (-1, 0, "r in excluded half-integer set"),
+        (Fraction(-3, 2), 1, "r in excluded half-integer set"),
+    ]
+
+
 # The three Jacobi forms of d_n checked by verify_jacobi, as
 # (alpha, beta, t) from (x, r, n): P_n^(x-r-n, 2r)(3), P_n^(2r, x-r-n)(-3)
 # and P_n^(2r, -1-x-r-n)(-3).
