@@ -21,24 +21,30 @@ Key = tuple[int, int]  # (degree in x, degree in r)
 
 
 def _normalize(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
-    coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    return _reduce({k: c for k, c in coeffs.items() if c != 0}, den)[:2]
+
+
+def _reduce(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int, int]:
+    """(coeffs, den, g): both divided by their gcd g; ``coeffs`` has no zeros."""
     if not coeffs:
-        return {}, 1
+        return {}, 1, 1
     g = gcd(den, *coeffs.values())
     if g > 1:
         coeffs = {k: c // g for k, c in coeffs.items()}
         den //= g
-    return coeffs, den
+    return coeffs, den, g
 
 
 class BiPoly:
     """Sparse exact polynomial in x and r with rational coefficients.
 
     Values are immutable after construction; all operations return new
-    polynomials, so instances are safe to share across threads.
+    polynomials, so instances are safe to share across threads.  The one
+    field set later, ``_packed``, is a cache of ``sum_products``' packed
+    rows, replaced whole by a single assignment and never read for a value.
     """
 
-    __slots__ = ("_coeffs", "_den")
+    __slots__ = ("_coeffs", "_den", "_packed")
 
     def __init__(self, terms: dict[Key, RationalLike] | None = None):
         coeffs: dict[Key, int] = {}
@@ -49,13 +55,23 @@ class BiPoly:
                 den = den * f.denominator // gcd(den, f.denominator)
             coeffs = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
         self._coeffs, self._den = _normalize(coeffs, den)
+        self._packed = None
 
     @classmethod
     def _raw(cls, coeffs: dict[Key, int], den: int) -> "BiPoly":
         """Integer coefficients over ``den``, which must be positive."""
+        return cls._exact(*_normalize(coeffs, den))
+
+    @classmethod
+    def _exact(cls, coeffs: dict[Key, int], den: int, packed=None) -> "BiPoly":
+        """``coeffs`` over ``den`` as they are: no zero terms, gcd 1, den > 0."""
         p = object.__new__(cls)
-        p._coeffs, p._den = _normalize(coeffs, den)
+        p._coeffs, p._den, p._packed = coeffs, den, packed
         return p
+
+    def _plain(self) -> "BiPoly":
+        """The same polynomial without packed rows; the coefficient dict is shared."""
+        return BiPoly._exact(self._coeffs, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -196,10 +212,17 @@ class BiPoly:
         return self.subst_x_value(x).subst_r_value(r).coefficient(0, 0)
 
     def subst_neg_x(self) -> "BiPoly":
-        """Substitute x -> -x (flip the sign of odd-degree-in-x terms)."""
-        return BiPoly._raw(
-            {k: (-c if k[0] & 1 else c) for k, c in self._coeffs.items()},
-            self._den,
+        """Substitute x -> -x (flip the sign of odd-degree-in-x terms).
+
+        The mirror has the same denominator, gcd and support, so it needs no
+        normalising; packed rows, if any, are mirrored too, row by row.
+        """
+        packed = self._packed
+        if packed is not None:
+            width, rows = packed
+            packed = width, [(dx, -row if dx & 1 else row, dr) for dx, row, dr in rows]
+        return BiPoly._exact(
+            {k: (-c if k[0] & 1 else c) for k, c in self._coeffs.items()}, self._den, packed
         )
 
     def subst_affine_x(self, shift: RationalLike, negate: bool = False) -> "BiPoly":
@@ -308,13 +331,20 @@ def sum_products(pairs) -> BiPoly:
     are packed into one int, one fixed-width slot per degree in r, so a row
     by row product is one big-int multiply.  All products accumulate into
     packed output rows over one common denominator, and the sum is unpacked
-    and normalised once.
+    and reduced once.
 
     The slot width bounds every output coefficient: none exceeds the sum
     over the pairs of scale * max|a| * max|b| * min(#terms a, #terms b),
     since each term of the shorter operand meets at most one term of the
     other at a given monomial.  That bound plus a sign bit, rounded up to
-    whole bytes, holds every signed coefficient, so decoding is exact.
+    whole 8-byte words, holds every signed coefficient, so decoding is exact.
+
+    Each polynomial is packed once per width: an operand keeps the rows it
+    was packed to (see ``_Slots.pack``), and the result keeps this call's
+    output rows, divided by the gcd that reduced its coefficients.  The
+    rounding to words is what lets a recurrence reuse them: the exact width
+    of the three-term step grows by about one byte every 1.7 steps (1 to 54
+    bytes up to n = 90), the rounded width only once per eight bytes.
     """
     pairs = [(a, b) for a, b in pairs if a._coeffs and b._coeffs]
     if not pairs:
@@ -328,7 +358,7 @@ def sum_products(pairs) -> BiPoly:
             * max(map(abs, b._coeffs.values()))
             * min(len(a._coeffs), len(b._coeffs))
         )
-    slots = _Slots((bound.bit_length() + 8) // 8)  # sign bit included
+    slots = _Slots(8 * ((bound.bit_length() + 64) // 64))  # sign bit included
     rows: dict[int, int] = {}
     degs: dict[int, int] = {}
     for a, b in pairs:
@@ -351,7 +381,9 @@ def sum_products(pairs) -> BiPoly:
     coeffs: dict[Key, int] = {}
     for x, packed in rows.items():
         slots.unpack(x, packed, degs[x], coeffs)
-    return BiPoly._raw(coeffs, den)  # drops the zero slots and reduces
+    coeffs, den, g = _reduce(coeffs, den)
+    kept = [(x, packed // g if g > 1 else packed, degs[x]) for x, packed in rows.items() if packed]
+    return BiPoly._exact(coeffs, den, (slots.width, kept))
 
 
 class _Slots:
@@ -359,7 +391,9 @@ class _Slots:
 
     A slot holds any c with |c| < 2^(8*width - 1).  Packing and unpacking
     go through ``to_bytes``/``from_bytes``, so both are linear in the size
-    of a row.
+    of a row.  A packed row is the plain int sum_j c_j 2^(8*width*j), so
+    rows add, multiply and divide exactly by a common factor of their slots
+    as ints do.
     """
 
     __slots__ = ("width", "_signs")
@@ -377,11 +411,19 @@ class _Slots:
     def pack(self, p: BiPoly) -> list[tuple[int, int, int]]:
         """(deg_x, packed r-coefficients, deg_r) for each x-row of ``p``.
 
+        The rows are cached on ``p`` with their width: rows of this width
+        are returned as they are, and rows of another width are replaced.
+        ``dcore``'s route cache stores copies without rows, so a route build
+        leaves rows only on the polynomials its generator still works on.
+
         Each coefficient becomes ``width`` two's-complement bytes.  Read
         unsigned, a negative slot c stands for c + 2^(8*width), so
         subtracting twice the row's set sign bits restores it.
         """
         width = self.width
+        cached = p._packed
+        if cached is not None and cached[0] == width:
+            return cached[1]
         zero = bytes(width)
         rows: dict[int, list[bytes]] = {}
         for (dx, dr), c in p._coeffs.items():
@@ -398,10 +440,11 @@ class _Slots:
         for dx, row in rows.items():
             raw = int.from_bytes(b"".join(row), "little")
             out.append((dx, raw - ((raw & self._sign_bits(len(row))) << 1), len(row) - 1))
+        p._packed = width, out
         return out
 
     def unpack(self, x: int, packed: int, deg_r: int, out: dict[Key, int]) -> None:
-        """Write the deg_r + 1 slots of row ``x`` into ``out``, zeros included.
+        """Write the nonzero slots among the deg_r + 1 of row ``x`` into ``out``.
 
         Adding half a slot to every slot makes each digit c + half
         non-negative, so no borrow crosses slots; flipping the sign bits
@@ -413,7 +456,9 @@ class _Slots:
         from_bytes = int.from_bytes
         for dr in range(deg_r + 1):
             start = dr * width
-            out[(x, dr)] = from_bytes(data[start : start + width], "little", signed=True)
+            c = from_bytes(data[start : start + width], "little", signed=True)
+            if c:
+                out[(x, dr)] = c
 
 
 def _affine(value: BiPoly | int | Fraction, message: str) -> BiPoly:

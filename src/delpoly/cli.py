@@ -131,14 +131,14 @@ def parse_grid_file(path: str) -> GridSpec:
                         n_max = _parse_natural(value, "n_max")
                     except ValueError as exc:
                         raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                elif key == "r":
-                    q = parse_rational(value)
-                    if q not in r_values:
-                        r_values.append(q)
-                elif key == "x":
-                    q = parse_rational(value)
-                    if q not in x_values:
-                        x_values.append(q)
+                elif key in ("r", "x"):
+                    try:
+                        q = parse_rational(value)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                    axis = r_values if key == "r" else x_values
+                    if q not in axis:
+                        axis.append(q)
                 else:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if n_max is None:

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from delpoly.bipoly import BiPoly, binom_poly, sum_products
+from delpoly.bipoly import BiPoly, _Slots, binom_poly, sum_products
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -278,6 +278,13 @@ SUM_CASES = {
     "negative slot bound met exactly": [(2**63 * (1 + R), -(2**63) * (1 + R))],
     "widest coefficients of one slot": [(WIDE * (1 - X * R**2), BiPoly.one())],
     "d_n recurrence step": [((1 + 2 * X) / 3, 2 * X**2 + 2 * X + R + 1), ((1 + 2 * R) / 3, 1 + 2 * X)],
+    # Slot bounds of bit length 63, 64, 127 and 128, each met by an output
+    # coefficient: a bound of b bits needs b + 1 with the sign, so 63 and 127
+    # fill whole 8-byte words and 64 and 128 need one word more.
+    "63-bit slot bound": [(BiPoly.const(WIDE), X - R)],
+    "64-bit slot bound": [(WIDE * X, -R), (WIDE * R, -X)],
+    "127-bit slot bound": [(BiPoly.const(-(2**127 - 1)), X - R)],
+    "128-bit slot bound": [((2**127 - 1) * X, R), ((2**127 - 1) * R, X)],
 }
 
 
@@ -321,6 +328,91 @@ def test_sum_products_property():
     @hypothesis.given(pairs=st.lists(st.tuples(poly, poly), max_size=5))
     def check(pairs):
         assert sum_products(pairs) == schoolbook_sum(pairs)
+
+    check()
+
+
+def rows_decode_to_coefficients(p: BiPoly) -> bool:
+    """Whether the packed rows cached on ``p``, if any, hold its coefficients."""
+    if p._packed is None:
+        return True
+    width, rows = p._packed
+    slots, coeffs = _Slots(width), {}
+    for x, packed, deg_r in rows:
+        slots.unpack(x, packed, deg_r, coeffs)
+    return coeffs == p._coeffs
+
+
+def test_packed_rows_follow_the_call_width():
+    # One operand in a narrow call, then a wide one, then narrow again: its
+    # cached rows are replaced at each change of width, and every sum stays
+    # exact.
+    p = (X + R - 3) ** 4
+    narrow = [(p, X - 2 * R), (R, p)]
+    wide = [(p, 2**300 * X + 1)]
+    widths = []
+    for pairs in (narrow, wide, narrow):
+        got, want = sum_products(pairs), schoolbook_sum(pairs)
+        assert got == want
+        assert got.to_text() == want.to_text()
+        assert rows_decode_to_coefficients(p) and rows_decode_to_coefficients(got)
+        widths.append(p._packed[0])
+    assert widths[0] == widths[2] == 8 < widths[1]
+
+
+def test_chained_recurrence_steps_match_plain_ring_ops():
+    # 40 three-term and 40 two-term steps, each result fed back as an
+    # operand, so later calls reuse the rows earlier calls left on their
+    # results (or on the mirror of one) while the slot width grows by whole
+    # words.  The reference is the same chain on __mul__ and __add__, with
+    # the mirror from the generic substitution kernel.
+    prev, cur = BiPoly.one(), 1 + 2 * X
+    want_prev, want_cur = prev, cur
+    for m in range(1, 41):
+        n = m + 1
+        prev, cur = cur, sum_products((((1 + 2 * X) / n, cur), ((m + 2 * R) / n, prev)))
+        want_prev, want_cur = want_cur, (1 + 2 * X) / n * want_cur + (m + 2 * R) / n * want_prev
+        assert cur == want_cur, m
+        assert rows_decode_to_coefficients(cur)
+    assert cur._packed[0] >= 24  # three words or more by d_41
+
+    plain = mirror = want = BiPoly.one()
+    for n in range(1, 41):
+        sign = 1 if n % 2 else -1
+        plain = sum_products((((X + R + n) / n, plain), (sign * (X - R) / n, mirror)))
+        mirror = plain.subst_neg_x()
+        want = (X + R + n) / n * want + sign * (X - R) / n * want.subst_affine_x(0, negate=True)
+        assert plain == want, n
+        assert mirror == want.subst_affine_x(0, negate=True), n
+        assert rows_decode_to_coefficients(plain) and rows_decode_to_coefficients(mirror)
+    assert plain == prev  # both are d_40
+
+
+def test_sum_products_over_a_shared_operand_pool():
+    # Calls draw their operands from one pool, and each result (or its
+    # mirror) joins the pool, so operands meet calls of other widths with
+    # rows cached by a pack, by an earlier result or by subst_neg_x.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.fractions(max_denominator=10**4),
+    )
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficient, max_size=8
+    ).map(BiPoly)
+    pick = st.integers(0, 20)
+    call = st.tuples(st.lists(st.tuples(pick, pick), max_size=4), st.booleans())
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(pool=st.lists(poly, min_size=1, max_size=5), calls=st.lists(call, max_size=6))
+    def check(pool, calls):
+        for picks, mirrored in calls:
+            pairs = [(pool[i % len(pool)], pool[j % len(pool)]) for i, j in picks]
+            got = sum_products(pairs)
+            assert got == schoolbook_sum(pairs)
+            pool.append(got.subst_neg_x() if mirrored else got)
+            assert all(rows_decode_to_coefficients(p) for p in pool)
 
     check()
 

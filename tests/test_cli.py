@@ -311,8 +311,10 @@ def test_scan_malformed_grid_file(tmp_path, capsys):
     [
         ("n_max=2\nr=0 x\n", "grid.txt:2: expected key=value, got 'x'"),
         ("n_max=2\nr=0 r=1\n", "grid.txt: grid needs at least one r= and one x= entry"),
+        ("n_max=2\nr=0 x=0.5\n", "grid.txt:2: not an exact rational (use p/q form): '0.5'"),
+        ("n_max=2\n\nr=1/0 x=0\n", "grid.txt:3: not an exact rational: '1/0'"),
     ],
-    ids=["token-without-equals", "no-x-entry"],
+    ids=["token-without-equals", "no-x-entry", "decimal-x-value", "zero-denominator-r-value"],
 )
 def test_scan_rejects_malformed_grid_file_entries(tmp_path, capsys, grid_text, message):
     grid = tmp_path / "grid.txt"

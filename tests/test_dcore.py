@@ -73,6 +73,25 @@ def test_five_route_agreement_small():
             assert seq.polys[n] == ref, (seq.route, n)
 
 
+def test_recurrence_routes_agree_where_the_slot_width_crosses_words():
+    # To n = 72 the packed slot width of d_n grows through several 8-byte
+    # words, so each route reuses cached rows at one width and repacks at
+    # the next.
+    clear_caches()
+    n_max = 72
+    three, two, series = (
+        d_sequence(route, n_max).polys for route in (Route.THREE_TERM, Route.TWO_TERM, Route.SERIES)
+    )
+    for n in range(n_max + 1):
+        assert three[n] == two[n] == series[n], n
+    # The route cache holds copies without packed rows, which would
+    # otherwise double the memory of every cached prefix.
+    assert len(dcore._cache) == 3
+    for _, polys in dcore._cache.values():
+        assert all(p._packed is None for p in polys)
+    clear_caches()
+
+
 def test_series_route_is_the_truncated_product():
     """Every route's d_n is the t^n coefficient of (1+t)^(x-r) (1-t)^(-(x+r+1)),
     expanded by sympy, for n <= 7."""
