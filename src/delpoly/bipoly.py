@@ -39,9 +39,30 @@ class BiPoly:
     """Sparse exact polynomial in x and r with rational coefficients.
 
     Values are immutable after construction; all operations return new
-    polynomials, so instances are safe to share across threads.  The one
-    field set later, ``_packed``, is a cache of ``sum_products``' packed
-    rows, replaced whole by a single assignment and never read for a value.
+    polynomials, so instances are safe to share across threads.
+
+    A polynomial is held in one or both of two forms.  The decoded form is
+    ``_coeffs``, integer numerators keyed by monomial with no zeros, over
+    ``_den``, with gcd 1.  The packed form ``_packed``, None until a
+    ``sum_products`` call packs or builds the polynomial, is the tuple
+    (width, rows, den, bounds) that those calls multiply: ``rows`` are the
+    x-rows of numerators over ``den`` in ``width``-byte slots (see
+    ``_Slots``), and ``bounds`` is (b_inf, b_one), upper bounds on the max
+    and on the sum of the numerators' absolute values while the polynomial
+    is undecoded, and None once it holds its decoded form.
+
+    A result of ``sum_products`` starts in the packed form alone, over the
+    call's unreduced common denominator, with the bounds the call proved.
+    Its ``_coeffs`` and ``_den`` slots stay unset until one of them is read,
+    and the read decodes them (see ``_Lazy``).  A recurrence feeds each
+    result to the next ``sum_products`` call as packed rows, so the results
+    nobody reads are never decoded.  Every tuple in ``_packed`` is
+    self-consistent and is replaced whole by a single assignment.
+
+    The decode is a benign race: two threads that read an undecoded
+    polynomial at once may both decode it, but each computes the same
+    canonical dict and denominator from a consistent tuple and stores the
+    same values, so either order of the writes leaves the same polynomial.
     """
 
     __slots__ = ("_coeffs", "_den", "_packed")
@@ -50,6 +71,9 @@ class BiPoly:
         coeffs: dict[Key, int] = {}
         den = 1
         if terms:
+            for dx, dr in terms:
+                check_natural(dx, "degree in x")
+                check_natural(dr, "degree in r")
             fracs = {k: as_rational(c) for k, c in terms.items()}
             for f in fracs.values():
                 den = den * f.denominator // gcd(den, f.denominator)
@@ -68,10 +92,6 @@ class BiPoly:
         p = object.__new__(cls)
         p._coeffs, p._den, p._packed = coeffs, den, packed
         return p
-
-    def _plain(self) -> "BiPoly":
-        """The same polynomial without packed rows; the coefficient dict is shared."""
-        return BiPoly._exact(self._coeffs, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -215,12 +235,15 @@ class BiPoly:
         """Substitute x -> -x (flip the sign of odd-degree-in-x terms).
 
         The mirror has the same denominator, gcd and support, so it needs no
-        normalising; packed rows, if any, are mirrored too, row by row.
+        normalising; packed rows, if any, are mirrored too, row by row, and
+        the mirror of an undecoded polynomial is undecoded.
         """
         packed = self._packed
         if packed is not None:
-            width, rows = packed
-            packed = width, [(dx, -row if dx & 1 else row, dr) for dx, row, dr in rows]
+            width, rows, den, bounds = packed
+            packed = width, [(dx, -row if dx & 1 else row, dr) for dx, row, dr in rows], den, bounds
+            if bounds is not None:
+                return _Lazy(packed)
         return BiPoly._exact(
             {k: (-c if k[0] & 1 else c) for k, c in self._coeffs.items()}, self._den, packed
         )
@@ -304,6 +327,42 @@ class BiPoly:
         return f"BiPoly({self.to_text()!r})"
 
 
+class _Lazy(BiPoly):
+    """A BiPoly held in packed form alone until its coefficients are read.
+
+    ``__getattr__``, which Python calls only for an attribute not found,
+    here an unset ``_coeffs`` or ``_den`` slot, decodes the rows, reduces
+    them by their gcd g, stores both slots, and replaces the packed form by
+    the rows and denominator divided by g, with bounds None: from then on
+    ``sum_products`` bounds it by its dict, as any decoded operand.
+
+    Defining ``__getattr__`` makes every attribute read of its class slower
+    on Python 3.11, whose specializing interpreter skips such classes, so
+    it lives on this subclass and not on BiPoly, whose other instances keep
+    fast reads.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, packed):
+        self._packed = packed
+
+    def __getattr__(self, name: str):
+        if name != "_coeffs" and name != "_den":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        width, rows, den, _ = self._packed
+        slots = _Slots(width)
+        coeffs: dict[Key, int] = {}
+        for x, packed, deg_r in rows:
+            slots.unpack(x, packed, deg_r, coeffs)
+        coeffs, den, g = _reduce(coeffs, den)
+        if g > 1:
+            rows = [(x, packed // g, deg_r) for x, packed, deg_r in rows]
+        self._coeffs, self._den = coeffs, den
+        self._packed = width, rows, den, None
+        return coeffs if name == "_coeffs" else den
+
+
 def _monomial(deg_x: int, deg_r: int) -> str:
     """``x^a*r^b``, with degree-1 powers bare and degree-0 factors left out."""
     x = "" if deg_x == 0 else "x" if deg_x == 1 else f"x^{deg_x}"
@@ -324,48 +383,58 @@ R = BiPoly.r()
 
 
 def sum_products(pairs) -> BiPoly:
-    """The exact sum of ``a * b`` over the BiPoly ``pairs``.
+    """The exact sum of ``a * b`` over the BiPoly ``pairs``, undecoded.
 
     Equal to ``total = total + a * b`` run over the pairs from zero, but each
     operand is cut into rows by degree in x and each row's r-coefficients
     are packed into one int, one fixed-width slot per degree in r, so a row
     by row product is one big-int multiply.  All products accumulate into
-    packed output rows over one common denominator, and the sum is unpacked
-    and reduced once.
+    packed output rows over one common denominator.  The result is these
+    rows as they are: its coefficients are decoded and reduced only when
+    read (see ``BiPoly``), and a result fed to another call is used as rows.
 
-    The slot width bounds every output coefficient: none exceeds the sum
-    over the pairs of scale * max|a| * max|b| * min(#terms a, #terms b),
-    since each term of the shorter operand meets at most one term of the
-    other at a given monomial.  That bound plus a sign bit, rounded up to
-    whole 8-byte words, holds every signed coefficient, so decoding is exact.
+    The slot width bounds every output coefficient.  For each pair,
+    ||a*b||_inf <= min(||a||_1 * ||b||_inf, ||a||_inf * ||b||_1), since a
+    coefficient of a*b is a sum of products a_i * b_j in which each term
+    a_i of a appears at most once, and so does each term b_j of b.  A
+    decoded operand brings its max |c| and len * max |c| (a valid ||.||_1
+    bound), so for two decoded operands the minimum is max|a| * max|b| *
+    min(#terms a, #terms b); an undecoded one brings the bounds of the
+    call that made it.  The sum over the pairs of scale times that
+    minimum, plus a sign bit, rounded up to whole 8-byte words, holds every
+    signed coefficient, so decoding is exact.  That sum and the sum of
+    scale * ||a||_1 * ||b||_1 (which bounds ||a*b||_1) are the result's own
+    bounds.
 
     Each polynomial is packed once per width: an operand keeps the rows it
     was packed to (see ``_Slots.pack``), and the result keeps this call's
-    output rows, divided by the gcd that reduced its coefficients.  The
-    rounding to words is what lets a recurrence reuse them: the exact width
-    of the three-term step grows by about one byte every 1.7 steps (1 to 54
-    bytes up to n = 90), the rounded width only once per eight bytes.
+    output rows.  The rounding to words is what lets a recurrence reuse
+    them: the width of a recurrence step grows by a byte or so per step,
+    the rounded width only once per eight bytes.
     """
-    pairs = [(a, b) for a, b in pairs if a._coeffs and b._coeffs]
-    if not pairs:
-        return BiPoly.zero()
-    den = lcm(*(a._den * b._den for a, b in pairs))
-    bound = 0
+    factors = []
     for a, b in pairs:
-        bound += (
-            den // (a._den * b._den)
-            * max(map(abs, a._coeffs.values()))
-            * max(map(abs, b._coeffs.values()))
-            * min(len(a._coeffs), len(b._coeffs))
-        )
+        fa = _factor(a)
+        if fa is not None:
+            fb = _factor(b)
+            if fb is not None:
+                factors.append((fa, fb))
+    if not factors:
+        return BiPoly.zero()
+    den = lcm(*(fa[1] * fb[1] for fa, fb in factors))
+    bound = one = 0
+    for (_, da, _, inf_a, one_a), (_, db, _, inf_b, one_b) in factors:
+        scale = den // (da * db)
+        bound += scale * min(one_a * inf_b, inf_a * one_b)
+        one += scale * one_a * one_b
     slots = _Slots(8 * ((bound.bit_length() + 64) // 64))  # sign bit included
     rows: dict[int, int] = {}
     degs: dict[int, int] = {}
-    for a, b in pairs:
-        rows_a, rows_b = slots.pack(a), slots.pack(b)
+    for fa, fb in factors:
+        rows_a, rows_b = slots.pack(fa[0], fa[1], fa[2]), slots.pack(fb[0], fb[1], fb[2])
         if len(rows_a) > len(rows_b):
             rows_a, rows_b = rows_b, rows_a
-        scale = den // (a._den * b._den)
+        scale = den // (fa[1] * fb[1])
         for xa, pa, da in rows_a:
             if scale != 1:
                 pa *= scale
@@ -378,12 +447,26 @@ def sum_products(pairs) -> BiPoly:
                 else:
                     rows[x] = pa * pb
                     degs[x] = da + db
-    coeffs: dict[Key, int] = {}
-    for x, packed in rows.items():
-        slots.unpack(x, packed, degs[x], coeffs)
-    coeffs, den, g = _reduce(coeffs, den)
-    kept = [(x, packed // g if g > 1 else packed, degs[x]) for x, packed in rows.items() if packed]
-    return BiPoly._exact(coeffs, den, (slots.width, kept))
+    kept = [(x, packed, degs[x]) for x, packed in rows.items() if packed]
+    return _Lazy((slots.width, kept, den, (bound, one)))
+
+
+def _factor(p: BiPoly):
+    """(p, den, packed, b_inf, b_one) for a nonzero ``p``, None for zero.
+
+    An undecoded ``p`` is read from one snapshot of its packed form, which
+    is returned as ``packed``, and is zero when it has no rows; a decoded
+    ``p`` gives its exact max |c| and len * max |c| (a valid bound on the
+    sum of |c|, found in the same pass), and ``packed`` None.
+    """
+    packed = p._packed
+    if packed is not None and packed[3] is not None:
+        return (p, packed[2], packed, *packed[3]) if packed[1] else None
+    coeffs = p._coeffs
+    if not coeffs:
+        return None
+    top = max(map(abs, coeffs.values()))
+    return p, p._den, None, top, len(coeffs) * top
 
 
 class _Slots:
@@ -408,13 +491,24 @@ class _Slots:
             signs.append((signs[-1] << (8 * self.width)) | (1 << (8 * self.width - 1)))
         return signs[count]
 
-    def pack(self, p: BiPoly) -> list[tuple[int, int, int]]:
-        """(deg_x, packed r-coefficients, deg_r) for each x-row of ``p``.
+    def _to_bytes(self, packed: int, count: int) -> bytes:
+        """The ``count`` slots of a packed row as two's-complement bytes.
 
-        The rows are cached on ``p`` with their width: rows of this width
-        are returned as they are, and rows of another width are replaced.
-        ``dcore``'s route cache stores copies without rows, so a route build
-        leaves rows only on the polynomials its generator still works on.
+        Adding half a slot to every slot makes each digit c + half
+        non-negative, so no borrow crosses slots; flipping the sign bits
+        back leaves c in two's complement.
+        """
+        half = self._sign_bits(count)
+        return ((packed + half) ^ half).to_bytes(count * self.width, "little")
+
+    def pack(self, p: BiPoly, den: int, packed) -> list[tuple[int, int, int]]:
+        """(deg_x, packed r-coefficients, deg_r) for each x-row of ``p`` over ``den``.
+
+        ``den`` and ``packed`` are those of ``_factor(p)``.  The rows are
+        cached on ``p``: rows of this width over ``den`` are returned as
+        they are.  Otherwise a decoded ``p`` is packed from its
+        coefficient dict, and the rows of an undecoded one are re-slotted
+        from their own width.  Rows held for another width are replaced.
 
         Each coefficient becomes ``width`` two's-complement bytes.  Read
         unsigned, a negative slot c stands for c + 2^(8*width), so
@@ -422,8 +516,12 @@ class _Slots:
         """
         width = self.width
         cached = p._packed
-        if cached is not None and cached[0] == width:
+        if cached is not None and cached[0] == width and cached[2] == den:
             return cached[1]
+        if packed is not None:
+            out = self._reslot(packed[0], packed[1])
+            p._packed = width, out, den, packed[3]
+            return out
         zero = bytes(width)
         rows: dict[int, list[bytes]] = {}
         for (dx, dr), c in p._coeffs.items():
@@ -440,19 +538,38 @@ class _Slots:
         for dx, row in rows.items():
             raw = int.from_bytes(b"".join(row), "little")
             out.append((dx, raw - ((raw & self._sign_bits(len(row))) << 1), len(row) - 1))
-        p._packed = width, out
+        p._packed = width, out, den, None
+        return out
+
+    def _reslot(self, old_width: int, rows) -> list[tuple[int, int, int]]:
+        """``rows`` packed at ``old_width`` moved to this width, slot by slot.
+
+        A two's-complement slot widens by repeating its sign byte and
+        narrows by dropping its top bytes, which are sign bytes whenever
+        the value fits the narrower slot, as every coefficient of a call's
+        operands fits that call's width.
+        """
+        width, old = self.width, _Slots(old_width)
+        grow = max(0, width - old_width)
+        pads = (bytes(grow), b"\xff" * grow)
+        out = []
+        for x, packed, deg_r in rows:
+            data = old._to_bytes(packed, deg_r + 1)
+            if grow:
+                slots = [
+                    data[i : i + old_width] + pads[data[i + old_width - 1] >> 7]
+                    for i in range(0, len(data), old_width)
+                ]
+            else:
+                slots = [data[i : i + width] for i in range(0, len(data), old_width)]
+            raw = int.from_bytes(b"".join(slots), "little")
+            out.append((x, raw - ((raw & self._sign_bits(deg_r + 1)) << 1), deg_r))
         return out
 
     def unpack(self, x: int, packed: int, deg_r: int, out: dict[Key, int]) -> None:
-        """Write the nonzero slots among the deg_r + 1 of row ``x`` into ``out``.
-
-        Adding half a slot to every slot makes each digit c + half
-        non-negative, so no borrow crosses slots; flipping the sign bits
-        back leaves c in two's complement.
-        """
+        """Write the nonzero slots among the deg_r + 1 of row ``x`` into ``out``."""
         width = self.width
-        half = self._sign_bits(deg_r + 1)
-        data = ((packed + half) ^ half).to_bytes((deg_r + 1) * width, "little")
+        data = self._to_bytes(packed, deg_r + 1)
         from_bytes = int.from_bytes
         for dr in range(deg_r + 1):
             start = dr * width

@@ -129,10 +129,10 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 # One lazily extended prefix per route, next to the generator that extends
 # it; verifiers share prefixes heavily, so sequences are extended in place
 # (under a lock) rather than rebuilt.  Each generator keeps its own working
-# state in locals.  The prefix holds plain copies (``BiPoly._plain``) that
-# share each polynomial's coefficients but not the packed rows
-# ``sum_products`` caches on it, so a build leaves rows only on the
-# generator's live window.
+# state in locals.  The prefix holds the generator's own objects: a d_n
+# built by ``sum_products`` is held as its packed rows alone until
+# something reads its coefficients, so a deep build that prints only d_n
+# decodes only d_n, and an unread entry holds no coefficient dict.
 _cache: dict[Route, tuple[Iterator[BiPoly], list[BiPoly]]] = {}
 _cache_lock = threading.Lock()
 
@@ -152,7 +152,7 @@ def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
             _cache[route] = (_GENERATORS[route](), [])
         generator, polys = _cache[route]
         try:
-            polys.extend(p._plain() for p in islice(generator, max(0, n_max + 1 - len(polys))))
+            polys.extend(islice(generator, max(0, n_max + 1 - len(polys))))
         except BaseException:
             # An interrupted generator cannot resume; start the route afresh.
             del _cache[route]
@@ -194,10 +194,10 @@ def _three_term() -> Iterator[BiPoly]:
 
 
 def _two_term() -> Iterator[BiPoly]:
-    # d_n(x) and its mirror d_n(-x) advance together: d_{m+1} comes with
-    # the packed rows of the step that built it, and its mirror is the
-    # one-pass sign flip of its odd-in-x terms and rows, so neither is
-    # packed again until the slot width grows.
+    # d_n(x) and its mirror d_n(-x) advance together: d_{m+1} is the
+    # packed rows of the step that built it, and its mirror is the
+    # one-pass sign flip of its odd-in-x rows, so neither is decoded, and
+    # neither is re-slotted until the slot width grows.
     plain = mirror = BiPoly.one()
     for n in count(1):
         yield plain

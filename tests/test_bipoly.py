@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -139,6 +141,18 @@ def test_pow_rejects_non_natural_exponent(bad):
     # X ** True used to return X
     with pytest.raises(ValueError, match="exponent must be a natural number"):
         X**bad
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [((-1, 0), "degree in x"), ((0.5, 0), "degree in x"), ((True, 0), "degree in x"), ((0, -2), "degree in r")],
+    ids=["negative", "float", "bool", "negative-r"],
+)
+def test_construction_rejects_non_natural_degrees(key, name):
+    # BiPoly({(-1, 0): 1}) used to print x^-1 and fail in eval with an
+    # IndexError, {(0.5, 0): 1} to print x^0.5, and a True degree to pass.
+    with pytest.raises(ValueError, match=f"{name} must be a natural number"):
+        BiPoly({key: 1})
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
@@ -333,14 +347,40 @@ def test_sum_products_property():
 
 
 def rows_decode_to_coefficients(p: BiPoly) -> bool:
-    """Whether the packed rows cached on ``p``, if any, hold its coefficients."""
+    """Whether the packed form held on ``p``, if any, describes its value.
+
+    The rows, decoded over their own denominator, must give the same
+    fractions as the coefficient dict, and carried bounds (held only while
+    ``p`` is undecoded) must bound the rows' max and sum of |c|.  The
+    snapshot is taken before the dict is read, since reading it decodes an
+    undecoded ``p`` and replaces its packed form.
+    """
     if p._packed is None:
         return True
-    width, rows = p._packed
+    coeffs, den = packed_value(p)
+    return same_value(coeffs, den, p)
+
+
+def packed_value(p: BiPoly) -> tuple[dict, int]:
+    """(numerators, denominator) of ``p`` read from its packed form alone,
+    so an undecoded ``p`` stays undecoded, after checking that the carried
+    bounds, if any, bound the numerators."""
+    width, rows, den, bounds = p._packed
     slots, coeffs = _Slots(width), {}
-    for x, packed, deg_r in rows:
-        slots.unpack(x, packed, deg_r, coeffs)
-    return coeffs == p._coeffs
+    for x, row, deg_r in rows:
+        slots.unpack(x, row, deg_r, coeffs)
+    if bounds is not None:
+        values = [abs(c) for c in coeffs.values()]
+        assert max(values, default=0) <= bounds[0] and sum(values) <= bounds[1]
+    return coeffs, den
+
+
+def same_value(coeffs: dict, den: int, want: BiPoly) -> bool:
+    """Whether ``coeffs`` over ``den`` are the coefficients of ``want``."""
+    want_coeffs, want_den = want._coeffs, want._den
+    return coeffs.keys() == want_coeffs.keys() and all(
+        c * want_den == want_coeffs[k] * den for k, c in coeffs.items()
+    )
 
 
 def test_packed_rows_follow_the_call_width():
@@ -415,6 +455,111 @@ def test_sum_products_over_a_shared_operand_pool():
             assert all(rows_decode_to_coefficients(p) for p in pool)
 
     check()
+
+
+def is_decoded(p: BiPoly) -> bool:
+    """Whether ``p`` holds its coefficient dict, found without decoding it."""
+    try:
+        object.__getattribute__(p, "_coeffs")  # BiPoly's __getattr__ is not called
+    except AttributeError:
+        return False
+    return True
+
+
+def run_undecoded_chain(steps) -> BiPoly:
+    """Run cur <- a*cur + b*other (- (a - 1/7)*cur if cancel) over ``steps``
+    of (a, b, mirrored, cancel), other being prev or, if mirrored, prev at
+    -x, on undecoded sum_products results and on __mul__/__add__; compare
+    every step and return the last result."""
+    prev, cur = BiPoly.one(), sum_products([(1 + 2 * X - R, BiPoly.one())])
+    want_prev, want_cur = prev, 1 + 2 * X - R
+    for a, b, mirrored, cancel in steps:
+        other, want_other = prev, want_prev
+        if mirrored:
+            other = prev.subst_neg_x()
+            want_other = BiPoly({k: -c if k[0] % 2 else c for k, c in want_prev.terms()})
+        pairs = [(a, cur), (b, other)] + [(Fraction(1, 7) - a, cur)] * cancel
+        want_pairs = [(a, want_cur), (b, want_other)] + [(Fraction(1, 7) - a, want_cur)] * cancel
+        prev, cur = cur, sum_products(pairs)
+        want_prev, want_cur = want_cur, schoolbook_sum(want_pairs)
+        if cur._packed is None:
+            assert cur == want_cur  # every pair had a zero factor
+            continue
+        assert cur._packed[3] is not None  # carried bounds, checked below
+        assert same_value(*packed_value(cur), want_cur)
+        assert not is_decoded(cur)
+    return cur
+
+
+def test_carried_bounds_never_overflow_a_slot():
+    # Undecoded results go back in as operands, so each call sizes its
+    # slots from the bounds carried over the chain for them.
+    # Cancelling pairs push those bounds far above the true coefficients,
+    # and the coefficient growth moves the width across word boundaries.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(min_value=-(2**16), max_value=2**16),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    slope = st.one_of(st.just(0), coefficient)  # zero often, so degrees grow slower
+    factor = st.builds(lambda c, cx, cr: BiPoly({(0, 0): c, (1, 0): cx, (0, 1): cr}), coefficient, slope, slope)
+    step = st.tuples(factor, factor, st.booleans(), st.booleans())
+
+    @hypothesis.settings(max_examples=6, deadline=None)
+    @hypothesis.given(steps=st.lists(step, min_size=60, max_size=60))
+    def check(steps):
+        run_undecoded_chain(steps)
+
+    check()
+
+
+def test_carried_bounds_far_above_the_true_coefficients():
+    # A pinned chain where every step cancels: by the end the carried bound
+    # is more than 2^64 times the largest coefficient, so the slots are
+    # sized from bounds that are nothing like the values, and still hold them.
+    steps = [((-(2**20) + 3 * X) / 5, (1 - R) * Fraction(1, 3), bool(i % 2), True) for i in range(60)]
+    last = run_undecoded_chain(steps)
+    coeffs, _ = packed_value(last)
+    width, _, _, (b_inf, _) = last._packed
+    assert b_inf > 2**64 * max(map(abs, coeffs.values())) and width >= 16
+
+
+def test_concurrent_decode_gives_one_value():
+    # Four threads read one undecoded polynomial at once; whichever decode
+    # lands last, every reader sees the same coefficients.
+    base = (X - 2 * R + Fraction(1, 3)) ** 6
+    pairs = [(base, (X + R + 1) ** 5), (-base, X**3 - R / 7)]
+    want = schoolbook_sum(pairs)
+    text, value = want.to_text(), want.eval(Fraction(2, 3), Fraction(-5, 4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            p = sum_products(pairs)
+            assert not is_decoded(p)
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read(kind):
+                barrier.wait(timeout=10)
+                if kind == 0:
+                    seen.append(p.to_text() == text)
+                elif kind == 1:
+                    seen.append(p == want)
+                else:
+                    seen.append(p.eval(Fraction(2, 3), Fraction(-5, 4)) == value)
+
+            threads = [threading.Thread(target=read, args=(i % 3,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [True] * 4
+            assert rows_decode_to_coefficients(p)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ring_ops_and_substitutions_match_sympy():

@@ -82,14 +82,28 @@ def test_recurrence_routes_agree_where_the_slot_width_crosses_words():
     three, two, series = (
         d_sequence(route, n_max).polys for route in (Route.THREE_TERM, Route.TWO_TERM, Route.SERIES)
     )
+    # The recurrence routes cache each d_n as the generator built it, and
+    # nothing has read three-term's or two-term's d_2 .. d_72 yet (d_0 and
+    # d_1 are read by DSequence's checks): they hold packed rows and no
+    # coefficient dict, which would otherwise double the memory of the
+    # cached prefix.  The series route adds each d_n to E_{n-2}, which reads it.
+    cached = {route: polys for route, (_, polys) in dcore._cache.items()}
+    assert cached.keys() == {Route.THREE_TERM, Route.TWO_TERM, Route.SERIES}
+    unread = cached[Route.THREE_TERM][2:] + cached[Route.TWO_TERM][2:]
+    assert unread and not any(map(is_decoded, unread))
     for n in range(n_max + 1):
         assert three[n] == two[n] == series[n], n
-    # The route cache holds copies without packed rows, which would
-    # otherwise double the memory of every cached prefix.
-    assert len(dcore._cache) == 3
-    for _, polys in dcore._cache.values():
-        assert all(p._packed is None for p in polys)
+    assert all(map(is_decoded, unread))  # the reads above decoded them
     clear_caches()
+
+
+def is_decoded(p: BiPoly) -> bool:
+    """Whether ``p`` holds its coefficient dict, found without decoding it."""
+    try:
+        object.__getattribute__(p, "_coeffs")  # BiPoly.__getattr__ is not called
+    except AttributeError:
+        return False
+    return True
 
 
 def test_series_route_is_the_truncated_product():
