@@ -414,11 +414,9 @@ def sum_products(pairs) -> BiPoly:
     """
     factors = []
     for a, b in pairs:
-        fa = _factor(a)
-        if fa is not None:
-            fb = _factor(b)
-            if fb is not None:
-                factors.append((fa, fb))
+        fa, fb = _factor(a), _factor(b)
+        if fa is not None and fb is not None:
+            factors.append((fa, fb))
     if not factors:
         return BiPoly.zero()
     den = lcm(*(fa[1] * fb[1] for fa, fb in factors))
@@ -457,8 +455,11 @@ def _factor(p: BiPoly):
     An undecoded ``p`` is read from one snapshot of its packed form, which
     is returned as ``packed``, and is zero when it has no rows; a decoded
     ``p`` gives its exact max |c| and len * max |c| (a valid bound on the
-    sum of |c|, found in the same pass), and ``packed`` None.
+    sum of |c|, found in the same pass), and ``packed`` None.  Anything
+    but a BiPoly, an int or a ``Fraction`` included, is a TypeError.
     """
+    if not isinstance(p, BiPoly):
+        raise TypeError(f"sum_products takes BiPoly operands, got {type(p).__name__} {p!r}")
     packed = p._packed
     if packed is not None and packed[3] is not None:
         return (p, packed[2], packed, *packed[3]) if packed[1] else None

@@ -420,52 +420,62 @@ def _meixner_instances(n_max: int) -> Iterator:
                 )
 
 
+def _ratio_row(n: int, num: Callable[[int], int], den: Callable[[int], int]) -> list[Fraction]:
+    """t_0 = 1, ..., t_n with t_{k+1} = t_k * num(k) / den(k), each entry
+    the running integer products reduced once."""
+    row, top, bottom = [Fraction(1)], 1, 1
+    for k in range(n):
+        top, bottom = top * num(k), bottom * den(k)
+        row.append(Fraction(top, bottom))
+    return row
+
+
 def _square_sides(
-    xs: list[BiPoly], n: int, alpha: Callable, top: Fraction | int, beta: Callable
-) -> tuple[BiPoly, BiPoly]:
-    """The sums over k <= n of alpha(k) binom(x, k) and of
-    beta(k) binom(x, k) binom(top - x, k), symbolic in x; ``xs`` holds
-    binom(x, k) for k <= n at least."""
-    ys = binom_row(top - X, n)
-    return (
-        sum_products((xs[k], BiPoly.const(alpha(k))) for k in range(n + 1)),
-        sum_products((xs[k], ys[k] * beta(k)) for k in range(n + 1)),
+    xs: list[BiPoly], cross: list[BiPoly], n: int, a: Fraction | int
+) -> tuple[BiPoly, BiPoly, BiPoly, list[Fraction], list[Fraction]]:
+    """The free-parameter square at a < 0: (lhs, lhs^2, rhs, alpha, beta).
+
+    With alpha_k = C(n,k) (-2)^k / binom(a,k) and beta_k =
+    (-1)^n binom(n+k-a-1, n-k) 4^k / (binom(a,k) binom(a,n)), lhs and rhs
+    are the sums over k <= n of alpha_k binom(x, k) (``xs``) and of
+    beta_k binom(x, k) binom(a - x, k) (``cross``, built once per top a by
+    the caller, since it does not depend on n), symbolic in x.  Both rows
+    are hypergeometric in k with alpha_0 = beta_0 = 1, so each entry is
+    one integer term-ratio step from the one before; with a = p/q < 0 no
+    ratio has a zero denominator.
+    """
+    p, q = a.numerator, a.denominator
+    alpha = _ratio_row(n, lambda k: -2 * (n - k) * q, lambda k: p - k * q)
+    beta = _ratio_row(
+        n,
+        lambda k: 4 * ((n + k) * q - p) * (n - k) * (k + 1) * q * q,
+        lambda k: (2 * k * q - p) * ((2 * k + 1) * q - p) * (p - k * q),
     )
+    lhs = sum_products((xs[k], BiPoly.const(c)) for k, c in enumerate(alpha))
+    rhs = sum_products((cross[k], BiPoly.const(c)) for k, c in enumerate(beta))
+    return lhs, lhs * lhs, rhs, alpha, beta
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
     xs = binom_row(X, n_max)  # binom(x, k); entry k does not depend on n
+    # binom(x, k) binom(top - x, k) for k <= n_max, built once per top; the
+    # cache is this call's own, so a cold run builds every row again
+    cross = cache(lambda top: [x * y for x, y in zip(xs, binom_row(top - X, n_max))])
     for n in range(n_max + 1):
+        # The b grid is this square at a = -b and the a = -2 case at a = -2,
+        # so each parameter's sides are built once per n.
+        sides = cache(lambda a: _square_sides(xs, cross(a), n, a))
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         for a in a_grid:
-            scale = (-1) ** n / binom_gen(a, n)
-            lhs, rhs = _square_sides(
-                xs,
-                n,
-                lambda k: binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k),
-                a,
-                lambda k: binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k) * scale,
-            )
-            yield f"free-parameter square n={n}", {"n": n, "a": a}, lhs * lhs, rhs
-            # specialization x = -1, where binom(-1, k) = (-1)^k; the
-            # (a+1)/(a+1-k) factor is binom(a+1,k)/binom(a,k) in reduced
-            # form, which stays defined at a = -1, k = 0
-            lhs_s = sum(
-                (binom_int(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)),
-                Fraction(0),
-            )
-            rhs_s = sum(
-                (
-                    Fraction(-1) ** (n - k)
-                    * binom_gen(a + 1, k)
-                    / binom_gen(a, k)
-                    * binom_gen(n + k - a - 1, n - k)
-                    * Fraction(4) ** k
-                    for k in range(n + 1)
-                ),
-                Fraction(0),
-            ) / binom_gen(a, n)
+            _, square, rhs, alpha, beta = sides(a)
+            yield f"free-parameter square n={n}", {"n": n, "a": a}, square, rhs
+            # specialization x = -1, where binom(-1, k) = (-1)^k and
+            # binom(x, k) binom(a - x, k) = (-1)^k binom(a + 1, k)
+            p, q = a.numerator, a.denominator
+            up = _ratio_row(n, lambda k: p + q - k * q, lambda k: (k + 1) * q)  # binom(a + 1, k)
+            lhs_s = sum(alpha[0::2]) - sum(alpha[1::2])
+            rhs_s = sum(c * u if k % 2 == 0 else -c * u for k, (c, u) in enumerate(zip(beta, up)))
             yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
 
         # a = -1/2: central-binomial form
@@ -485,16 +495,8 @@ def _parametric_square_instances(n_max: int) -> Iterator:
         # b parameterization over positive integers, plus the Meixner tie-in
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
-            # binom(x+b-1+k, k) = (-1)^k binom(-x-b, k)
-            scale = 1 / binom_gen(b + n - 1, n)
-            base, rhs = _square_sides(
-                xs,
-                n,
-                lambda k: binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
-                -b,
-                lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
-            )
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs
+            base, square, rhs, _, _ = sides(-b)
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, square, rhs
             for xv in range(n + 1):
                 yield (
                     f"meixner-square tie n={n}",
@@ -504,14 +506,8 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                 )
 
         # a = -2 specialization, symbolic in x
-        lhs, rhs = _square_sides(
-            xs,
-            n,
-            lambda k: binom_int(n, k) * Fraction(2**k, k + 1),
-            -2,
-            lambda k: binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / ((k + 1) * (n + 1)),
-        )
-        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs * lhs, rhs
+        _, square, rhs, _, _ = sides(-2)
+        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, square, rhs
 
 
 _CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))

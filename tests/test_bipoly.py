@@ -311,6 +311,21 @@ def test_sum_products_matches_schoolbook_chain(pairs):
     assert sum_products(iter(pairs)) == want  # any iterable of pairs
 
 
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ([(X, 3)], "int 3"),
+        ([(Fraction(1, 2), X)], "Fraction Fraction(1, 2)"),
+        ([(BiPoly.zero(), 3)], "int 3"),  # rejected even beside a zero operand
+        ([(X, R), (X, "x")], "str 'x'"),
+    ],
+    ids=["int", "fraction", "beside-zero", "str-in-second-pair"],
+)
+def test_sum_products_rejects_non_bipoly_operand(pairs, bad):
+    with pytest.raises(TypeError, match=f"BiPoly operands, got {re.escape(bad)}$"):
+        sum_products(pairs)
+
+
 @pytest.mark.parametrize("name", SUM_CASES.keys())
 def test_sum_products_matches_sympy(name):
     sympy = pytest.importorskip("sympy")

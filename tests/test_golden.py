@@ -8,10 +8,14 @@ defined; ``perfbench/reference/routes.json`` holds the sha256 of what
 hold, for every verifier, the report line with the fault injected at case 1
 and at case 0, all depths 5, which pins the exact counterexample values
 (case 0 reaches meixner's connection grid, the x-only parametric-square
-witness and hyper-bridge's first bridge); ``tests/golden/scan_default.jsonl`` and
-``tests/golden/scan_deep.jsonl`` hold what ``delpoly scan --format json``
-printed on the default grid and on ``tests/golden/scan_deep.grid`` (a 3x4
-grid at n_max 800) before the scans carried the squared recurrence state.
+witness and hyper-bridge's first bridge);
+``tests/golden/parametric_square_faults.jsonl`` holds parametric-square's
+report line at depth 6 with the fault at indices that reach each of its six
+case kinds at n = 0, 3 and 6, and the last a and b of the grids at n = 6;
+``tests/golden/scan_default.jsonl`` and ``tests/golden/scan_deep.jsonl``
+hold what ``delpoly scan --format json`` printed on the default grid and on
+``tests/golden/scan_deep.grid`` (a 3x4 grid at n_max 800) before the scans
+carried the squared recurrence state.
 These files are read, never written.
 """
 
@@ -24,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from delpoly.cli import main
-from delpoly.verify import SUITE_IDS, SuiteConfig, run_suite
+from delpoly.verify import SUITE_IDS, SuiteConfig, run_suite, verify_parametric_square
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE_REFERENCE = ROOT / "perfbench" / "reference" / "suite.jsonl"
@@ -33,6 +37,9 @@ ROUTES_REFERENCE = ROOT / "perfbench" / "reference" / "routes.json"
 ROUTE_DEPTHS = {"direct": 22, "newform": 28, "series": 22, "three-term": 90, "two-term": 72}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FAULT_LINES = {1: GOLDEN / "fault_lines.jsonl", 0: GOLDEN / "fault_lines_0.jsonl"}
+PARAMETRIC_SQUARE_FAULTS = [
+    json.loads(line) for line in (GOLDEN / "parametric_square_faults.jsonl").read_text().splitlines()
+]
 FAST_DEPTHS = {identity_id: 5 for identity_id in SUITE_IDS}
 
 
@@ -83,3 +90,12 @@ def test_fault_injected_line_matches_golden(identity_id, index):
     (report,) = run_suite(config)
     assert not report.passed
     assert report.to_json_line() == _golden_fault_lines(index)[identity_id]
+
+
+@pytest.mark.parametrize(
+    "golden", PARAMETRIC_SQUARE_FAULTS, ids=[str(golden["fault_index"]) for golden in PARAMETRIC_SQUARE_FAULTS]
+)
+def test_parametric_square_fault_line_matches_golden(golden):
+    report = verify_parametric_square(6, fault_index=golden["fault_index"])
+    assert not report.passed
+    assert report.to_json_line() == golden["line"]

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from delpoly.bipoly import BiPoly, binom_poly
-from delpoly.dcore import EvalPoint, Route, d_direct, jacobi_eval
+from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
+from delpoly.dcore import EvalPoint, Route, d_direct, jacobi_eval, meixner_eval
+from delpoly.exactnum import binom_gen, binom_int
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
+    _parametric_square_instances,
     _PointAlg,
+    _square_sides,
     DEFAULT_DEPTHS,
     SUITE_IDS,
     SuiteConfig,
@@ -149,6 +152,112 @@ def test_parametric_square_verifier():
     assert report.passed
     assert report.mode is Mode.INTERPOLATION_GRID
     assert report.sample_count > report.degree_bound
+
+
+def reference_parametric_square_instances(n_max: int):
+    """The parametric-square cases from the per-coefficient formulas: each
+    coefficient from its binomials, each side from binom(top - x, k) built
+    for that n and parameter alone."""
+
+    def sides(n, alpha, top, beta):
+        ys = binom_row(top - X, n)
+        return (
+            sum_products((xs[k], BiPoly.const(alpha(k))) for k in range(n + 1)),
+            sum_products((xs[k], ys[k] * beta(k)) for k in range(n + 1)),
+        )
+
+    xs = binom_row(X, n_max)
+    for n in range(n_max + 1):
+        a_grid = [Fraction(-j) for j in range(1, n + 2)]
+        a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
+        for a in a_grid:
+            scale = (-1) ** n / binom_gen(a, n)
+            lhs, rhs = sides(
+                n,
+                lambda k: binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k),
+                a,
+                lambda k: binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k) * scale,
+            )
+            yield f"free-parameter square n={n}", {"n": n, "a": a}, lhs * lhs, rhs
+            lhs_s = sum((binom_int(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)), Fraction(0))
+            rhs_s = sum(
+                (
+                    Fraction(-1) ** (n - k)
+                    * binom_gen(a + 1, k)
+                    / binom_gen(a, k)
+                    * binom_gen(n + k - a - 1, n - k)
+                    * Fraction(4) ** k
+                    for k in range(n + 1)
+                ),
+                Fraction(0),
+            ) / binom_gen(a, n)
+            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
+        lhs_c = sum(
+            (binom_int(n, k) * Fraction(-8) ** k / binom_gen(Fraction(2 * k), k) for k in range(n + 1)),
+            Fraction(0),
+        )
+        rhs_c = sum(
+            (
+                Fraction(-1) ** k / (1 - 2 * k) * binom_gen(n + k - Fraction(1, 2), n - k) * Fraction(4) ** (n + k)
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        ) / binom_gen(Fraction(2 * n), n)
+        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c
+        for bv in range(1, 2 * n + 3):
+            b = Fraction(bv)
+            scale = 1 / binom_gen(b + n - 1, n)
+            base, rhs = sides(
+                n,
+                lambda k: binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
+                -b,
+                lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
+            )
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs
+            for xv in range(n + 1):
+                yield (
+                    f"meixner-square tie n={n}",
+                    {"n": n, "b": b, "x": xv},
+                    meixner_eval(n, xv, b, -1),
+                    base.eval(0, xv),
+                )
+        lhs, rhs = sides(
+            n,
+            lambda k: binom_int(n, k) * Fraction(2**k, k + 1),
+            -2,
+            lambda k: binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / ((k + 1) * (n + 1)),
+        )
+        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs * lhs, rhs
+
+
+@pytest.mark.parametrize("n_max", range(9))
+def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
+    got = list(_parametric_square_instances(n_max))
+    want = list(reference_parametric_square_instances(n_max))
+    assert [(label, params) for label, params, _, _ in got] == [(label, params) for label, params, _, _ in want]
+    for (label, params, lhs, rhs), (_, _, want_lhs, want_rhs) in zip(got, want):
+        assert type(lhs) is type(want_lhs) and type(rhs) is type(want_rhs), (label, params)
+        assert (lhs, rhs) == (want_lhs, want_rhs), (label, params)
+    assert {"n": n_max, "a": -1} in [params for label, params, _, _ in got if label.startswith("x=-1")]
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2), Fraction(-1, 2), Fraction(-9), Fraction(-17, 2)])
+def test_square_rows_match_per_coefficient_formulas(n, a):
+    # Every entry of both term-ratio rows, k = n included, against its own
+    # binomials; a = -1 is where binom(a + 1, k) vanishes past k = 0.
+    xs = binom_row(X, n)
+    cross = [x * y for x, y in zip(xs, binom_row(a - X, n))]
+    lhs, square, rhs, alpha, beta = _square_sides(xs, cross, n, a)
+    assert alpha == [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
+    assert beta == [
+        (-1) ** n * binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / (binom_gen(a, k) * binom_gen(a, n))
+        for k in range(n + 1)
+    ]
+    assert square == lhs * lhs
+    # At x = -1 the sides are the alternating row sums the x = -1 cases read.
+    assert lhs.eval(0, -1) == sum((-1) ** k * c for k, c in enumerate(alpha))
+    assert rhs.eval(0, -1) == sum((-1) ** k * c * binom_gen(a + 1, k) for k, c in enumerate(beta))
 
 
 def test_hyper_bridge_verifier():
