@@ -336,18 +336,33 @@ class _Lazy(BiPoly):
     the rows and denominator divided by g, with bounds None: from then on
     ``sum_products`` bounds it by its dict, as any decoded operand.
 
+    A deferred one, made with ``build``, has no packed form either: the
+    first read of ``_packed`` (a decode, ``to_text``, ``==``, or use as an
+    operand) takes it from ``build()``, a nonzero ``sum_products`` result,
+    and drops the builder; a builder that raises stays for the next read.
+    Two threads may both build it, a benign race like the decode's.
+
     Defining ``__getattr__`` makes every attribute read of its class slower
     on Python 3.11, whose specializing interpreter skips such classes, so
     it lives on this subclass and not on BiPoly, whose other instances keep
     fast reads.
     """
 
-    __slots__ = ()
+    __slots__ = ("_build",)
 
-    def __init__(self, packed):
-        self._packed = packed
+    def __init__(self, packed=None, build=None):
+        if build is None:
+            self._packed = packed
+        else:
+            self._build = build
 
     def __getattr__(self, name: str):
+        if name == "_packed":
+            build = self._build
+            if build is None:  # built by another thread meanwhile
+                return self._packed
+            self._packed, self._build = build()._packed, None
+            return self._packed
         if name != "_coeffs" and name != "_den":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         width, rows, den, _ = self._packed
@@ -393,18 +408,21 @@ def sum_products(pairs) -> BiPoly:
     rows as they are: its coefficients are decoded and reduced only when
     read (see ``BiPoly``), and a result fed to another call is used as rows.
 
+    An affine operand (decoded, at most three terms: a step factor or a
+    constant) is not packed, which would pad it to whole slots of zero
+    limbs: each term c * x^i * r^j adds (row * c) << (8 * width * j) into
+    output row x + i, for each row of the other operand.
+
     The slot width bounds every output coefficient.  For each pair,
     ||a*b||_inf <= min(||a||_1 * ||b||_inf, ||a||_inf * ||b||_1), since a
     coefficient of a*b is a sum of products a_i * b_j in which each term
     a_i of a appears at most once, and so does each term b_j of b.  A
-    decoded operand brings its max |c| and len * max |c| (a valid ||.||_1
-    bound), so for two decoded operands the minimum is max|a| * max|b| *
-    min(#terms a, #terms b); an undecoded one brings the bounds of the
-    call that made it.  The sum over the pairs of scale times that
-    minimum, plus a sign bit, rounded up to whole 8-byte words, holds every
-    signed coefficient, so decoding is exact.  That sum and the sum of
-    scale * ||a||_1 * ||b||_1 (which bounds ||a*b||_1) are the result's own
-    bounds.
+    decoded operand brings its max |c| and a bound on its sum of |c| (see
+    ``_factor``); an undecoded one brings the bounds of the call that made
+    it.  The sum over the pairs of scale times that minimum, plus a sign
+    bit, rounded up to whole 8-byte words, holds every signed coefficient,
+    so decoding is exact.  That sum and the sum of scale * ||a||_1 *
+    ||b||_1 (which bounds ||a*b||_1) are the result's own bounds.
 
     Each polynomial is packed once per width: an operand keeps the rows it
     was packed to (see ``_Slots.pack``), and the result keeps this call's
@@ -416,58 +434,70 @@ def sum_products(pairs) -> BiPoly:
     for a, b in pairs:
         fa, fb = _factor(a), _factor(b)
         if fa is not None and fb is not None:
-            factors.append((fa, fb))
+            factors.append((fb, fa) if fa[5] is None and fb[5] is not None else (fa, fb))
     if not factors:
         return BiPoly.zero()
     den = lcm(*(fa[1] * fb[1] for fa, fb in factors))
     bound = one = 0
-    for (_, da, _, inf_a, one_a), (_, db, _, inf_b, one_b) in factors:
+    for (_, da, _, inf_a, one_a, _), (_, db, _, inf_b, one_b, _) in factors:
         scale = den // (da * db)
         bound += scale * min(one_a * inf_b, inf_a * one_b)
         one += scale * one_a * one_b
     slots = _Slots(8 * ((bound.bit_length() + 64) // 64))  # sign bit included
+    unit = 8 * slots.width
     rows: dict[int, int] = {}
     degs: dict[int, int] = {}
     for fa, fb in factors:
-        rows_a, rows_b = slots.pack(fa[0], fa[1], fa[2]), slots.pack(fb[0], fb[1], fb[2])
-        if len(rows_a) > len(rows_b):
-            rows_a, rows_b = rows_b, rows_a
+        rows_b = slots.pack(fb[0], fb[1], fb[2])
+        affine = fa[5] is not None
+        if affine:  # pairs put an affine operand first; one (deg_x, c, deg_r) per term
+            rows_a = [(xa, c, da) for (xa, da), c in fa[5].items()]
+        else:
+            rows_a = slots.pack(fa[0], fa[1], fa[2])
+            if len(rows_a) > len(rows_b):
+                rows_a, rows_b = rows_b, rows_a
         scale = den // (fa[1] * fb[1])
         for xa, pa, da in rows_a:
+            shift = unit * da if affine else 0
             if scale != 1:
                 pa *= scale
             for xb, pb, db in rows_b:
                 x = xa + xb
+                product = pb * pa << shift if shift else pa * pb
                 if x in rows:
-                    rows[x] += pa * pb
+                    rows[x] += product
                     if da + db > degs[x]:
                         degs[x] = da + db
                 else:
-                    rows[x] = pa * pb
+                    rows[x] = product
                     degs[x] = da + db
     kept = [(x, packed, degs[x]) for x, packed in rows.items() if packed]
     return _Lazy((slots.width, kept, den, (bound, one)))
 
 
 def _factor(p: BiPoly):
-    """(p, den, packed, b_inf, b_one) for a nonzero ``p``, None for zero.
+    """(p, den, packed, b_inf, b_one, terms) for a nonzero ``p``, None for zero.
 
     An undecoded ``p`` is read from one snapshot of its packed form, which
-    is returned as ``packed``, and is zero when it has no rows; a decoded
-    ``p`` gives its exact max |c| and len * max |c| (a valid bound on the
-    sum of |c|, found in the same pass), and ``packed`` None.  Anything
-    but a BiPoly, an int or a ``Fraction`` included, is a TypeError.
+    is returned as ``packed``, and is zero when it has no rows.  A decoded
+    ``p`` gives ``packed`` None, its exact max |c| and, as ``terms``, its
+    dict if it is affine (at most three terms) with the exact sum of |c|,
+    else None with len * max |c|, a bound on that sum found in the same
+    pass.  Anything but a BiPoly, an int or a ``Fraction`` is a TypeError.
     """
     if not isinstance(p, BiPoly):
         raise TypeError(f"sum_products takes BiPoly operands, got {type(p).__name__} {p!r}")
     packed = p._packed
     if packed is not None and packed[3] is not None:
-        return (p, packed[2], packed, *packed[3]) if packed[1] else None
+        return (p, packed[2], packed, *packed[3], None) if packed[1] else None
     coeffs = p._coeffs
     if not coeffs:
         return None
+    if len(coeffs) <= 3:
+        sizes = [abs(c) for c in coeffs.values()]
+        return p, p._den, None, max(sizes), sum(sizes), coeffs
     top = max(map(abs, coeffs.values()))
-    return p, p._den, None, top, len(coeffs) * top
+    return p, p._den, None, top, len(coeffs) * top, None
 
 
 class _Slots:

@@ -43,7 +43,7 @@ from itertools import count, islice
 from math import factorial, lcm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, _affine, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, _Lazy, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
 from .hyper import hyper2f1
 
@@ -132,7 +132,9 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 # state in locals.  The prefix holds the generator's own objects: a d_n
 # built by ``sum_products`` is held as its packed rows alone until
 # something reads its coefficients, so a deep build that prints only d_n
-# decodes only d_n, and an unread entry holds no coefficient dict.
+# decodes only d_n, and an unread entry holds no coefficient dict.  DIRECT
+# and NEWFORM entries are deferred (see ``bipoly._Lazy``): d_n's sum is
+# built on its first read.
 _cache: dict[Route, tuple[Iterator[BiPoly], list[BiPoly]]] = {}
 _cache_lock = threading.Lock()
 
@@ -169,19 +171,19 @@ def _direct() -> Iterator[BiPoly]:
         if n:
             uppers.append(uppers[n - 1] * ((X + R + n) / n))
             lowers.append(lowers[n - 1] * ((X - R - (n - 1)) / n))
-        yield sum_products((uppers[k], lowers[n - k]) for k in range(n + 1))
+        yield _Lazy(build=lambda n=n: sum_products((uppers[k], lowers[n - k]) for k in range(n + 1)))
 
 
 def _newform() -> Iterator[BiPoly]:
     # lowers[k] = 2^k binom(x-r, k) does not depend on n and grows by one
     # factor per new n, as _direct's rows do; the row binom(n+2r, j)
-    # depends on n and is taken afresh.
+    # depends on n and is taken afresh by the deferred sum for d_n, which
+    # pairs binom(n+2r, n-k) with lowers[k] for k = 0..n.
     lowers = [BiPoly.one()]
     for n in count():
-        uppers = binom_row(n + 2 * R, n)
         if n:
             lowers.append(lowers[n - 1] * (X - R - (n - 1)) * Fraction(2, n))
-        yield sum_products((uppers[n - k], lowers[k]) for k in range(n + 1))
+        yield _Lazy(build=lambda n=n: sum_products(zip(reversed(binom_row(n + 2 * R, n)), lowers)))
 
 
 def _three_term() -> Iterator[BiPoly]:
@@ -210,12 +212,14 @@ def _series() -> Iterator[BiPoly]:
     # G = (1+t)^(x-r) (1-t)^-(x+r+1) has G'/G = sum_j c_j t^j with c_j = 1+2x
     # for even j and 1+2r for odd j, so the t^(n-1) coefficient of G' = G G'/G
     # reads n d_n = (1+2x) E_{n-1} + (1+2r) E_{n-2}, E_m = d_m + E_{m-2}.
-    older, old = BiPoly.zero(), BiPoly.one()  # E_{n-2}, E_{n-1}
+    # The sum E_m is one more call, so it stays packed as d_m does.
+    one = BiPoly.one()
+    older, old = BiPoly.zero(), one  # E_{n-2}, E_{n-1}
     yield old
     for n in count(1):
         d = sum_products((((1 + 2 * X) / n, old), ((1 + 2 * R) / n, older)))
         yield d
-        older, old = old, d + older
+        older, old = old, sum_products(((one, d), (one, older)))
 
 
 _GENERATORS = {

@@ -37,6 +37,11 @@ def hyper_eval(
     running total is kept over the current term's denominator
     (``total = total*fd + num``), and one ``Fraction`` is built at the end.
     """
+    return Fraction(*_hyper_sum(numerator_params, denominator_params, argument))
+
+
+def _hyper_sum(numerator_params, denominator_params, argument) -> tuple[int, int]:
+    """``hyper_eval``'s value as the unreduced ints (total, den)."""
     nums = [(a.numerator, a.denominator) for a in map(as_rational, numerator_params)]
     dens = [(b.numerator, b.denominator) for b in map(as_rational, denominator_params)]
     z = as_rational(argument)
@@ -63,7 +68,7 @@ def hyper_eval(
         term *= fn
         total = total * fd + term
         den *= fd
-    return Fraction(total, den)
+    return total, den
 
 
 def hyper2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:
@@ -78,14 +83,20 @@ def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     parameter degenerates.
     """
     rv, xv = as_rational(r), as_rational(x)
-    return pochhammer(2 * rv + 1, n) / factorial(n) * hyper2f1(-n, rv - xv, 2 * rv + 1, 2)
+    return _bridge(n, rv, rv - xv, 1)
 
 
 def d_via_hyper_companion(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     """The mirror bridge (-1)^n (2r+1)_n / n! * 2F1(-n, r+1+x; 2r+1; 2)."""
     rv, xv = as_rational(r), as_rational(x)
-    sign = -1 if n % 2 else 1
-    return sign * pochhammer(2 * rv + 1, n) / factorial(n) * hyper2f1(-n, rv + 1 + xv, 2 * rv + 1, 2)
+    return _bridge(n, rv, rv + 1 + xv, -1 if n % 2 else 1)
+
+
+def _bridge(n: int, r: Fraction, b: Fraction, sign: int) -> Fraction:
+    """sign * (2r+1)_n / n! * 2F1(-n, b; 2r+1; 2), as one ``Fraction``."""
+    scale = pochhammer(2 * r + 1, n)
+    total, den = _hyper_sum((-n, b), (2 * r + 1,), 2)
+    return Fraction(sign * scale.numerator * total, scale.denominator * factorial(n) * den)
 
 
 def clausen_product_sides(
@@ -102,7 +113,9 @@ def clausen_product_sides(
     bv, cv, zv = as_rational(b), as_rational(c), as_rational(z)
     if zv == 1:
         raise ValueError("z = 1 is outside the identity's domain")
-    lhs = hyper2f1(-n, bv, cv, zv) * hyper2f1(-n, cv - bv, cv, zv)
+    left, left_den = _hyper_sum((-n, bv), (cv,), zv)
+    right, right_den = _hyper_sum((-n, cv - bv), (cv,), zv)
     arg = zv * zv / (4 * (zv - 1))
-    rhs = (1 - zv) ** n * hyper_eval((-n, bv, cv + n, cv - bv), (cv, cv / 2, (cv + 1) / 2), arg)
-    return lhs, rhs
+    total, den = _hyper_sum((-n, bv, cv + n, cv - bv), (cv, cv / 2, (cv + 1) / 2), arg)
+    w = 1 - zv
+    return Fraction(left * right, left_den * right_den), Fraction(w.numerator**n * total, w.denominator**n * den)

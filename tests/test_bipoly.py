@@ -472,6 +472,48 @@ def test_sum_products_over_a_shared_operand_pool():
     check()
 
 
+def test_sum_products_with_affine_operands():
+    # Operands of at most three terms (step factors, constants, X - R with
+    # its zero r^0 slot in row x^0) go in term by term beside dense and
+    # undecoded ones.  Coefficients up to 2^140 move the width across word
+    # boundaries, and each result's carried bounds must hold its values.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(min_value=-(2**140), max_value=2**140),
+        st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=10**5),
+    )
+    key = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    few = st.one_of(
+        st.sampled_from([X - R, R - X, (X + R + 7) / 7, -(X - R) / 3, BiPoly.one(), BiPoly.const(-1)]),
+        st.builds(BiPoly.const, coefficient),
+        st.dictionaries(key, coefficient, min_size=1, max_size=3).map(BiPoly),
+    )
+    dense = st.dictionaries(key, coefficient, min_size=4, max_size=12).map(BiPoly)
+    undecoded = st.one_of(few, dense).map(lambda p: sum_products([(p, BiPoly.one())]))
+    operand = st.one_of(few, dense, undecoded)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(pairs=st.lists(st.tuples(operand, operand), max_size=5))
+    @hypothesis.example(pairs=[(X - R, (X + R + 1) ** 3)])
+    @hypothesis.example(pairs=[((1 + 2 * X) / 3, BiPoly.const(WIDE)), (-(X - R), (1 + R) * WIDE)])
+    def check(pairs):
+        want = schoolbook_sum(pairs)
+        got = sum_products(pairs)
+        if got._packed is not None:
+            packed_value(got)  # asserts that the carried bounds hold every value
+        assert got == want
+        assert got.to_text() == want.to_text()
+
+    check()
+
+
+def test_affine_operand_is_not_packed():
+    step, dense = (X + R + 5) / 5, (X - 2 * R + 1) ** 4
+    assert sum_products([(step, dense)]) == step * dense
+    assert step._packed is None and dense._packed is not None
+
+
 def is_decoded(p: BiPoly) -> bool:
     """Whether ``p`` holds its coefficient dict, found without decoding it."""
     try:

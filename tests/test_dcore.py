@@ -2,6 +2,8 @@
 comparison polynomials."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -243,7 +245,9 @@ def test_bad_indices_fail_whatever_the_cache_holds(warm):
 @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
 def test_interrupted_build_leaves_no_trace(route, monkeypatch):
     # A build that raises part-way (a Ctrl-C, say) must not leave working
-    # state behind that a later, uninterrupted build then reads.
+    # state behind that a later, uninterrupted build then reads.  The
+    # interrupted window covers reading every entry, as the defining-sum
+    # routes build each d_n's sum on its first read.
     clear_caches()
     want = d_sequence(Route.THREE_TERM, 6).polys
     clear_caches()
@@ -259,10 +263,83 @@ def test_interrupted_build_leaves_no_trace(route, monkeypatch):
 
     monkeypatch.setattr(dcore, "sum_products", interrupted_on_fourth_call)
     with pytest.raises(RuntimeError, match="interrupted"):
-        d_sequence(route, 6)
+        [p.to_text() for p in d_sequence(route, 6).polys]
     monkeypatch.setattr(dcore, "sum_products", real)
     assert d_sequence(route, 6).polys == want
     clear_caches()
+
+
+DEFERRED_ROUTES = [Route.DIRECT, Route.NEWFORM]
+
+
+@pytest.mark.parametrize("route", DEFERRED_ROUTES, ids=lambda route: route.value)
+def test_deep_build_runs_only_the_sums_it_reads(route, monkeypatch):
+    clear_caches()
+    real, calls = dcore.sum_products, []
+
+    def counted(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(dcore, "sum_products", counted)
+    text = d_sequence(route, 40).polys[40].to_text()
+    assert len(calls) <= 3  # d_0 and d_1, which DSequence checks, and d_40
+    monkeypatch.setattr(dcore, "sum_products", real)
+    assert text == d_threeterm(40).polys[40].to_text()
+    clear_caches()
+
+
+@pytest.mark.parametrize("route", DEFERRED_ROUTES, ids=lambda route: route.value)
+def test_deferred_entry_whose_builder_raised_is_rebuilt(route, monkeypatch):
+    clear_caches()
+    want = d_threeterm(5).polys[5]
+    entry = d_sequence(route, 5).polys[5]
+    real = dcore.sum_products
+
+    def interrupted(pairs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(dcore, "sum_products", interrupted)
+    for read in (entry.to_text, lambda: entry == want, entry.subst_neg_x):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            read()  # every read tries the build again
+    monkeypatch.setattr(dcore, "sum_products", real)
+    assert entry == want
+    assert entry.to_text() == want.to_text()
+    assert d_sequence(route, 5).polys[5] is entry
+    clear_caches()
+
+
+@pytest.mark.parametrize("route", DEFERRED_ROUTES, ids=lambda route: route.value)
+def test_concurrent_reads_of_a_deferred_entry_agree(route):
+    # Four threads read one unbuilt entry at once; whichever build and
+    # decode land last, every reader sees the same polynomial.
+    want = d_threeterm(16).polys[16]
+    text = want.to_text()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            clear_caches()
+            entry = d_sequence(route, 16).polys[16]
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read(kind):
+                barrier.wait(timeout=10)
+                seen.append(entry.to_text() == text if kind else entry == want)
+
+            threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [True] * 4
+            assert entry == want
+    finally:
+        sys.setswitchinterval(interval)
+        clear_caches()
 
 
 def test_excluded_half_integer_predicate():
