@@ -20,12 +20,8 @@ from .exactnum import RationalLike, as_rational, check_natural, int_to_decimal
 Key = tuple[int, int]  # (degree in x, degree in r)
 
 
-def _normalize(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
-    return _reduce({k: c for k, c in coeffs.items() if c != 0}, den)[:2]
-
-
 def _reduce(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int, int]:
-    """(coeffs, den, g): both divided by their gcd g; ``coeffs`` has no zeros."""
+    """(coeffs, den, g): both divided by their gcd g; ``coeffs`` must have no zeros."""
     if not coeffs:
         return {}, 1, 1
     g = gcd(den, *coeffs.values())
@@ -45,11 +41,11 @@ class BiPoly:
     ``_coeffs``, integer numerators keyed by monomial with no zeros, over
     ``_den``, with gcd 1.  The packed form ``_packed``, None until a
     ``sum_products`` call packs or builds the polynomial, is the tuple
-    (width, rows, den, bounds) that those calls multiply: ``rows`` are the
-    x-rows of numerators over ``den`` in ``width``-byte slots (see
-    ``_Slots``), and ``bounds`` is (b_inf, b_one), upper bounds on the max
-    and on the sum of the numerators' absolute values while the polynomial
-    is undecoded, and None once it holds its decoded form.
+    (width, rows, den, bounds) that those calls multiply: ``rows`` maps each
+    degree in x to that x-row of numerators over ``den``, one int of
+    ``width``-byte slots (see ``_Slots``), and ``bounds`` is (b_inf, b_one),
+    upper bounds on the max and on the sum of the numerators' absolute
+    values while the polynomial is undecoded, and None once it is decoded.
 
     A result of ``sum_products`` starts in the packed form alone, over the
     call's unreduced common denominator, with the bounds the call proved.
@@ -74,23 +70,22 @@ class BiPoly:
             for dx, dr in terms:
                 check_natural(dx, "degree in x")
                 check_natural(dr, "degree in r")
-            fracs = {k: as_rational(c) for k, c in terms.items()}
-            for f in fracs.values():
-                den = den * f.denominator // gcd(den, f.denominator)
+            fracs = {k: f for k, c in terms.items() if (f := as_rational(c))}
+            den = lcm(*(f.denominator for f in fracs.values()))
             coeffs = {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}
-        self._coeffs, self._den = _normalize(coeffs, den)
+        self._coeffs, self._den, _ = _reduce(coeffs, den)
         self._packed = None
 
     @classmethod
     def _raw(cls, coeffs: dict[Key, int], den: int) -> "BiPoly":
-        """Integer coefficients over ``den``, which must be positive."""
-        return cls._exact(*_normalize(coeffs, den))
+        """Integer coefficients over ``den``, which must be positive; zeros are dropped."""
+        return cls._exact(*_reduce({k: c for k, c in coeffs.items() if c}, den)[:2])
 
     @classmethod
-    def _exact(cls, coeffs: dict[Key, int], den: int, packed=None) -> "BiPoly":
+    def _exact(cls, coeffs: dict[Key, int], den: int) -> "BiPoly":
         """``coeffs`` over ``den`` as they are: no zero terms, gcd 1, den > 0."""
         p = object.__new__(cls)
-        p._coeffs, p._den, p._packed = coeffs, den, packed
+        p._coeffs, p._den, p._packed = coeffs, den, None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -164,7 +159,7 @@ class BiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({k: -c for k, c in self._coeffs.items()}, self._den)
+        return BiPoly._exact({k: -c for k, c in self._coeffs.items()}, self._den)
 
     def __sub__(self, other) -> "BiPoly":
         other = _coerce(other)
@@ -235,17 +230,16 @@ class BiPoly:
         """Substitute x -> -x (flip the sign of odd-degree-in-x terms).
 
         The mirror has the same denominator, gcd and support, so it needs no
-        normalising; packed rows, if any, are mirrored too, row by row, and
-        the mirror of an undecoded polynomial is undecoded.
+        normalising.  The mirror of an undecoded polynomial is undecoded, its
+        packed rows mirrored row by row; a decoded one's mirror holds no
+        rows and is packed on first use, like any decoded polynomial.
         """
         packed = self._packed
-        if packed is not None:
+        if packed is not None and packed[3] is not None:
             width, rows, den, bounds = packed
-            packed = width, [(dx, -row if dx & 1 else row, dr) for dx, row, dr in rows], den, bounds
-            if bounds is not None:
-                return _Lazy(packed)
+            return _Lazy((width, {dx: -row if dx & 1 else row for dx, row in rows.items()}, den, bounds))
         return BiPoly._exact(
-            {k: (-c if k[0] & 1 else c) for k, c in self._coeffs.items()}, self._den, packed
+            {k: (-c if k[0] & 1 else c) for k, c in self._coeffs.items()}, self._den
         )
 
     def subst_affine_x(self, shift: RationalLike, negate: bool = False) -> "BiPoly":
@@ -368,11 +362,11 @@ class _Lazy(BiPoly):
         width, rows, den, _ = self._packed
         slots = _Slots(width)
         coeffs: dict[Key, int] = {}
-        for x, packed, deg_r in rows:
-            slots.unpack(x, packed, deg_r, coeffs)
+        for x, packed in rows.items():
+            slots.unpack(x, packed, coeffs)
         coeffs, den, g = _reduce(coeffs, den)
         if g > 1:
-            rows = [(x, packed // g, deg_r) for x, packed, deg_r in rows]
+            rows = {x: packed // g for x, packed in rows.items()}
         self._coeffs, self._den = coeffs, den
         self._packed = width, rows, den, None
         return coeffs if name == "_coeffs" else den
@@ -446,33 +440,25 @@ def sum_products(pairs) -> BiPoly:
     slots = _Slots(8 * ((bound.bit_length() + 64) // 64))  # sign bit included
     unit = 8 * slots.width
     rows: dict[int, int] = {}
-    degs: dict[int, int] = {}
     for fa, fb in factors:
         rows_b = slots.pack(fb[0], fb[1], fb[2])
-        affine = fa[5] is not None
-        if affine:  # pairs put an affine operand first; one (deg_x, c, deg_r) per term
-            rows_a = [(xa, c, da) for (xa, da), c in fa[5].items()]
+        if fa[5] is not None:  # pairs put an affine operand first: c * x^i * r^j shifted j slots
+            rows_a = [(xa, c, unit * da) for (xa, da), c in fa[5].items()]
         else:
             rows_a = slots.pack(fa[0], fa[1], fa[2])
             if len(rows_a) > len(rows_b):
                 rows_a, rows_b = rows_b, rows_a
+            rows_a = [(xa, pa, 0) for xa, pa in rows_a.items()]
         scale = den // (fa[1] * fb[1])
-        for xa, pa, da in rows_a:
-            shift = unit * da if affine else 0
+        for xa, pa, shift in rows_a:
             if scale != 1:
                 pa *= scale
-            for xb, pb, db in rows_b:
+            for xb, pb in rows_b.items():
                 x = xa + xb
                 product = pb * pa << shift if shift else pa * pb
-                if x in rows:
-                    rows[x] += product
-                    if da + db > degs[x]:
-                        degs[x] = da + db
-                else:
-                    rows[x] = product
-                    degs[x] = da + db
-    kept = [(x, packed, degs[x]) for x, packed in rows.items() if packed]
-    return _Lazy((slots.width, kept, den, (bound, one)))
+                prev = rows.get(x)
+                rows[x] = product if prev is None else prev + product
+    return _Lazy((slots.width, {x: packed for x, packed in rows.items() if packed}, den, (bound, one)))
 
 
 def _factor(p: BiPoly):
@@ -507,7 +493,8 @@ class _Slots:
     go through ``to_bytes``/``from_bytes``, so both are linear in the size
     of a row.  A packed row is the plain int sum_j c_j 2^(8*width*j), so
     rows add, multiply and divide exactly by a common factor of their slots
-    as ints do.
+    as ints do.  A row is its value alone: its degree in r is read off its
+    bit length (see ``_to_bytes``).
     """
 
     __slots__ = ("width", "_signs")
@@ -522,18 +509,22 @@ class _Slots:
             signs.append((signs[-1] << (8 * self.width)) | (1 << (8 * self.width - 1)))
         return signs[count]
 
-    def _to_bytes(self, packed: int, count: int) -> bytes:
-        """The ``count`` slots of a packed row as two's-complement bytes.
+    def _to_bytes(self, packed: int) -> bytes:
+        """The slots of a nonzero packed row as two's-complement bytes.
 
+        As every |c| < 2^(8*width - 1), a row whose top nonzero slot is t
+        has a bit length (which ignores the sign) in [8*width*t,
+        8*width*(t+1)), so that bit length gives the slot count t + 1.
         Adding half a slot to every slot makes each digit c + half
         non-negative, so no borrow crosses slots; flipping the sign bits
         back leaves c in two's complement.
         """
+        count = packed.bit_length() // (8 * self.width) + 1
         half = self._sign_bits(count)
         return ((packed + half) ^ half).to_bytes(count * self.width, "little")
 
-    def pack(self, p: BiPoly, den: int, packed) -> list[tuple[int, int, int]]:
-        """(deg_x, packed r-coefficients, deg_r) for each x-row of ``p`` over ``den``.
+    def pack(self, p: BiPoly, den: int, packed) -> dict[int, int]:
+        """{deg_x: packed r-coefficients} for the x-rows of ``p`` over ``den``.
 
         ``den`` and ``packed`` are those of ``_factor(p)``.  The rows are
         cached on ``p``: rows of this width over ``den`` are returned as
@@ -565,45 +556,41 @@ class _Slots:
                 if len(row) < dr:
                     row += [zero] * (dr + 1 - len(row))
                 row[dr] = c.to_bytes(width, "little", signed=True)
-        out = []
+        out = {}
         for dx, row in rows.items():
             raw = int.from_bytes(b"".join(row), "little")
-            out.append((dx, raw - ((raw & self._sign_bits(len(row))) << 1), len(row) - 1))
+            out[dx] = raw - ((raw & self._sign_bits(len(row))) << 1)
         p._packed = width, out, den, None
         return out
 
-    def _reslot(self, old_width: int, rows) -> list[tuple[int, int, int]]:
+    def _reslot(self, old_width: int, rows: dict[int, int]) -> dict[int, int]:
         """``rows`` packed at ``old_width`` moved to this width, slot by slot.
 
-        A two's-complement slot widens by repeating its sign byte and
-        narrows by dropping its top bytes, which are sign bytes whenever
-        the value fits the narrower slot, as every coefficient of a call's
-        operands fits that call's width.
+        Each two's-complement slot keeps its low min(width, old_width) bytes,
+        padded with its sign byte if it grows.  Dropped top bytes are sign
+        bytes whenever the value fits the narrower slot, as every
+        coefficient of a call's operands fits that call's width.
         """
         width, old = self.width, _Slots(old_width)
-        grow = max(0, width - old_width)
-        pads = (bytes(grow), b"\xff" * grow)
-        out = []
-        for x, packed, deg_r in rows:
-            data = old._to_bytes(packed, deg_r + 1)
-            if grow:
-                slots = [
-                    data[i : i + old_width] + pads[data[i + old_width - 1] >> 7]
-                    for i in range(0, len(data), old_width)
-                ]
-            else:
-                slots = [data[i : i + width] for i in range(0, len(data), old_width)]
+        keep = min(width, old_width)
+        pads = (bytes(width - keep), b"\xff" * (width - keep))
+        out = {}
+        for x, packed in rows.items():
+            data = old._to_bytes(packed)
+            slots = [
+                data[i : i + keep] + pads[data[i + keep - 1] >> 7]
+                for i in range(0, len(data), old_width)
+            ]
             raw = int.from_bytes(b"".join(slots), "little")
-            out.append((x, raw - ((raw & self._sign_bits(deg_r + 1)) << 1), deg_r))
+            out[x] = raw - ((raw & self._sign_bits(len(slots))) << 1)
         return out
 
-    def unpack(self, x: int, packed: int, deg_r: int, out: dict[Key, int]) -> None:
-        """Write the nonzero slots among the deg_r + 1 of row ``x`` into ``out``."""
+    def unpack(self, x: int, packed: int, out: dict[Key, int]) -> None:
+        """Write the nonzero slots of the nonzero row ``x`` into ``out``."""
         width = self.width
-        data = self._to_bytes(packed, deg_r + 1)
+        data = self._to_bytes(packed)
         from_bytes = int.from_bytes
-        for dr in range(deg_r + 1):
-            start = dr * width
+        for dr, start in enumerate(range(0, len(data), width)):
             c = from_bytes(data[start : start + width], "little", signed=True)
             if c:
                 out[(x, dr)] = c

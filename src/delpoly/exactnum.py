@@ -99,27 +99,25 @@ def binom_gen(z: RationalLike, k: int) -> Fraction:
     accumulated over a common denominator and reduced exactly once.
     """
     check_natural(k, "lower index")
-    z = as_rational(z)
-    num = 1
-    zn, zd = z.numerator, z.denominator
-    for i in range(k):
-        num *= zn - i * zd
-        if num == 0:
-            return Fraction(0)
-    return Fraction(num, zd**k * factorial(k))
+    num, den = _product(as_rational(z), k, -1)
+    return Fraction(num, den * factorial(k))
 
 
 def pochhammer(a: RationalLike, k: int) -> Fraction:
     """Rising factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
     check_natural(k, "lower index")
-    a = as_rational(a)
+    return Fraction(*_product(as_rational(a), k, 1))
+
+
+def _product(a: Fraction, k: int, step: int) -> tuple[int, int]:
+    """(num, den), unreduced, with num/den = a(a + step)...(a + (k-1)*step)."""
     num = 1
-    an, ad = a.numerator, a.denominator
+    p, q = a.numerator, a.denominator
     for i in range(k):
-        num *= an + i * ad
+        num *= p + i * step * q
         if num == 0:
-            return Fraction(0)
-    return Fraction(num, ad**k)
+            return 0, 1
+    return num, q**k
 
 
 def binom_int(n: int, k: int) -> int:

@@ -113,10 +113,8 @@ class _PointAlg:
         return binom_gen(top, k)
 
     def binom_row(self, top, k: int):
-        row = [Fraction(1)]
-        for j in range(k):
-            row.append(row[j] * (top - j) / (j + 1))
-        return row
+        p, q = top.numerator, top.denominator
+        return _ratio_row(k, lambda j: p - j * q, lambda j: (j + 1) * q)
 
     def sum(self, pairs):
         return sum((a * b for a, b in pairs), Fraction(0))

@@ -382,8 +382,8 @@ def packed_value(p: BiPoly) -> tuple[dict, int]:
     bounds, if any, bound the numerators."""
     width, rows, den, bounds = p._packed
     slots, coeffs = _Slots(width), {}
-    for x, row, deg_r in rows:
-        slots.unpack(x, row, deg_r, coeffs)
+    for x, row in rows.items():
+        slots.unpack(x, row, coeffs)
     if bounds is not None:
         values = [abs(c) for c in coeffs.values()]
         assert max(values, default=0) <= bounds[0] and sum(values) <= bounds[1]
@@ -413,6 +413,65 @@ def test_packed_rows_follow_the_call_width():
         assert rows_decode_to_coefficients(p) and rows_decode_to_coefficients(got)
         widths.append(p._packed[0])
     assert widths[0] == widths[2] == 8 < widths[1]
+
+
+def test_undecoded_operand_reslots_wider_then_narrower():
+    # An undecoded sum used in a wide call and then in a narrow one: its
+    # rows are re-slotted from 8 bytes to 40 and back to 8, the second move
+    # dropping each slot's top bytes, and both sums stay exact.
+    p, step = (X + R - 3) ** 4, X - 2 * R + 5
+    u, want_u = sum_products([(p, step)]), schoolbook_sum([(p, step)])
+    widths = [u._packed[0]]
+    for other in (BiPoly.const(2**300), X + 1):
+        assert sum_products([(u, other)]) == schoolbook_sum([(want_u, other)])
+        assert not is_decoded(u) and same_value(*packed_value(u), want_u)
+        widths.append(u._packed[0])
+    assert widths == [8, 40, 8]
+
+
+def test_only_an_undecoded_mirror_carries_rows():
+    # The mirror of an undecoded sum is undecoded, its rows mirrored; the
+    # mirror of a decoded polynomial, packed or not, holds no rows.
+    p, step = (X + R - 3) ** 4, X - 2 * R + 5
+    u, want = sum_products([(p, step)]), (p * step).subst_affine_x(0, negate=True)
+    mirror = u.subst_neg_x()
+    assert not is_decoded(mirror) and same_value(*packed_value(mirror), want)
+    assert u.to_text() and u._packed is not None  # decoded, its rows still cached
+    for q in (u, p):
+        assert q._packed is not None
+        assert q.subst_neg_x()._packed is None
+    assert u.subst_neg_x() == want
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 24])
+def test_slot_count_is_read_off_the_bit_length(width):
+    # A packed row stores no degree in r: with every |c| < 2^(8*width - 1),
+    # the bit length of a row whose top nonzero slot is t lies in
+    # [8*width*t, 8*width*(t+1)).  The tightest rows put a top slot of +-1
+    # over lower slots of the largest opposite magnitude.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = 2 ** (8 * width - 1) - 1  # the largest |c| a slot holds
+    slot = st.one_of(st.integers(-big, big), st.sampled_from([-big, -1, 0, 1, big]))
+    top = st.one_of(st.integers(-big, big).filter(bool), st.sampled_from([-big, -1, 1, big]))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(lower=st.lists(slot, max_size=10), last=top)
+    @hypothesis.example(lower=[-big] * 4, last=1)
+    @hypothesis.example(lower=[big] * 4, last=-1)
+    @hypothesis.example(lower=[big, -big, 0], last=big)
+    @hypothesis.example(lower=[-big, 0, big], last=-big)
+    @hypothesis.example(lower=[], last=1)
+    @hypothesis.example(lower=[], last=-big)
+    def check(lower, last):
+        values = lower + [last]
+        packed = sum(c << (8 * width * j) for j, c in enumerate(values))
+        slots, out = _Slots(width), {}
+        slots.unpack(5, packed, out)
+        assert out == {(5, j): c for j, c in enumerate(values) if c}
+        assert len(slots._to_bytes(packed)) == len(values) * width
+
+    check()
 
 
 def test_chained_recurrence_steps_match_plain_ring_ops():
