@@ -196,20 +196,15 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanRepor
 _MINUS_HALF = Fraction(-1, 2)
 
 
-def _lower_bound_skip(point: EvalPoint) -> str | None:
-    if point.r <= _MINUS_HALF:
-        return "requires r > -1/2"
-    if point.x == _MINUS_HALF:
-        return "requires x != -1/2"
-    return None
+def _off_half_skip(x_reason: str):
+    def skip(point: EvalPoint) -> str | None:
+        if point.r <= _MINUS_HALF:
+            return "requires r > -1/2"
+        if point.x == _MINUS_HALF:
+            return x_reason
+        return None
 
-
-def _positivity_skip(point: EvalPoint) -> str | None:
-    if point.r <= _MINUS_HALF:
-        return "requires r > -1/2"
-    if point.x == _MINUS_HALF:
-        return "claims apply only off x = -1/2"
-    return None
+    return skip
 
 
 def _conjecture_skip(point: EvalPoint) -> str | None:
@@ -228,7 +223,7 @@ def check_product_lower_bound(grid: GridSpec) -> ScanReport:
     zero hit at n = 2.
     """
     return _scan(
-        "product-lower-bound", grid, _lower_bound_skip, _lower_bound_terms, _lower_bound_scale
+        "product-lower-bound", grid, _off_half_skip("requires x != -1/2"), _lower_bound_terms, _lower_bound_scale
     )
 
 
@@ -239,7 +234,7 @@ def check_positivity(grid: GridSpec) -> ScanReport:
     d_n > (2x+1)^n / n! > 0.  Strict-inequality boundary hits are recorded
     separately from violations.
     """
-    return _scan("positivity", grid, _positivity_skip, _positivity_terms, _positivity_scale)
+    return _scan("positivity", grid, _off_half_skip("claims apply only off x = -1/2"), _positivity_terms, _positivity_scale)
 
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:

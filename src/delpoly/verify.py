@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .bipoly import R, X, BiPoly, binom_poly, binom_row, sum_products
@@ -45,7 +44,7 @@ from .dcore import (
     jacobi_eval,
     meixner_eval,
 )
-from .exactnum import as_rational, binom_gen, binom_int, check_natural, pochhammer
+from .exactnum import as_rational, binom_gen, binom_int, check_natural
 from .hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
 
@@ -404,7 +403,7 @@ def _meixner_instances(n_max: int) -> Iterator:
                     f"connection n={n}",
                     {"n": n, "r": rv, "x": xv},
                     sequence_at(EvalPoint(Fraction(rv), Fraction(xv)))[n],
-                    pochhammer(2 * rv + 1, n) / factorial(n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
+                    binom_int(2 * rv + n, n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
                 )
         for bv in range(1, n + 2):
             b = Fraction(bv)
@@ -414,7 +413,7 @@ def _meixner_instances(n_max: int) -> Iterator:
                     f"reparameterized n={n}",
                     {"n": n, "b": b, "x": xv},
                     sequence_at(EvalPoint(shift, xv + shift))[n],
-                    binom_gen(b + n - 1, n) * meixner_eval(n, xv, b, -1),
+                    binom_int(bv + n - 1, n) * meixner_eval(n, xv, b, -1),
                 )
 
 
@@ -478,7 +477,7 @@ def _parametric_square_instances(n_max: int) -> Iterator:
 
         # a = -1/2: central-binomial form
         lhs_c = sum(
-            (binom_int(n, k) * Fraction(-8) ** k / binom_gen(Fraction(2 * k), k) for k in range(n + 1)),
+            (binom_int(n, k) * Fraction(-8) ** k / binom_int(2 * k, k) for k in range(n + 1)),
             Fraction(0),
         )
         rhs_c = sum(
@@ -487,20 +486,20 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                 for k in range(n + 1)
             ),
             Fraction(0),
-        ) / binom_gen(Fraction(2 * n), n)
+        ) / binom_int(2 * n, n)
         yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c
 
-        # b parameterization over positive integers, plus the Meixner tie-in
+        # b parameterization over positive integers, plus the Meixner tie-in (lhs at x = xv)
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
-            base, square, rhs, _, _ = sides(-b)
+            _, square, rhs, alpha, _ = sides(-b)
             yield f"squared-sum form n={n}", {"n": n, "b": b}, square, rhs
             for xv in range(n + 1):
                 yield (
                     f"meixner-square tie n={n}",
                     {"n": n, "b": b, "x": xv},
                     meixner_eval(n, xv, b, -1),
-                    base.eval(0, xv),
+                    sum((c * binom_int(xv, k) for k, c in enumerate(alpha[: xv + 1])), Fraction(0)),
                 )
 
         # a = -2 specialization, symbolic in x

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from delpoly.bipoly import BiPoly, _Slots, binom_poly, sum_products
+from oracles import is_decoded
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -571,15 +572,6 @@ def test_affine_operand_is_not_packed():
     step, dense = (X + R + 5) / 5, (X - 2 * R + 1) ** 4
     assert sum_products([(step, dense)]) == step * dense
     assert step._packed is None and dense._packed is not None
-
-
-def is_decoded(p: BiPoly) -> bool:
-    """Whether ``p`` holds its coefficient dict, found without decoding it."""
-    try:
-        object.__getattribute__(p, "_coeffs")  # BiPoly's __getattr__ is not called
-    except AttributeError:
-        return False
-    return True
 
 
 def run_undecoded_chain(steps) -> BiPoly:

@@ -29,6 +29,7 @@ from delpoly.dcore import (
     meixner_eval,
 )
 from delpoly.exactnum import binom_gen, pochhammer
+from oracles import is_decoded
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -97,15 +98,6 @@ def test_recurrence_routes_agree_where_the_slot_width_crosses_words():
         assert three[n] == two[n] == series[n], n
     assert all(map(is_decoded, unread))  # the reads above decoded them
     clear_caches()
-
-
-def is_decoded(p: BiPoly) -> bool:
-    """Whether ``p`` holds its coefficient dict, found without decoding it."""
-    try:
-        object.__getattribute__(p, "_coeffs")  # BiPoly.__getattr__ is not called
-    except AttributeError:
-        return False
-    return True
 
 
 def test_series_route_is_the_truncated_product():

@@ -21,6 +21,7 @@ from delpoly.exactnum import (
     pochhammer,
 )
 from delpoly.hyper import hyper2f1, hyper_eval
+from oracles import rising
 
 
 def falling_product_oracle(z: Fraction, k: int) -> Fraction:
@@ -29,13 +30,6 @@ def falling_product_oracle(z: Fraction, k: int) -> Fraction:
     for i in range(k):
         prod *= Fraction(z) - i
     return prod / factorial(k)
-
-
-def rising_product_oracle(a: Fraction, k: int) -> Fraction:
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= Fraction(a) + i
-    return prod
 
 
 def pascal_triangle_oracle(n: int, k: int) -> int:
@@ -104,7 +98,7 @@ def test_pochhammer_basics():
     assert pochhammer(1, 4) == 24
     assert pochhammer(-3, 5) == 0
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert pochhammer(Fraction(1, 2), 3) == rising_product_oracle(Fraction(1, 2), 3)
+    assert pochhammer(Fraction(1, 2), 3) == rising(Fraction(1, 2), 3)
     assert pochhammer(Fraction(7, 3), 0) == 1
 
 

@@ -7,7 +7,6 @@ from math import factorial
 import pytest
 
 from delpoly.dcore import EvalPoint, d_eval, meixner_eval
-from delpoly.exactnum import pochhammer
 from delpoly.hyper import (
     clausen_product_sides,
     d_via_hyper,
@@ -16,18 +15,19 @@ from delpoly.hyper import (
     hyper_eval,
 )
 from delpoly.verify import verify_clausen_product
+from oracles import rising
 
 
 def hyper_sum_oracle(nums, dens, z) -> Fraction:
-    """Independent oracle: literal term-by-term Pochhammer quotients."""
+    """Independent oracle: literal term-by-term rising-product quotients."""
     stop = min(-int(a) for a in nums if Fraction(a).denominator == 1 and a <= 0)
     total = Fraction(0)
     for k in range(stop + 1):
         term = Fraction(z) ** k / factorial(k)
         for a in nums:
-            term *= pochhammer(a, k)
+            term *= rising(a, k)
         for b in dens:
-            term /= pochhammer(b, k)
+            term /= rising(b, k)
         total += term
     return total
 

@@ -3,9 +3,9 @@
 ``hyper_eval`` sums its series on plain ints through an integer term ratio;
 ``meixner_eval`` is that kernel applied to 2F1(-n, -x; b; 1 - 1/c), behind
 its own pole check; and ``binom_row`` builds each binomial coefficient from
-the previous one.  Each is compared here with the textbook formula, written
-out in plain ``Fraction`` arithmetic in this file; ``binom_row`` is also
-checked against sympy.
+the previous one.  Each is compared with the textbook formula, written out
+in plain ``Fraction`` arithmetic in this file and in ``oracles.py``;
+``binom_row`` is also checked against sympy.
 """
 
 from fractions import Fraction
@@ -16,6 +16,7 @@ import pytest
 from delpoly.bipoly import BiPoly, binom_poly, binom_row
 from delpoly.dcore import meixner_eval
 from delpoly.hyper import hyper_eval
+from oracles import rising
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -24,13 +25,6 @@ X = BiPoly.x()
 R = BiPoly.r()
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-
-
-def rising(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
 
 
 def hyper_reference(nums, dens, z) -> Fraction:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
-from delpoly.dcore import EvalPoint, Route, d_direct, jacobi_eval, meixner_eval
+from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen, binom_int
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
@@ -152,6 +152,19 @@ def test_parametric_square_verifier():
     assert report.passed
     assert report.mode is Mode.INTERPOLATION_GRID
     assert report.sample_count > report.degree_bound
+
+
+def test_scalar_cases_never_evaluate_a_polynomial(monkeypatch):
+    # Every scalar side of these two verifiers is int/Fraction arithmetic:
+    # any substitution into a BiPoly (eval, subst_*) raises.  A passing run
+    # never looks for a witness point, so only a scalar case can reach _subst.
+    def refuse(*args):
+        raise AssertionError("a scalar case evaluated a polynomial")
+
+    clear_caches()
+    monkeypatch.setattr(BiPoly, "_subst", refuse)
+    assert verify_meixner(6).passed
+    assert verify_parametric_square(4).passed
 
 
 def reference_parametric_square_instances(n_max: int):
