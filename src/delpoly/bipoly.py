@@ -22,8 +22,6 @@ Key = tuple[int, int]  # (degree in x, degree in r)
 
 def _reduce(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int, int]:
     """(coeffs, den, g): both divided by their gcd g; ``coeffs`` must have no zeros."""
-    if not coeffs:
-        return {}, 1, 1
     g = gcd(den, *coeffs.values())
     if g > 1:
         coeffs = {k: c // g for k, c in coeffs.items()}
@@ -411,11 +409,11 @@ def sum_products(pairs) -> BiPoly:
     ||a*b||_inf <= min(||a||_1 * ||b||_inf, ||a||_inf * ||b||_1), since a
     coefficient of a*b is a sum of products a_i * b_j in which each term
     a_i of a appears at most once, and so does each term b_j of b.  A
-    decoded operand brings its max |c| and a bound on its sum of |c| (see
-    ``_factor``); an undecoded one brings the bounds of the call that made
-    it.  The sum over the pairs of scale times that minimum, plus a sign
-    bit, rounded up to whole 8-byte words, holds every signed coefficient,
-    so decoding is exact.  That sum and the sum of scale * ||a||_1 *
+    decoded operand brings its exact max and sum of |c| (see ``_factor``);
+    an undecoded one brings the bounds of the call that made it.  The sum
+    over the pairs of scale times that minimum, plus a sign bit, rounded
+    up to whole 8-byte words, holds every signed coefficient, so
+    decoding is exact.  That sum and the sum of scale * ||a||_1 *
     ||b||_1 (which bounds ||a*b||_1) are the result's own bounds.
 
     Each polynomial is packed once per width: an operand keeps the rows it
@@ -466,10 +464,10 @@ def _factor(p: BiPoly):
 
     An undecoded ``p`` is read from one snapshot of its packed form, which
     is returned as ``packed``, and is zero when it has no rows.  A decoded
-    ``p`` gives ``packed`` None, its exact max |c| and, as ``terms``, its
-    dict if it is affine (at most three terms) with the exact sum of |c|,
-    else None with len * max |c|, a bound on that sum found in the same
-    pass.  Anything but a BiPoly, an int or a ``Fraction`` is a TypeError.
+    ``p`` gives ``packed`` None, its exact max and sum of |c| from one
+    pass, and, as ``terms``, its dict if it is affine (at most three
+    terms), else None.  Anything but a BiPoly, an int or a ``Fraction`` is
+    a TypeError.
     """
     if not isinstance(p, BiPoly):
         raise TypeError(f"sum_products takes BiPoly operands, got {type(p).__name__} {p!r}")
@@ -479,11 +477,8 @@ def _factor(p: BiPoly):
     coeffs = p._coeffs
     if not coeffs:
         return None
-    if len(coeffs) <= 3:
-        sizes = [abs(c) for c in coeffs.values()]
-        return p, p._den, None, max(sizes), sum(sizes), coeffs
-    top = max(map(abs, coeffs.values()))
-    return p, p._den, None, top, len(coeffs) * top, None
+    sizes = [abs(c) for c in coeffs.values()]
+    return p, p._den, None, max(sizes), sum(sizes), coeffs if len(coeffs) <= 3 else None
 
 
 class _Slots:
@@ -550,12 +545,9 @@ class _Slots:
             row = rows.get(dx)
             if row is None:
                 rows[dx] = row = []
-            if len(row) == dr:
-                row.append(c.to_bytes(width, "little", signed=True))
-            else:
-                if len(row) < dr:
-                    row += [zero] * (dr + 1 - len(row))
-                row[dr] = c.to_bytes(width, "little", signed=True)
+            if len(row) <= dr:
+                row += [zero] * (dr + 1 - len(row))
+            row[dr] = c.to_bytes(width, "little", signed=True)
         out = {}
         for dx, row in rows.items():
             raw = int.from_bytes(b"".join(row), "little")

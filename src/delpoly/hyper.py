@@ -60,8 +60,6 @@ def _hyper_sum(numerator_params, denominator_params, argument) -> tuple[int, int
         fn = num_scale
         for p, q in nums:
             fn *= p + k * q
-        if fn == 0:
-            break
         fd = den_scale * (k + 1)
         for u, v in dens:
             fd *= u + k * v

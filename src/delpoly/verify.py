@@ -41,7 +41,6 @@ from .dcore import (
     d_eval,
     d_eval_sequence,
     d_sequence,
-    jacobi_eval,
     meixner_eval,
 )
 from .exactnum import as_rational, binom_gen, binom_int, check_natural
@@ -88,9 +87,6 @@ class _SymbolicAlg:
     def d_at_x(self, n: int, x_value):
         return self.d(n).subst_x_value(x_value)
 
-    def jacobi(self, n: int, alpha, beta, point):
-        return jacobi_eval(n, alpha, beta, point)
-
 
 class _PointAlg:
     """Identity sides as plain rationals at one evaluation point.
@@ -127,14 +123,6 @@ class _PointAlg:
 
     def d_at_x(self, n: int, x_value):
         return self._value(n, EvalPoint(self.r, x_value))
-
-    def jacobi(self, n: int, alpha, beta, point):
-        t = as_rational(point)
-        alphas = self.binom_row(n + alpha, n)
-        betas = self.binom_row(n + beta, n)
-        return self.sum(
-            (alphas[k], betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))) for k in range(n + 1)
-        ) / 2**n
 
 
 def _d_direct_scalar(n: int, at: EvalPoint) -> Fraction:
@@ -233,27 +221,22 @@ def _inversion_instances(alg, n_max: int) -> Iterator:
 
 
 def _jacobi_instances(alg, n_max: int) -> Iterator:
+    # P_n^(a, b)(t) = sum_k binom(n+a, k) binom(n+b, n-k) ((t+1)/2)^k ((t-1)/2)^(n-k)
+    # (Szegő, Orthogonal Polynomials, §4.3).  With a or b equal to 2r, x-r-n
+    # or -1-x-r-n, the forms read only the rows binom(2r+n, .), binom(x-r, .)
+    # and binom(-1-x-r, .); the form at 3 is the NEWFORM sum itself.
+    def jacobi(n, a_row, b_row, t):
+        return alg.sum(
+            (a_row[k], b_row[n - k] * (((t + 1) / 2) ** k * ((t - 1) / 2) ** (n - k))) for k in range(n + 1)
+        )
+
+    lower = alg.binom_row(alg.x - alg.r, n_max)
+    mirror = alg.binom_row(-1 - alg.x - alg.r, n_max)
     for n in range(n_max + 1):
-        d = alg.d(n)
-        sign = -1 if n % 2 else 1
-        yield (
-            f"alpha=x-r-n at 3, n={n}",
-            {"n": n},
-            d,
-            alg.jacobi(n, alg.x - alg.r - n, 2 * alg.r, Fraction(3)),
-        )
-        yield (
-            f"swapped at -3, n={n}",
-            {"n": n},
-            d,
-            sign * alg.jacobi(n, 2 * alg.r, alg.x - alg.r - n, Fraction(-3)),
-        )
-        yield (
-            f"reflected at -3, n={n}",
-            {"n": n},
-            d,
-            alg.jacobi(n, 2 * alg.r, -1 - alg.x - alg.r - n, Fraction(-3)),
-        )
+        d, sign, two_r = alg.d(n), -1 if n % 2 else 1, alg.binom_row(2 * alg.r + n, n)
+        yield f"alpha=x-r-n at 3, n={n}", {"n": n}, d, jacobi(n, lower, two_r, Fraction(3))
+        yield f"swapped at -3, n={n}", {"n": n}, d, sign * jacobi(n, two_r, lower, Fraction(-3))
+        yield f"reflected at -3, n={n}", {"n": n}, d, jacobi(n, two_r, mirror, Fraction(-3))
 
 
 def _recurrence_instances(alg, n_max: int) -> Iterator:

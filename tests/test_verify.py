@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
-from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, jacobi_eval, meixner_eval
+from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen, binom_int
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
+    _jacobi_instances,
     _parametric_square_instances,
     _PointAlg,
+    _SymbolicAlg,
     _square_sides,
     DEFAULT_DEPTHS,
     SUITE_IDS,
@@ -470,31 +472,57 @@ def test_point_grid_skips_excluded_points_and_runs_the_rest():
 
 
 # The three Jacobi forms of d_n checked by verify_jacobi, as
-# (alpha, beta, t) from (x, r, n): P_n^(x-r-n, 2r)(3), P_n^(2r, x-r-n)(-3)
-# and P_n^(2r, -1-x-r-n)(-3).
+# (alpha, beta, t, sign) from (x, r, n): P_n^(x-r-n, 2r)(3),
+# (-1)^n P_n^(2r, x-r-n)(-3) and P_n^(2r, -1-x-r-n)(-3).
 JACOBI_FORMS = {
-    "alpha=x-r-n at 3": lambda x, r, n: (x - r - n, 2 * r, 3),
-    "swapped at -3": lambda x, r, n: (2 * r, x - r - n, -3),
-    "reflected at -3": lambda x, r, n: (2 * r, -1 - x - r - n, -3),
+    "alpha=x-r-n at 3": lambda x, r, n: (x - r - n, 2 * r, 3, 1),
+    "swapped at -3": lambda x, r, n: (2 * r, x - r - n, -3, (-1) ** n),
+    "reflected at -3": lambda x, r, n: (2 * r, -1 - x - r - n, -3, 1),
 }
 
 
-@pytest.mark.parametrize("form", JACOBI_FORMS.values(), ids=JACOBI_FORMS.keys())
-def test_jacobi_forms_match_sympy(form):
+@pytest.mark.parametrize("name, form", JACOBI_FORMS.items(), ids=JACOBI_FORMS.keys())
+def test_jacobi_forms_match_sympy(name, form):
+    # Each right side verify_jacobi compares with d_n, symbolic and at
+    # points, and jacobi_eval, against sympy's own Jacobi polynomials.
     sympy = pytest.importorskip("sympy")
     x, r = sympy.symbols("x r")
 
     def to_sympy(q: Fraction):
         return sympy.Rational(q.numerator, q.denominator)
 
-    for n in range(7):
-        alpha, beta, t = form(X, R, n)
-        got = jacobi_eval(n, alpha, beta, t)
-        got = sum((to_sympy(c) * x**dx * r**dr for (dx, dr), c in got.terms()), sympy.Integer(0))
-        alpha, beta, t = form(x, r, n)
-        assert sympy.expand(got - sympy.jacobi(n, alpha, beta, sympy.Integer(t))) == 0, n
+    def poly_to_sympy(p: BiPoly):
+        return sum((to_sympy(c) * x**dx * r**dr for (dx, dr), c in p.terms()), sympy.Integer(0))
+
+    def rhs_of(alg, n_max):
+        return {label: rhs for label, _, _, rhs in _jacobi_instances(alg, n_max) if label.startswith(name + ",")}
+
+    n_max = 6
+    symbolic = rhs_of(_SymbolicAlg(d_sequence(Route.THREE_TERM, n_max).polys), n_max)
+    for n in range(n_max + 1):
+        alpha, beta, t, sign = form(x, r, n)
+        want = sign * sympy.jacobi(n, alpha, beta, sympy.Integer(t))
+        alpha_p, beta_p, _, _ = form(X, R, n)
+        for got in (symbolic[f"{name}, n={n}"], sign * jacobi_eval(n, alpha_p, beta_p, t)):
+            assert sympy.expand(poly_to_sympy(got) - want) == 0, n
         for point in random_points(3, seed=n):
-            alpha, beta, t = form(point.x, point.r, n)
-            want = sympy.jacobi(n, to_sympy(alpha), to_sympy(beta), sympy.Integer(t))
-            got = _PointAlg(point, n, Route.THREE_TERM).jacobi(n, alpha, beta, t)
+            alpha, beta, t, sign = form(point.x, point.r, n)
+            want = sign * sympy.jacobi(n, to_sympy(alpha), to_sympy(beta), sympy.Integer(t))
+            got = rhs_of(_PointAlg(point, n, Route.THREE_TERM), n)[f"{name}, n={n}"]
             assert to_sympy(got) == want, (n, point)
+
+
+def test_jacobi_builds_each_binomial_row_once(monkeypatch):
+    # binom(x-r, .) and binom(-1-x-r, .) once per run, binom(2r+n, .) once
+    # per n: n_max + 3 rows in all.
+    tops = []
+    build = _SymbolicAlg.binom_row
+
+    def counted(self, top, k):
+        tops.append(top)
+        return build(self, top, k)
+
+    monkeypatch.setattr(_SymbolicAlg, "binom_row", counted)
+    clear_caches()
+    assert verify_jacobi(6).passed
+    assert len(tops) == 9
