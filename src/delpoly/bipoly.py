@@ -466,8 +466,7 @@ def _factor(p: BiPoly):
     is returned as ``packed``, and is zero when it has no rows.  A decoded
     ``p`` gives ``packed`` None, its exact max and sum of |c| from one
     pass, and, as ``terms``, its dict if it is affine (at most three
-    terms), else None.  Anything but a BiPoly, an int or a ``Fraction`` is
-    a TypeError.
+    terms), else None.  Anything but a BiPoly is a TypeError.
     """
     if not isinstance(p, BiPoly):
         raise TypeError(f"sum_products takes BiPoly operands, got {type(p).__name__} {p!r}")

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from fractions import Fraction
 
 from .analysis import GridSpec, default_conjecture_grid, scan_conjecture
 from .dcore import EvalPoint, Route, d_eval, d_eval_sequence, d_sequence, delannoy_dp
 from .exactnum import check_natural, format_rational, int_to_decimal, parse_rational
+from .reports import _json_safe
 from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -22,11 +24,19 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _argument(convert):
+    """An argparse type that reports ``convert``'s ValueError as its own text."""
+
+    def argument(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return argument
+
+
+_rational = _argument(parse_rational)
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -47,11 +57,7 @@ def _parse_natural(text: str, name: str) -> int:
     return check_natural(value, name)
 
 
-def _natural(text: str) -> int:
-    try:
-        return _parse_natural(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+_natural = _argument(lambda text: _parse_natural(text, "value"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,11 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate d_n at rational (r, x)")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("-n", type=_natural, required=True)
     p_eval.add_argument("-r", type=_rational, required=True)
     p_eval.add_argument("-x", type=_rational, required=True)
 
     p_poly = sub.add_parser("poly", help="print d_n in canonical text form")
+    p_poly.set_defaults(run=_cmd_poly)
     p_poly.add_argument("-n", type=_natural, required=True)
     p_poly.add_argument(
         "--route",
@@ -76,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="table of d_n(x) values for fixed r")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--n-max", type=_natural, required=True)
     p_table.add_argument("-r", type=_rational, required=True)
     p_table.add_argument("-x", type=_rational_list, required=True, metavar="X1,X2,...")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_verify = sub.add_parser("verify", help="run identity verifiers")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument(
         "--suite",
         type=lambda s: [part.strip() for part in s.split(",") if part.strip()],
@@ -95,11 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["json", "text", "csv"], default="text")
 
     p_scan = sub.add_parser("scan", help="scan the Turán-type conjecture region")
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("--grid-file", default=None, help="line-oriented grid file")
     p_scan.add_argument("--n-max", type=_natural, default=None, help="override grid depth")
     p_scan.add_argument("--format", choices=["json", "text"], default="text")
 
     p_del = sub.add_parser("delannoy", help="Delannoy number D(n, m)")
+    p_del.set_defaults(run=_cmd_delannoy)
     p_del.add_argument("-n", type=_natural, required=True)
     p_del.add_argument("-m", type=_natural, required=True)
 
@@ -117,30 +129,24 @@ def parse_grid_file(path: str) -> GridSpec:
     x_values: list[Fraction] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for token in line.split():
-                key, sep, value = token.partition("=")
-                if not sep:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {token!r}")
-                if key == "n_max":
-                    if n_max is not None:
-                        raise ValueError(f"{path}:{lineno}: repeated n_max= header")
-                    try:
+            try:
+                for token in raw.split("#", 1)[0].split():
+                    key, sep, value = token.partition("=")
+                    if not sep:
+                        raise ValueError(f"expected key=value, got {token!r}")
+                    if key == "n_max":
+                        if n_max is not None:
+                            raise ValueError("repeated n_max= header")
                         n_max = _parse_natural(value, "n_max")
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                elif key in ("r", "x"):
-                    try:
+                    elif key in ("r", "x"):
                         q = parse_rational(value)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                    axis = r_values if key == "r" else x_values
-                    if q not in axis:
-                        axis.append(q)
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                        axis = r_values if key == "r" else x_values
+                        if q not in axis:
+                            axis.append(q)
+                    else:
+                        raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if n_max is None:
         raise ValueError(f"{path}: missing n_max= header")
     if not r_values or not x_values:
@@ -161,28 +167,14 @@ def _cmd_poly(args) -> int:
 
 def _cmd_table(args) -> int:
     columns = [d_eval_sequence(args.n_max, EvalPoint(args.r, x)) for x in args.x]
-    rows = [[column[n] for column in columns] for n in range(args.n_max + 1)]
+    rows = [{"n": n, "values": [column[n] for column in columns]} for n in range(args.n_max + 1)]
+    table = _json_safe({"r": args.r, "x": args.x, "rows": rows})
     if args.format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "r": format_rational(args.r),
-                    "x": [format_rational(x) for x in args.x],
-                    "rows": [
-                        {"n": n, "values": [format_rational(v) for v in row]}
-                        for n, row in enumerate(rows)
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(table, sort_keys=True))
     else:
-        header = "n," + ",".join(format_rational(x) for x in args.x)
-        print(header)
-        for n, row in enumerate(rows):
-            print(f"{n}," + ",".join(format_rational(v) for v in row))
+        print(",".join(["n", *table["x"]]))
+        for row in table["rows"]:
+            print(",".join([str(row["n"]), *row["values"]]))
     return EXIT_OK
 
 
@@ -249,33 +241,22 @@ _VALUE_FLAGS = {"-r", "-x"}
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-") and len(nxt) > 1:
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and tok != "-":
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
+
+
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(list(argv)))
-    handlers = {
-        "eval": _cmd_eval,
-        "poly": _cmd_poly,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-        "scan": _cmd_scan,
-        "delannoy": _cmd_delannoy,
-    }
-    return handlers[args.command](args)
+    args = _PARSER.parse_args(_join_negative_values(argv))
+    return args.run(args)
 
 
 if __name__ == "__main__":

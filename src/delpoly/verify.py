@@ -7,8 +7,9 @@ Every verifier establishes its identity in one of three proof-grade modes:
   into polynomial cofactors (the quotients are exact polynomials), then the
   cleared sides are compared as BiPoly;
 * InterpolationGrid -- per instance the identity is symbolic in x and
-  checked at more parameter values than a computed degree bound, which
-  makes the grid verdict a proof rather than a sample.
+  checked at more parameter values than a degree bound the verifier
+  states, which makes the grid verdict a proof rather than a sample
+  (ROADMAP item 10 computes that bound instead).
 
 Every identity is an instance generator yielding (label, params, lhs, rhs)
 cases, and all of them run through one compare loop.  The SymbolicPoly and

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from delpoly.cli import EXIT_CLAIM_FAILED, EXIT_OK, EXIT_USAGE, main, parse_grid_file
+from delpoly.cli import (
+    EXIT_CLAIM_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    _join_negative_values,
+    main,
+    parse_grid_file,
+)
 from delpoly.dcore import EvalPoint, d_eval
 from delpoly.exactnum import parse_rational
 
@@ -26,6 +33,52 @@ def test_eval(capsys):
     code, out, _ = run_cli(capsys, "eval", "-n", "2", "-r", "0", "-x", "2")
     assert code == EXIT_OK
     assert out == "13\n"
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # the parser is built once, at import, and every call of main reuses it
+    from delpoly import cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out, _ = run_cli(capsys, "eval", "-n", "2", "-r", "0", "-x", "2")
+    assert code == EXIT_OK
+    assert out == "13\n"
+
+
+def test_no_flag_outlives_its_call(capsys):
+    # a reused parser must hand each call the defaults, not the last call's flags
+    from delpoly.verify import SuiteConfig, run_suite
+
+    fresh = run_suite(SuiteConfig(selection=("square",)))[0].to_json_line() + "\n"
+    run_cli(capsys, "verify", "--suite", "square", "--depth", "2", "--format", "json")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "square", "--format", "json")
+    assert code == EXIT_OK
+    assert out == fresh
+    assert json.loads(out)["range"] == "n<=12"
+    run_cli(capsys, "table", "--n-max", "2", "-r", "0", "-x", "0,1", "--format", "json")
+    code, out, _ = run_cli(capsys, "table", "--n-max", "2", "-r", "0", "-x", "0,1")
+    assert code == EXIT_OK
+    assert out == "n,0,1\n0,1,1\n1,1,3\n2,1,5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["-r", "-x", "1"], ["-r=-x", "1"]),
+        (["-r", "-"], ["-r", "-"]),
+        (["-r=-1", "-x", "2"], ["-r=-1", "-x", "2"]),
+        (["eval", "-n", "2", "-r"], ["eval", "-n", "2", "-r"]),
+        (["-r", "-1/2", "-x", "-3"], ["-r=-1/2", "-x=-3"]),
+        (["-n", "-1"], ["-n", "-1"]),
+        (["table", "-x", "-1,-1/2,2", "--format", "json"], ["table", "-x=-1,-1/2,2", "--format", "json"]),
+    ],
+    ids=["two-flags-in-a-row", "lone-dash", "already-joined", "flag-last", "both-negative", "other-flag", "negative-x-list"],
+)
+def test_join_negative_values(argv, joined):
+    assert _join_negative_values(argv) == joined
 
 
 def test_eval_prints_values_past_the_int_digit_limit(capsys):
@@ -313,8 +366,17 @@ def test_scan_malformed_grid_file(tmp_path, capsys):
         ("n_max=2\nr=0 r=1\n", "grid.txt: grid needs at least one r= and one x= entry"),
         ("n_max=2\nr=0 x=0.5\n", "grid.txt:2: not an exact rational (use p/q form): '0.5'"),
         ("n_max=2\n\nr=1/0 x=0\n", "grid.txt:3: not an exact rational: '1/0'"),
+        ("n_max=2\nbogus=1 r=0 x=0\n", "grid.txt:2: unknown key 'bogus'"),
+        ("r=0 x=0\n", "grid.txt: missing n_max= header"),
     ],
-    ids=["token-without-equals", "no-x-entry", "decimal-x-value", "zero-denominator-r-value"],
+    ids=[
+        "token-without-equals",
+        "no-x-entry",
+        "decimal-x-value",
+        "zero-denominator-r-value",
+        "unknown-key",
+        "missing-n-max-header",
+    ],
 )
 def test_scan_rejects_malformed_grid_file_entries(tmp_path, capsys, grid_text, message):
     grid = tmp_path / "grid.txt"
