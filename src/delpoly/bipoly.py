@@ -328,11 +328,13 @@ class _Lazy(BiPoly):
     the rows and denominator divided by g, with bounds None: from then on
     ``sum_products`` bounds it by its dict, as any decoded operand.
 
-    A deferred one, made with ``build``, has no packed form either: the
-    first read of ``_packed`` (a decode, ``to_text``, ``==``, or use as an
-    operand) takes it from ``build()``, a nonzero ``sum_products`` result,
-    and drops the builder; a builder that raises stays for the next read.
-    Two threads may both build it, a benign race like the decode's.
+    A deferred one, made with ``build``, has neither form: the first read
+    of ``_coeffs``, ``_den`` or ``_packed`` (a decode, ``to_text``, ``==``,
+    or use as an operand) takes the decoded form of ``build()``, a BiPoly,
+    with no packed rows, and drops the builder; a builder that raises
+    stays for the next read.  Two threads may both build it, a benign race
+    like the decode's: each stores the same canonical dict and
+    denominator, and the builder is dropped only after both are stored.
 
     Defining ``__getattr__`` makes every attribute read of its class slower
     on Python 3.11, whose specializing interpreter skips such classes, so
@@ -343,31 +345,29 @@ class _Lazy(BiPoly):
     __slots__ = ("_build",)
 
     def __init__(self, packed=None, build=None):
+        self._build = build
         if build is None:
             self._packed = packed
-        else:
-            self._build = build
 
     def __getattr__(self, name: str):
-        if name == "_packed":
-            build = self._build
-            if build is None:  # built by another thread meanwhile
-                return self._packed
-            self._packed, self._build = build()._packed, None
-            return self._packed
-        if name != "_coeffs" and name != "_den":
+        if name != "_coeffs" and name != "_den" and name != "_packed":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        width, rows, den, _ = self._packed
-        slots = _Slots(width)
-        coeffs: dict[Key, int] = {}
-        for x, packed in rows.items():
-            slots.unpack(x, packed, coeffs)
-        coeffs, den, g = _reduce(coeffs, den)
-        if g > 1:
-            rows = {x: packed // g for x, packed in rows.items()}
-        self._coeffs, self._den = coeffs, den
-        self._packed = width, rows, den, None
-        return coeffs if name == "_coeffs" else den
+        build = self._build
+        if build is not None:
+            built = build()
+            self._coeffs, self._den, self._packed, self._build = built._coeffs, built._den, None, None
+        elif (held := self._packed) is not None and held[3] is not None:  # else built or decoded meanwhile
+            width, rows, den, _ = held
+            slots = _Slots(width)
+            coeffs: dict[Key, int] = {}
+            for x, packed in rows.items():
+                slots.unpack(x, packed, coeffs)
+            coeffs, den, g = _reduce(coeffs, den)
+            if g > 1:
+                rows = {x: packed // g for x, packed in rows.items()}
+            self._coeffs, self._den = coeffs, den
+            self._packed = width, rows, den, None
+        return getattr(self, name)
 
 
 def _monomial(deg_x: int, deg_r: int) -> str:

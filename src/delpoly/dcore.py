@@ -40,10 +40,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, _affine, _Lazy, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, _Lazy, _Slots, binom_row, sum_products
 from .exactnum import RationalLike, as_rational, check_natural
 from .hyper import hyper2f1
 
@@ -133,8 +133,9 @@ def d_sequence(route: Route, n_max: int) -> DSequence:
 # built by ``sum_products`` is held as its packed rows alone until
 # something reads its coefficients, so a deep build that prints only d_n
 # decodes only d_n, and an unread entry holds no coefficient dict.  DIRECT
-# and NEWFORM entries are deferred (see ``bipoly._Lazy``): d_n's sum is
-# built on its first read.
+# and NEWFORM entries are deferred (see ``bipoly._Lazy``): d_n is built on
+# its first read, by its own integer sum in two linear forms of (x, r)
+# mapped to (x, r) once (``_forms_to_xr``), with no state shared across n.
 _cache: dict[Route, tuple[Iterator[BiPoly], list[BiPoly]]] = {}
 _cache_lock = threading.Lock()
 
@@ -162,28 +163,87 @@ def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
         return polys
 
 
-def _direct() -> Iterator[BiPoly]:
-    # uppers[k] = binom(x+r+k, k) and lowers[j] = binom(x-r, j) do not
-    # depend on n; each grows by one factor per new n:
-    # binom(x+r+n, n) = binom(x+r+n-1, n-1) * (x+r+n) / n.
-    uppers, lowers = [BiPoly.one()], [BiPoly.one()]
+def _deferred(build) -> Iterator[BiPoly]:
     for n in count():
-        if n:
-            uppers.append(uppers[n - 1] * ((X + R + n) / n))
-            lowers.append(lowers[n - 1] * ((X - R - (n - 1)) / n))
-        yield _Lazy(build=lambda n=n: sum_products((uppers[k], lowers[n - k]) for k in range(n + 1)))
+        yield _Lazy(build=lambda n=n: build(n))
 
 
-def _newform() -> Iterator[BiPoly]:
-    # lowers[k] = 2^k binom(x-r, k) does not depend on n and grows by one
-    # factor per new n, as _direct's rows do; the row binom(n+2r, j)
-    # depends on n and is taken afresh by the deferred sum for d_n, which
-    # pairs binom(n+2r, n-k) with lowers[k] for k = 0..n.
-    lowers = [BiPoly.one()]
-    for n in count():
-        if n:
-            lowers.append(lowers[n - 1] * (X - R - (n - 1)) * Fraction(2, n))
-        yield _Lazy(build=lambda n=n: sum_products(zip(reversed(binom_row(n + 2 * R, n)), lowers)))
+def _direct_sum(n: int) -> BiPoly:
+    # n! binom(x+r+k, k) binom(x-r, n-k) is C(n, k) times the rising
+    # product (u+1)...(u+k) in u = x+r times the falling product of n-k
+    # factors in v = x-r.
+    rising = _product_rows((1, k) for k in range(1, n + 1))
+    return _sum_in_forms(n, (1, 1), ((comb(n, k), rising[k], n - k) for k in range(n + 1)))
+
+
+def _newform_sum(n: int) -> BiPoly:
+    # n! binom(n+2r, n-k) binom(x-r, k) 2^k is C(n, k) 2^k times
+    # (2r+k+1)...(2r+n) in r, the product of the top n-k factors, times
+    # the falling product of k factors in v = x-r.
+    tops = _product_rows((2, m) for m in range(n, 0, -1))
+    return _sum_in_forms(n, (0, 1), ((comb(n, k) << k, tops[n - k], k) for k in range(n + 1)))
+
+
+def _product_rows(factors) -> list[list[int]]:
+    """[p_0, p_1, ...] with p_0 = 1 and p_k = p_{k-1} * (a_k v + b_k) for the
+    k-th (a_k, b_k) of ``factors``, each an int coefficient list in v, low
+    degree first."""
+    rows = [[1]]
+    for a, b in factors:
+        row = rows[-1]
+        rows.append([b * lo + a * hi for lo, hi in zip(row + [0], [0] + row)])
+    return rows
+
+
+def _sum_in_forms(n: int, f: tuple[int, int], terms) -> BiPoly:
+    """The sum over the (w, a, j) of ``terms`` of w * a(f) * v(v-1)...(v-j+1)
+    / n!, with v = x-r, f a linear form as in ``_forms_to_xr`` and a an int
+    coefficient list of degree at most n-j: each term's outer product of
+    coefficients is added into one (n+1) x (n+1) matrix, mapped once."""
+    falling = _product_rows((1, -j) for j in range(n))
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    for w, a, j in terms:
+        for i, ai in enumerate(a):
+            if ai:
+                row, wa = m[i], w * ai
+                for k, c in enumerate(falling[j]):
+                    row[k] += wa * c
+    return _forms_to_xr(m, f, (1, -1), factorial(n))
+
+
+def _forms_to_xr(m: list[list[int]], f: tuple[int, int], g: tuple[int, int], den: int) -> BiPoly:
+    """The sum of m[i][j] * f^i * g^j / den over i + j < len(m), as a BiPoly
+    in (x, r), for the linear forms f = f[0]*x + f[1]*r and g likewise.
+
+    f^i g^j is homogeneous of degree s = i + j, so the degree-s part is
+    read off at r = 1: Horner over the anti-diagonal,
+    H <- H*f(x, 1) + m[s-t][t]*g(x, 1)^t for t = 0..s, leaves it as a
+    polynomial in x whose x^e coefficient is that of x^e r^(s-e).  H is
+    held at x = 2^(8*width), one ``width``-byte slot per power of x (see
+    ``bipoly._Slots``), so each step is one big-int multiply-add.  Every
+    coefficient of H is at most max|m| * len(m) * max(|f|_1, |g|_1)^s in
+    size, which sizes the slots; the result is reduced once.
+    """
+    (fa, fb), (ga, gb) = f, g
+    top = len(m) - 1
+    big = max(abs(c) for row in m for c in row)
+    width = (big * (top + 1) * max(abs(fa) + abs(fb), abs(ga) + abs(gb), 1) ** top).bit_length() // 8 + 1
+    shift = 8 * width
+    powers = [1]  # g(x, 1)^t at x = 2^shift
+    for _ in range(top):
+        powers.append(powers[-1] * (gb + (ga << shift)))
+    slots, from_bytes = _Slots(width), int.from_bytes
+    coeffs: dict[tuple[int, int], int] = {}
+    for s in range(top + 1):
+        h = 0
+        for t in range(s + 1):
+            h = (h * fa << shift) + h * fb + m[s - t][t] * powers[t]
+        data = slots._to_bytes(h)
+        for e, start in enumerate(range(0, len(data), width)):
+            c = from_bytes(data[start : start + width], "little", signed=True)
+            if c:
+                coeffs[(e, s - e)] = c
+    return BiPoly._raw(coeffs, den)
 
 
 def _three_term() -> Iterator[BiPoly]:
@@ -223,8 +283,8 @@ def _series() -> Iterator[BiPoly]:
 
 
 _GENERATORS = {
-    Route.DIRECT: _direct,
-    Route.NEWFORM: _newform,
+    Route.DIRECT: lambda: _deferred(_direct_sum),
+    Route.NEWFORM: lambda: _deferred(_newform_sum),
     Route.THREE_TERM: _three_term,
     Route.TWO_TERM: _two_term,
     Route.SERIES: _series,

@@ -388,6 +388,16 @@ def test_scan_rejects_malformed_grid_file_entries(tmp_path, capsys, grid_text, m
     assert message in err
 
 
+def test_scan_reports_undecodable_grid_file_line(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_bytes(b"n_max=2\nr=0 \xff x=0\n")
+    code, out, err = run_cli(capsys, "scan", "--grid-file", str(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {grid}:2: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_scan_rejects_repeated_n_max_header(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("n_max=2\nn_max=3\nr=0 x=0\n")

@@ -4,6 +4,7 @@ comparison polynomials."""
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -234,49 +235,52 @@ def test_bad_indices_fail_whatever_the_cache_holds(warm):
     clear_caches()
 
 
+DEFERRED_ROUTES = [Route.DIRECT, Route.NEWFORM]
+
+
 @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
 def test_interrupted_build_leaves_no_trace(route, monkeypatch):
     # A build that raises part-way (a Ctrl-C, say) must not leave working
     # state behind that a later, uninterrupted build then reads.  The
     # interrupted window covers reading every entry, as the defining-sum
-    # routes build each d_n's sum on its first read.
+    # routes build each d_n on its first read.
     clear_caches()
     want = d_sequence(Route.THREE_TERM, 6).polys
     clear_caches()
-    real = dcore.sum_products
+    # the step each route runs once per d_n it builds
+    step = "_forms_to_xr" if route in DEFERRED_ROUTES else "sum_products"
+    real = getattr(dcore, step)
     calls = 0
 
-    def interrupted_on_fourth_call(pairs):
+    def interrupted_on_fourth_call(*args):
         nonlocal calls
         calls += 1
         if calls == 4:
             raise RuntimeError("interrupted")
-        return real(pairs)
+        return real(*args)
 
-    monkeypatch.setattr(dcore, "sum_products", interrupted_on_fourth_call)
+    monkeypatch.setattr(dcore, step, interrupted_on_fourth_call)
     with pytest.raises(RuntimeError, match="interrupted"):
         [p.to_text() for p in d_sequence(route, 6).polys]
-    monkeypatch.setattr(dcore, "sum_products", real)
+    monkeypatch.setattr(dcore, step, real)
     assert d_sequence(route, 6).polys == want
     clear_caches()
-
-
-DEFERRED_ROUTES = [Route.DIRECT, Route.NEWFORM]
 
 
 @pytest.mark.parametrize("route", DEFERRED_ROUTES, ids=lambda route: route.value)
 def test_deep_build_runs_only_the_sums_it_reads(route, monkeypatch):
     clear_caches()
-    real, calls = dcore.sum_products, []
+    real, calls = dcore._forms_to_xr, []
 
-    def counted(pairs):
+    def counted(*args):
         calls.append(1)
-        return real(pairs)
+        return real(*args)
 
-    monkeypatch.setattr(dcore, "sum_products", counted)
+    monkeypatch.setattr(dcore, "_forms_to_xr", counted)
     text = d_sequence(route, 40).polys[40].to_text()
     assert len(calls) <= 3  # d_0 and d_1, which DSequence checks, and d_40
-    monkeypatch.setattr(dcore, "sum_products", real)
+    assert calls  # the kernel is the step that builds each entry
+    monkeypatch.setattr(dcore, "_forms_to_xr", real)
     assert text == d_threeterm(40).polys[40].to_text()
     clear_caches()
 
@@ -286,16 +290,16 @@ def test_deferred_entry_whose_builder_raised_is_rebuilt(route, monkeypatch):
     clear_caches()
     want = d_threeterm(5).polys[5]
     entry = d_sequence(route, 5).polys[5]
-    real = dcore.sum_products
+    real = dcore._forms_to_xr
 
-    def interrupted(pairs):
+    def interrupted(*args):
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(dcore, "sum_products", interrupted)
+    monkeypatch.setattr(dcore, "_forms_to_xr", interrupted)
     for read in (entry.to_text, lambda: entry == want, entry.subst_neg_x):
         with pytest.raises(RuntimeError, match="interrupted"):
             read()  # every read tries the build again
-    monkeypatch.setattr(dcore, "sum_products", real)
+    monkeypatch.setattr(dcore, "_forms_to_xr", real)
     assert entry == want
     assert entry.to_text() == want.to_text()
     assert d_sequence(route, 5).polys[5] is entry
@@ -303,11 +307,19 @@ def test_deferred_entry_whose_builder_raised_is_rebuilt(route, monkeypatch):
 
 
 @pytest.mark.parametrize("route", DEFERRED_ROUTES, ids=lambda route: route.value)
-def test_concurrent_reads_of_a_deferred_entry_agree(route):
+def test_concurrent_reads_of_a_deferred_entry_agree(route, monkeypatch):
     # Four threads read one unbuilt entry at once; whichever build and
-    # decode land last, every reader sees the same polynomial.
+    # decode land last, every reader sees the same polynomial.  Each build
+    # sleeps before its kernel runs, so the builds overlap.
     want = d_threeterm(16).polys[16]
     text = want.to_text()
+    real = dcore._forms_to_xr
+
+    def slow(*args):
+        time.sleep(0.001)
+        return real(*args)
+
+    monkeypatch.setattr(dcore, "_forms_to_xr", slow)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -332,6 +344,34 @@ def test_concurrent_reads_of_a_deferred_entry_agree(route):
     finally:
         sys.setswitchinterval(interval)
         clear_caches()
+
+
+def test_defining_sums_equal_the_recurrence_through_60_and_at_120():
+    clear_caches()
+    want = d_threeterm(120).polys
+    for route in DEFERRED_ROUTES:
+        assert d_sequence(route, 60).polys == want[:61], route
+    clear_caches()
+    for route in DEFERRED_ROUTES:
+        assert d_sequence(route, 120).polys[120] == want[120], route  # d_61..d_119 stay unbuilt
+    clear_caches()
+
+
+@pytest.mark.parametrize("f, g", [((1, 1), (1, -1)), ((0, 1), (1, -1))], ids=["x+r, x-r", "r, x-r"])
+def test_change_of_variables_kernel_matches_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    x, r = sympy.symbols("x r")
+    fs, gs = f[0] * x + f[1] * r, g[0] * x + g[1] * r
+    rng = random.Random(f"{f}{g}")
+    for top in [*range(13), 12, 12]:
+        m = [[0] * (top + 1) for _ in range(top + 1)]
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                m[i][j] = rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
+        den = rng.randint(1, 10**6)
+        expanded = sympy.Poly(sum((m[i][j] * fs**i * gs**j for i in range(top + 1) for j in range(top + 1)), sympy.Integer(0)), x, r)
+        want = BiPoly({key: Fraction(int(c), den) for key, c in expanded.terms()})
+        assert dcore._forms_to_xr(m, f, g, den) == want, (top, m, den)
 
 
 def test_excluded_half_integer_predicate():
