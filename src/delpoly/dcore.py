@@ -44,7 +44,7 @@ from math import comb, factorial, lcm
 from typing import Iterator
 
 from .bipoly import R, X, BiPoly, _affine, _Lazy, _Slots, binom_row, sum_products
-from .exactnum import RationalLike, as_rational, check_natural
+from .exactnum import RationalLike, as_exact, as_rational, check_natural, reduced
 from .hyper import hyper2f1
 
 
@@ -407,9 +407,10 @@ def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> F
     accepts a pole that lies after an early stop (a natural x below n).
     """
     check_natural(n, "n")
-    xv, bv, cv = as_rational(x), as_rational(b), as_rational(c)
+    xv, bv, cv = as_exact(x), as_exact(b), as_exact(c)
     if cv == 0:
         raise ValueError("meixner_eval requires c != 0")
     if bv.denominator == 1 and -(n - 1) <= bv <= 0:
         raise ValueError(f"pole in (b)_k for b = {bv} with n = {n}")
-    return hyper2f1(-n, -xv, bv, 1 - 1 / cv)
+    zn, zd = reduced(cv.numerator - cv.denominator, cv.numerator)  # 1 - 1/c
+    return hyper2f1(-n, -xv, bv, zn if zd == 1 else Fraction(zn, zd))

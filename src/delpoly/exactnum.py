@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 RationalLike = Fraction | int | str
 
@@ -31,6 +31,18 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise ValueError(f"not an exact rational (use an int, Fraction or p/q string): {value!r}")
+
+
+def as_exact(value: RationalLike) -> int | Fraction:
+    """``as_rational``, but an int is returned as it is: either result has
+    ``.numerator`` and ``.denominator``, and no Fraction is built for an int."""
+    return value if isinstance(value, int) and not isinstance(value, bool) else as_rational(value)
+
+
+def reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q (q != 0) in lowest terms with q > 0, as an int pair."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
 
 
 def parse_rational(text: str) -> Fraction:

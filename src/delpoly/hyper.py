@@ -4,7 +4,9 @@ A series rFs(a_1..a_r; b_1..b_s | z) terminates when some numerator
 parameter is a non-positive integer; everything here insists on that, so
 every value is a finite exact sum.  The module also evaluates both sides
 of the product identity that turns a product of two terminating 2F1 values
-into a single terminating 4F3.
+into a single terminating 4F3.  Every series is summed on reduced (p, q)
+int pairs, derived parameters (2r+1, c/2, ...) are built as such pairs,
+and one ``Fraction`` is built per value returned.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .exactnum import RationalLike, as_rational, check_natural, pochhammer
+from .exactnum import RationalLike, as_exact, check_natural, pochhammer, reduced
 
 
 def hyper_eval(
@@ -26,26 +28,28 @@ def hyper_eval(
     The sum stops at the smallest -a_i over the non-positive-integer
     numerator parameters; a series with none of them does not terminate,
     and a denominator parameter in {0, -1, ...} whose pole comes before that
-    stop leaves a term undefined.  Both are a ValueError.
+    stop leaves a term undefined.  Both are a ValueError.  An int or a
+    Fraction is read through its numerator and denominator, a "p/q" string
+    is parsed, and the one Fraction built is the value.
+    """
+    nums = [(a.numerator, a.denominator) for a in map(as_exact, numerator_params)]
+    dens = [(b.numerator, b.denominator) for b in map(as_exact, denominator_params)]
+    z = as_exact(argument)
+    return Fraction(*_hyper_sum(nums, dens, z.numerator, z.denominator))
 
-    Write each a_i as p_i/q_i, each b_j as u_j/v_j and z as zn/zd.  The
-    term ratio t_{k+1}/t_k is then the integer quotient
+
+def _hyper_sum(nums: list[tuple[int, int]], dens: list[tuple[int, int]], zn: int, zd: int) -> tuple[int, int]:
+    """The series value as the unreduced ints (total, den); nothing is coerced.
+
+    a_i = p_i/q_i, b_j = u_j/v_j and z = zn/zd come as reduced pairs with
+    positive denominators, which the stop and pole tests rely on (an integer
+    has q == 1, a sign is the numerator's).  The term ratio t_{k+1}/t_k is
 
         prod(p_i + k*q_i) * prod(v_j) * zn  /  (prod(q_i) * prod(u_j + k*v_j) * zd * (k+1)),
 
-    so the sum runs on plain ints: the term numerator is streamed, the
-    running total is kept over the current term's denominator
-    (``total = total*fd + num``), and one ``Fraction`` is built at the end.
+    so the term numerator is streamed and the running total is kept over
+    the current term's denominator (``total = total*fd + num``).
     """
-    return Fraction(*_hyper_sum(numerator_params, denominator_params, argument))
-
-
-def _hyper_sum(numerator_params, denominator_params, argument) -> tuple[int, int]:
-    """``hyper_eval``'s value as the unreduced ints (total, den)."""
-    nums = [(a.numerator, a.denominator) for a in map(as_rational, numerator_params)]
-    dens = [(b.numerator, b.denominator) for b in map(as_rational, denominator_params)]
-    z = as_rational(argument)
-    # Denominators are positive, so each sign test reads the numerator.
     stops = [-p for p, q in nums if q == 1 and p <= 0]
     if not stops:
         raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
@@ -53,8 +57,8 @@ def _hyper_sum(numerator_params, denominator_params, argument) -> tuple[int, int
     for u, v in dens:
         if v == 1 and -(stop - 1) <= u <= 0:
             raise ValueError(f"pole in denominator parameter {u} before termination at k={stop}")
-    num_scale = z.numerator * prod(v for _, v in dens)
-    den_scale = z.denominator * prod(q for _, q in nums)
+    num_scale = zn * prod(v for _, v in dens)
+    den_scale = zd * prod(q for _, q in nums)
     term = total = den = 1
     for k in range(stop):
         fn = num_scale
@@ -80,20 +84,21 @@ def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     Requires r outside {-1/2, -1, -3/2, ...}, where the 2r+1 denominator
     parameter degenerates.
     """
-    rv, xv = as_rational(r), as_rational(x)
+    rv, xv = as_exact(r), as_exact(x)
     return _bridge(n, rv, rv - xv, 1)
 
 
 def d_via_hyper_companion(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     """The mirror bridge (-1)^n (2r+1)_n / n! * 2F1(-n, r+1+x; 2r+1; 2)."""
-    rv, xv = as_rational(r), as_rational(x)
+    rv, xv = as_exact(r), as_exact(x)
     return _bridge(n, rv, rv + 1 + xv, -1 if n % 2 else 1)
 
 
-def _bridge(n: int, r: Fraction, b: Fraction, sign: int) -> Fraction:
+def _bridge(n: int, r: int | Fraction, b: int | Fraction, sign: int) -> Fraction:
     """sign * (2r+1)_n / n! * 2F1(-n, b; 2r+1; 2), as one ``Fraction``."""
-    scale = pochhammer(2 * r + 1, n)
-    total, den = _hyper_sum((-n, b), (2 * r + 1,), 2)
+    c = reduced(2 * r.numerator + r.denominator, r.denominator)
+    scale = pochhammer(Fraction(*c), n)
+    total, den = _hyper_sum([(-n, 1), (b.numerator, b.denominator)], [c], 2, 1)
     return Fraction(sign * scale.numerator * total, scale.denominator * factorial(n) * den)
 
 
@@ -108,12 +113,14 @@ def clausen_product_sides(
     evaluated exactly as finite sums.
     """
     check_natural(n, "n")
-    bv, cv, zv = as_rational(b), as_rational(c), as_rational(z)
-    if zv == 1:
+    (bp, bq), (cp, cq), (zp, zq) = ((v.numerator, v.denominator) for v in map(as_exact, (b, c, z)))
+    if zp == zq:
         raise ValueError("z = 1 is outside the identity's domain")
-    left, left_den = _hyper_sum((-n, bv), (cv,), zv)
-    right, right_den = _hyper_sum((-n, cv - bv), (cv,), zv)
-    arg = zv * zv / (4 * (zv - 1))
-    total, den = _hyper_sum((-n, bv, cv + n, cv - bv), (cv, cv / 2, (cv + 1) / 2), arg)
-    w = 1 - zv
-    return Fraction(left * right, left_den * right_den), Fraction(w.numerator**n * total, w.denominator**n * den)
+    c_minus_b = reduced(cp * bq - bp * cq, cq * bq)
+    left, left_den = _hyper_sum([(-n, 1), (bp, bq)], [(cp, cq)], zp, zq)
+    right, right_den = _hyper_sum([(-n, 1), c_minus_b], [(cp, cq)], zp, zq)
+    nums = [(-n, 1), (bp, bq), reduced(cp + n * cq, cq), c_minus_b]
+    dens = [(cp, cq), reduced(cp, 2 * cq), reduced(cp + cq, 2 * cq)]
+    total, den = _hyper_sum(nums, dens, *reduced(zp * zp, 4 * zq * (zp - zq)))  # z^2 / (4(z-1))
+    # 1 - z = (zq - zp)/zq is already in lowest terms
+    return Fraction(left * right, left_den * right_den), Fraction((zq - zp) ** n * total, zq**n * den)

@@ -110,7 +110,7 @@ class _PointAlg:
 
     def binom_row(self, top, k: int):
         p, q = top.numerator, top.denominator
-        return _ratio_row(k, lambda j: p - j * q, lambda j: (j + 1) * q)
+        return [Fraction(*tb) for tb in zip(*_ratio_row(k, lambda j: p - j * q, lambda j: (j + 1) * q))]
 
     def sum(self, pairs):
         return sum((a * b for a, b in pairs), Fraction(0))
@@ -378,7 +378,7 @@ def _hyper_bridge_instances(alg, n_max: int) -> Iterator:
 def _meixner_instances(n_max: int) -> Iterator:
     # The same integer (r, x) points recur for every larger n, so each
     # point's whole scalar sequence is built once and indexed.
-    sequence_at = cache(lambda point: d_eval_sequence(n_max, point))
+    sequence_at = cache(lambda r, x: d_eval_sequence(n_max, EvalPoint(r, x)))
 
     for n in range(n_max + 1):
         for rv in range(1, n + 2):
@@ -386,34 +386,41 @@ def _meixner_instances(n_max: int) -> Iterator:
                 yield (
                     f"connection n={n}",
                     {"n": n, "r": rv, "x": xv},
-                    sequence_at(EvalPoint(Fraction(rv), Fraction(xv)))[n],
+                    sequence_at(rv, xv)[n],
                     binom_int(2 * rv + n, n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
                 )
         for bv in range(1, n + 2):
             b = Fraction(bv)
-            shift = (b - 1) / 2
+            shift = Fraction(bv - 1, 2)
             for xv in range(n + 1):
                 yield (
                     f"reparameterized n={n}",
                     {"n": n, "b": b, "x": xv},
-                    sequence_at(EvalPoint(shift, xv + shift))[n],
-                    binom_int(bv + n - 1, n) * meixner_eval(n, xv, b, -1),
+                    sequence_at(shift, xv + shift)[n],
+                    binom_int(bv + n - 1, n) * meixner_eval(n, xv, bv, -1),
                 )
 
 
-def _ratio_row(n: int, num: Callable[[int], int], den: Callable[[int], int]) -> list[Fraction]:
-    """t_0 = 1, ..., t_n with t_{k+1} = t_k * num(k) / den(k), each entry
-    the running integer products reduced once."""
-    row, top, bottom = [Fraction(1)], 1, 1
+def _ratio_row(n: int, num: Callable[[int], int], den: Callable[[int], int]) -> tuple[list[int], list[int]]:
+    """t_0 = 1, ..., t_n with t_{k+1} = t_k * num(k) / den(k), as the running
+    integer products (tops, bottoms): t_k = tops[k] / bottoms[k], unreduced."""
+    tops, bottoms = [1], [1]
     for k in range(n):
-        top, bottom = top * num(k), bottom * den(k)
-        row.append(Fraction(top, bottom))
-    return row
+        tops.append(tops[-1] * num(k))
+        bottoms.append(bottoms[-1] * den(k))
+    return tops, bottoms
+
+
+def _row_total(tops: list[int], bottoms: list[int], weights: list[int]) -> tuple[int, int]:
+    """sum_k weights[k] * tops[k] / bottoms[k] over k < len(weights), as
+    unreduced ints over the last bottom read, which every earlier one divides."""
+    last = bottoms[len(weights) - 1]
+    return sum(w * t * (last // b) for w, t, b in zip(weights, tops, bottoms)), last
 
 
 def _square_sides(
     xs: list[BiPoly], cross: list[BiPoly], n: int, a: Fraction | int
-) -> tuple[BiPoly, BiPoly, BiPoly, list[Fraction], list[Fraction]]:
+) -> tuple[BiPoly, BiPoly, BiPoly, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
     """The free-parameter square at a < 0: (lhs, lhs^2, rhs, alpha, beta).
 
     With alpha_k = C(n,k) (-2)^k / binom(a,k) and beta_k =
@@ -423,7 +430,7 @@ def _square_sides(
     the caller, since it does not depend on n), symbolic in x.  Both rows
     are hypergeometric in k with alpha_0 = beta_0 = 1, so each entry is
     one integer term-ratio step from the one before; with a = p/q < 0 no
-    ratio has a zero denominator.
+    ratio has a zero denominator.  alpha and beta are ``_ratio_row`` products.
     """
     p, q = a.numerator, a.denominator
     alpha = _ratio_row(n, lambda k: -2 * (n - k) * q, lambda k: p - k * q)
@@ -432,8 +439,8 @@ def _square_sides(
         lambda k: 4 * ((n + k) * q - p) * (n - k) * (k + 1) * q * q,
         lambda k: (2 * k * q - p) * ((2 * k + 1) * q - p) * (p - k * q),
     )
-    lhs = sum_products((xs[k], BiPoly.const(c)) for k, c in enumerate(alpha))
-    rhs = sum_products((cross[k], BiPoly.const(c)) for k, c in enumerate(beta))
+    lhs = sum_products((x, BiPoly.const(Fraction(t, b))) for x, t, b in zip(xs, *alpha))
+    rhs = sum_products((c, BiPoly.const(Fraction(t, b))) for c, t, b in zip(cross, *beta))
     return lhs, lhs * lhs, rhs, alpha, beta
 
 
@@ -448,6 +455,7 @@ def _parametric_square_instances(n_max: int) -> Iterator:
         sides = cache(lambda a: _square_sides(xs, cross(a), n, a))
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
+        signs, ones = [(-1) ** k for k in range(n + 1)], [1] * (n + 1)
         for a in a_grid:
             _, square, rhs, alpha, beta = sides(a)
             yield f"free-parameter square n={n}", {"n": n, "a": a}, square, rhs
@@ -455,23 +463,17 @@ def _parametric_square_instances(n_max: int) -> Iterator:
             # binom(x, k) binom(a - x, k) = (-1)^k binom(a + 1, k)
             p, q = a.numerator, a.denominator
             up = _ratio_row(n, lambda k: p + q - k * q, lambda k: (k + 1) * q)  # binom(a + 1, k)
-            lhs_s = sum(alpha[0::2]) - sum(alpha[1::2])
-            rhs_s = sum(c * u if k % 2 == 0 else -c * u for k, (c, u) in enumerate(zip(beta, up)))
-            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
+            s, d = _row_total(*alpha, signs)
+            rhs_s = _row_total(*([u * v for u, v in zip(*rows)] for rows in zip(beta, up)), signs)
+            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, Fraction(s * s, d * d), Fraction(*rhs_s)
 
-        # a = -1/2: central-binomial form
-        lhs_c = sum(
-            (binom_int(n, k) * Fraction(-8) ** k / binom_int(2 * k, k) for k in range(n + 1)),
-            Fraction(0),
+        # a = -1/2: central-binomial form.  Term k of the lhs sum is C(n,k) (-8)^k / C(2k,k),
+        # of the rhs (-1)^k/(1-2k) binom(n+k-1/2, n-k) 4^(n+k) / C(2n,n); both rows start at 1.
+        s, d = _row_total(*_ratio_row(n, lambda k: -4 * (n - k), lambda k: 2 * k + 1), ones)
+        rhs_c = _ratio_row(
+            n, lambda k: 8 * (1 - 2 * k) * (2 * n + 2 * k + 1) * (n - k), lambda k: (2 * k + 1) * (4 * k + 1) * (4 * k + 3)
         )
-        rhs_c = sum(
-            (
-                Fraction(-1) ** k / (1 - 2 * k) * binom_gen(n + k - Fraction(1, 2), n - k) * Fraction(4) ** (n + k)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
-        ) / binom_int(2 * n, n)
-        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c
+        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, Fraction(s * s, d * d), Fraction(*_row_total(*rhs_c, ones))
 
         # b parameterization over positive integers, plus the Meixner tie-in (lhs at x = xv)
         for bv in range(1, 2 * n + 3):
@@ -482,8 +484,8 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                 yield (
                     f"meixner-square tie n={n}",
                     {"n": n, "b": b, "x": xv},
-                    meixner_eval(n, xv, b, -1),
-                    sum((c * binom_int(xv, k) for k, c in enumerate(alpha[: xv + 1])), Fraction(0)),
+                    meixner_eval(n, xv, bv, -1),
+                    Fraction(*_row_total(*alpha, [binom_int(xv, k) for k in range(xv + 1)])),
                 )
 
         # a = -2 specialization, symbolic in x

@@ -10,7 +10,7 @@ import pytest
 
 from delpoly.analysis import GridSpec
 from delpoly.bipoly import BiPoly
-from delpoly.dcore import EvalPoint
+from delpoly.dcore import EvalPoint, meixner_eval
 from delpoly.exactnum import (
     binom_gen,
     binom_int,
@@ -20,7 +20,7 @@ from delpoly.exactnum import (
     parse_rational,
     pochhammer,
 )
-from delpoly.hyper import hyper2f1, hyper_eval
+from delpoly.hyper import clausen_product_sides, d_via_hyper, hyper2f1, hyper_eval
 from oracles import rising
 
 
@@ -221,9 +221,9 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
-# Every rational entry point coerces through as_rational, so a float, a
-# decimal string or a bool must fail there instead of running on a binary
-# fraction or on 1.
+# Every rational entry point coerces through as_rational or as_exact, so a
+# float, a decimal string or a bool must fail there instead of running on a
+# binary fraction or on 1.
 RATIONAL_ENTRY_POINTS = {
     "EvalPoint": lambda v: EvalPoint(v, 0),
     "GridSpec": lambda v: GridSpec((v,), (0,), 3),
@@ -232,6 +232,11 @@ RATIONAL_ENTRY_POINTS = {
     "hyper_eval-numerator": lambda v: hyper_eval((-2, v), (1,), 2),
     "hyper_eval-denominator": lambda v: hyper_eval((-2, 1), (v,), 2),
     "hyper_eval-argument": lambda v: hyper_eval((-2, 1), (1,), v),
+    "meixner_eval-x": lambda v: meixner_eval(2, v, 1, -1),
+    "meixner_eval-b": lambda v: meixner_eval(2, 0, v, -1),
+    "meixner_eval-c": lambda v: meixner_eval(2, 0, 1, v),
+    "d_via_hyper": lambda v: d_via_hyper(2, v, 0),
+    "clausen_product_sides": lambda v: clausen_product_sides(2, 1, 1, v),
     "BiPoly.eval": lambda v: BiPoly.x().eval(0, v),
 }
 

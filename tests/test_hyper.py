@@ -123,6 +123,43 @@ def test_bridge_matches_scalar_evaluator():
         assert d_via_hyper_companion(n, r, x) == expected
 
 
+@pytest.mark.parametrize(
+    "bridge, n, r, x, pole",
+    [
+        (d_via_hyper, 3, Fraction(-3, 2), 0, -2),
+        (d_via_hyper_companion, 3, Fraction(-3, 2), Fraction(1, 3), -2),
+        (d_via_hyper, 1, Fraction(-1, 2), 0, 0),
+        (d_via_hyper_companion, 1, Fraction(-1, 2), 0, 0),
+    ],
+)
+def test_bridge_pole_messages(bridge, n, r, x, pole):
+    # 2r+1 is built as the pair (2p+q, q), here (2*pole, 2): only reduced
+    # does the pole test see the integer pole instead of dividing by zero
+    with pytest.raises(ValueError, match=f"^pole in denominator parameter {pole} before termination at k={n}$"):
+        bridge(n, r, x)
+
+
+@pytest.mark.parametrize(
+    "values, forms",
+    [
+        ((3, -7, 2, -2), (int, Fraction, str)),
+        ((Fraction(5, 3), Fraction(-7, 2), Fraction(3, 4), Fraction(-2, 9)), (Fraction, str)),
+    ],
+)
+def test_int_fraction_and_string_arguments_agree(values, forms):
+    # An int or a Fraction is read through .numerator and .denominator, a
+    # "p/q" string is parsed; each form gives the oracle's value.
+    b, c, z, x = map(Fraction, values)
+    expected = [
+        hyper_sum_oracle([-4, b], [c], z),
+        hyper_sum_oracle([-3, b], [c], z),
+        hyper_sum_oracle([-5, -x], [b], 1 - 1 / z),
+    ]
+    for form in forms:
+        bf, cf, zf, xf = map(form, values)
+        assert [hyper_eval((form(-4), bf), (cf,), zf), hyper2f1(-3, bf, cf, zf), meixner_eval(5, xf, bf, zf)] == expected
+
+
 def test_clausen_product_trivial_and_small():
     lhs, rhs = clausen_product_sides(0, Fraction(1, 3), Fraction(5, 2), Fraction(7))
     assert lhs == rhs == 1

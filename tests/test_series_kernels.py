@@ -2,10 +2,11 @@
 
 ``hyper_eval`` sums its series on plain ints through an integer term ratio;
 ``meixner_eval`` is that kernel applied to 2F1(-n, -x; b; 1 - 1/c), behind
-its own pole check; and ``binom_row`` builds each binomial coefficient from
-the previous one.  Each is compared with the textbook formula, written out
-in plain ``Fraction`` arithmetic in this file and in ``oracles.py``;
-``binom_row`` is also checked against sympy.
+its own pole check; the bridges and the Clausen product feed the kernel
+parameters they derive as reduced int pairs; and ``binom_row`` builds each
+binomial coefficient from the previous one.  Each is compared with the
+textbook formula, written out in plain ``Fraction`` arithmetic in this file
+and in ``oracles.py``; ``binom_row`` is also checked against sympy.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ import pytest
 
 from delpoly.bipoly import BiPoly, binom_poly, binom_row
 from delpoly.dcore import meixner_eval
-from delpoly.hyper import hyper_eval
+from delpoly.exactnum import reduced
+from delpoly.hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion, hyper_eval
 from oracles import rising
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -98,6 +100,67 @@ def test_meixner_eval_natural_x_below_n(n):
         for b, c in [(Fraction(1), Fraction(-1)), (Fraction(5, 2), Fraction(3, 7)), (Fraction(-3, 2), Fraction(-4))]:
             assert meixner_eval(n, x, b, c) == meixner_reference(n, Fraction(x), b, c)
     assert meixner_eval(n, 0, 3, 2) == 1
+
+
+# Values whose derived parameters reduce: 2r+1 is an integer at r = m/2;
+# c/2 and (c+1)/2 share a factor 2 with an even-numerator or half-integer c;
+# c-b shares a denominator over sixths; z^2 / (4(z-1)) loses a factor 4 when
+# z's numerator is even, and its denominator is negative for z < 1.
+halves = st.integers(min_value=-9, max_value=9).map(lambda m: Fraction(m, 2))
+sixths = st.integers(min_value=-24, max_value=24).map(lambda m: Fraction(m, 6))
+evens = st.builds(lambda m, q: Fraction(2 * m, q), st.integers(min_value=-6, max_value=6), st.sampled_from([1, 3, 5]))
+
+
+def bridge_reference(n: int, r: Fraction, b: Fraction) -> Fraction:
+    """(2r+1)_n / n! * 2F1(-n, b; 2r+1; 2) from rising factorials."""
+    return rising(2 * r + 1, n) / factorial(n) * hyper_reference((Fraction(-n), b), (2 * r + 1,), Fraction(2))
+
+
+def clausen_reference(n: int, b: Fraction, c: Fraction, z: Fraction) -> tuple[Fraction, Fraction]:
+    left = hyper_reference((Fraction(-n), b), (c,), z) * hyper_reference((Fraction(-n), c - b), (c,), z)
+    four_f_three = hyper_reference((Fraction(-n), b, c + n, c - b), (c, c / 2, (c + 1) / 2), z * z / (4 * (z - 1)))
+    return left, (1 - z) ** n * four_f_three
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    n=st.integers(min_value=0, max_value=10), r=st.one_of(halves, rationals), x=st.one_of(halves, sixths, rationals)
+)
+def test_bridges_match_rising_sums(n, r, x):
+    for bridge, b, sign in ((d_via_hyper, r - x, 1), (d_via_hyper_companion, r + 1 + x, (-1) ** n)):
+        try:
+            expected = sign * bridge_reference(n, r, b)
+        except ZeroDivisionError:  # 2r+1 is a pole before the stop
+            with pytest.raises(ValueError, match="pole"):
+                bridge(n, r, x)
+        else:
+            assert bridge(n, r, x) == expected
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    n=st.integers(min_value=0, max_value=8),
+    b=st.one_of(sixths, rationals),
+    c=st.one_of(evens, halves, sixths),
+    z=st.one_of(evens, rationals),
+)
+def test_clausen_product_sides_match_rising_sums(n, b, c, z):
+    hypothesis.assume(z != 1)
+    try:
+        expected = clausen_reference(n, b, c, z)
+    except ZeroDivisionError:  # c is a pole before the stop; c+n keeps c/2 and (c+1)/2 from one
+        with pytest.raises(ValueError, match="pole"):
+            clausen_product_sides(n, b, c, z)
+    else:
+        assert clausen_product_sides(n, b, c, z) == expected
+
+
+@hypothesis.given(p=st.integers(), q=st.integers().filter(bool))
+def test_reduced_is_lowest_terms_with_positive_denominator(p, q):
+    # A negative denominator would only scale a series argument, so no value
+    # above shows it; the pair is checked against Fraction's own reduction.
+    f = Fraction(p, q)
+    assert reduced(p, q) == (f.numerator, f.denominator)
 
 
 def falling_over_factorial(linear: BiPoly, k: int) -> BiPoly:

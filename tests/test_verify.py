@@ -263,7 +263,8 @@ def test_square_rows_match_per_coefficient_formulas(n, a):
     # binomials; a = -1 is where binom(a + 1, k) vanishes past k = 0.
     xs = binom_row(X, n)
     cross = [x * y for x, y in zip(xs, binom_row(a - X, n))]
-    lhs, square, rhs, alpha, beta = _square_sides(xs, cross, n, a)
+    lhs, square, rhs, *products = _square_sides(xs, cross, n, a)
+    alpha, beta = ([Fraction(t, b) for t, b in zip(*row)] for row in products)
     assert alpha == [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
     assert beta == [
         (-1) ** n * binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / (binom_gen(a, k) * binom_gen(a, n))
