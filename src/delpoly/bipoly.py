@@ -13,7 +13,7 @@ operation instead of once per coefficient.  The public surface speaks
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .exactnum import RationalLike, as_rational, check_natural, int_to_decimal
 
@@ -598,23 +598,66 @@ def _affine(value: BiPoly | int | Fraction, message: str) -> BiPoly:
     return value
 
 
+def _product_rows(factors) -> list[list[int]]:
+    """[p_0, p_1, ...] with p_0 = 1 and p_k = p_{k-1} * (a_k v + b_k) for the
+    k-th (a_k, b_k) of ``factors``, each an int coefficient list in v, low
+    degree first.  The one falling/rising-product kernel: it builds the
+    binomial rows here, the defining-sum routes' factorial rows in ``dcore``
+    and parametric-square's sides in ``verify``."""
+    rows = [[1]]
+    for a, b in factors:
+        row = rows[-1]
+        rows.append([b * lo + a * hi for lo, hi in zip(row + [0], [0] + row)])
+    return rows
+
+
+def _binom_rows(linear, k: int):
+    """(falling, weights, delta) for binom(linear, j), j <= k.
+
+    The affine top is (alpha x + beta r + gamma) / delta with ints alpha,
+    beta, gamma and delta > 0.  With l = alpha x + beta r,
+
+        delta^j * j! * binom(linear, j) = prod_{i<j} (l + gamma - i*delta),
+
+    so ``falling[j]`` is that product as an int coefficient list in l.
+    ``weights[e]`` lists the ((a, e - a), C(e, a) alpha^a beta^(e-a)) of l^e
+    that are not zero: a monomial x^a r^(e-a) drops out when alpha or beta
+    is 0.
+    """
+    check_natural(k, "lower index")
+    linear = _affine(linear, "a polynomial binomial needs an affine top argument")
+    coeffs, delta = linear._coeffs, linear._den
+    alpha, beta, gamma = coeffs.get((1, 0), 0), coeffs.get((0, 1), 0), coeffs.get((0, 0), 0)
+    falling = _product_rows((1, gamma - i * delta) for i in range(k))
+    weights = [
+        [((a, e - a), w) for a in range(e + 1) if (w := comb(e, a) * alpha**a * beta ** (e - a))]
+        for e in range(k + 1)
+    ]
+    return falling, weights, delta
+
+
+def _binom_entry(row: list[int], weights, den: int) -> BiPoly:
+    """The polynomial sum_e row[e] * l^e / den, mapped to (x, r) by ``weights``:
+    each monomial comes from one power of l, so the map only assigns."""
+    return BiPoly._raw({key: c * w for e, c in enumerate(row) if c for key, w in weights[e]}, den)
+
+
 def binom_row(linear: BiPoly | int | Fraction, k: int) -> list[BiPoly]:
     """The binomial coefficients binom(linear, 0), ..., binom(linear, k).
 
     ``linear`` must be affine in x and r (an int or ``Fraction`` is a
-    constant).  Each entry is built from the one before it with a single
-    affine factor,
-
-        binom(linear, j+1) = binom(linear, j) * (linear - j) / (j + 1),
-
-    so a caller that needs every lower index up to k pays for k products
-    instead of rebuilding each falling product from 1.
+    constant).  With the top written (l + gamma) / delta, l = alpha x +
+    beta r, the falling products prod_{i<j} (l + gamma - i*delta) for every
+    j <= k are one ``_product_rows`` call in the single variable l.  Entry
+    j is product j over delta^j * j!, mapped to (x, r) by the multinomial
+    l^e = sum_a C(e, a) alpha^a beta^(e-a) x^a r^(e-a): integer arithmetic
+    throughout, and one reduction per entry.
     """
-    check_natural(k, "lower index")
-    linear = _affine(linear, "a polynomial binomial needs an affine top argument")
-    row = [BiPoly.one()]
-    for j in range(k):
-        row.append(row[j] * ((linear - j) / (j + 1)))
+    falling, weights, delta = _binom_rows(linear, k)
+    row, den = [], 1
+    for j, p in enumerate(falling):
+        row.append(_binom_entry(p, weights, den))
+        den *= delta * (j + 1)
     return row
 
 
@@ -622,7 +665,8 @@ def binom_poly(linear: BiPoly | int | Fraction, k: int) -> BiPoly:
     """Binomial coefficient with a polynomial top argument.
 
     Computes linear*(linear-1)*...*(linear-k+1) / k! for an affine
-    ``linear`` in x and r; the result has total degree k.  This is the last
-    entry of ``binom_row(linear, k)``.
+    ``linear`` in x and r; the result has total degree k.  This is entry k
+    of ``binom_row(linear, k)``, and only that entry is mapped to (x, r).
     """
-    return binom_row(linear, k)[k]
+    falling, weights, delta = _binom_rows(linear, k)
+    return _binom_entry(falling[k], weights, delta**k * factorial(k))

@@ -43,7 +43,7 @@ from itertools import count, islice
 from math import comb, factorial, lcm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, _affine, _Lazy, _Slots, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _Slots, binom_row, sum_products
 from .exactnum import RationalLike, as_exact, as_rational, check_natural, reduced
 from .hyper import hyper2f1
 
@@ -182,17 +182,6 @@ def _newform_sum(n: int) -> BiPoly:
     # the falling product of k factors in v = x-r.
     tops = _product_rows((2, m) for m in range(n, 0, -1))
     return _sum_in_forms(n, (0, 1), ((comb(n, k) << k, tops[n - k], k) for k in range(n + 1)))
-
-
-def _product_rows(factors) -> list[list[int]]:
-    """[p_0, p_1, ...] with p_0 = 1 and p_k = p_{k-1} * (a_k v + b_k) for the
-    k-th (a_k, b_k) of ``factors``, each an int coefficient list in v, low
-    degree first."""
-    rows = [[1]]
-    for a, b in factors:
-        row = rows[-1]
-        rows.append([b * lo + a * hi for lo, hi in zip(row + [0], [0] + row)])
-    return rows
 
 
 def _sum_in_forms(n: int, f: tuple[int, int], terms) -> BiPoly:

@@ -20,8 +20,12 @@ one ``sum_products`` call; over ``_PointAlg`` (PointGrid mode, at explicit
 rational points) they are rebuilt in plain ``Fraction`` arithmetic with no
 BiPoly involved (generalized binomials, d_n from the scalar evaluator or the
 scalar defining sum), an independent cross-check of the polynomial
-machinery.  A run that checks no case, or a PointGrid run with no usable
-point, is a ValueError rather than a vacuous pass.
+machinery.  parametric-square is not written over an algebra bundle: its
+symbolic sides have no r, so it builds each as one int coefficient list in x
+(integer falling products and their convolutions, summed over the running
+products of its term-ratio rows) and makes it a BiPoly once.  A run that
+checks no case, or a PointGrid run with no usable point, is a ValueError
+rather than a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -33,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
-from .bipoly import R, X, BiPoly, binom_poly, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _product_rows, binom_poly, binom_row, sum_products
 from .dcore import (
     EvalPoint,
     Route,
@@ -44,7 +49,7 @@ from .dcore import (
     d_sequence,
     meixner_eval,
 )
-from .exactnum import as_rational, binom_gen, binom_int, check_natural
+from .exactnum import as_rational, binom_gen, check_natural
 from .hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
 
@@ -163,7 +168,7 @@ def _cofactor_row(alg, n: int) -> list:
     Entry k is the polynomial (k!/n!) * prod_{j=k+1..n} (2r+j).
     """
     row = alg.binom_row(2 * alg.r + n, n)
-    return [row[n - k] / binom_int(n, k) for k in range(n + 1)]
+    return [row[n - k] / comb(n, k) for k in range(n + 1)]
 
 
 def _square_instances(alg, n_max: int) -> Iterator:
@@ -187,7 +192,7 @@ def _linearization_instances(alg, m_max: int, n_max: int) -> Iterator:
         for n in range(n_max + 1):
             rhs = alg.sum(
                 (
-                    alg.binom(2 * alg.r + m + n - k, k) * (binom_int(m + n - 2 * k, m - k) * (-1) ** k),
+                    alg.binom(2 * alg.r + m + n - k, k) * (comb(m + n - 2 * k, m - k) * (-1) ** k),
                     alg.d(m + n - 2 * k),
                 )
                 for k in range(min(m, n) + 1)
@@ -205,12 +210,12 @@ def _inversion_instances(alg, n_max: int) -> Iterator:
     mirror = alg.binom_row(-1 - alg.x - alg.r, n_max)
     for n in range(n_max + 1):
         cof = _cofactor_row(alg, n)
-        scaled = alg.sum((lower[k] * (binom_int(n, k) * 2**k), cof[k]) for k in range(n + 1))
+        scaled = alg.sum((lower[k] * (comb(n, k) * 2**k), cof[k]) for k in range(n + 1))
         yield f"scaled-form n={n}", {"n": n}, alg.d(n), scaled
 
         even, odd = (
             alg.sum(
-                (alg.d(k) * (binom_int(n, k) * (-1) ** (n - k)), cof[k])
+                (alg.d(k) * (comb(n, k) * (-1) ** (n - k)), cof[k])
                 for k in range(parity, n + 1, 2)
             )
             for parity in (0, 1)
@@ -387,7 +392,7 @@ def _meixner_instances(n_max: int) -> Iterator:
                     f"connection n={n}",
                     {"n": n, "r": rv, "x": xv},
                     sequence_at(rv, xv)[n],
-                    binom_int(2 * rv + n, n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
+                    comb(2 * rv + n, n) * meixner_eval(n, xv - rv, 2 * rv + 1, -1),
                 )
         for bv in range(1, n + 2):
             b = Fraction(bv)
@@ -397,7 +402,7 @@ def _meixner_instances(n_max: int) -> Iterator:
                     f"reparameterized n={n}",
                     {"n": n, "b": b, "x": xv},
                     sequence_at(shift, xv + shift)[n],
-                    binom_int(bv + n - 1, n) * meixner_eval(n, xv, bv, -1),
+                    comb(bv + n - 1, n) * meixner_eval(n, xv, bv, -1),
                 )
 
 
@@ -418,19 +423,64 @@ def _row_total(tops: list[int], bottoms: list[int], weights: list[int]) -> tuple
     return sum(w * t * (last // b) for w, t, b in zip(weights, tops, bottoms)), last
 
 
+def _row_poly(row: tuple[list[int], list[int]], polys: list[list[int]], scales: list[int]) -> tuple[list[int], int]:
+    """sum_k t_k * scales[k] * polys[k] over k < len(scales), t_k = tops[k] /
+    bottoms[k] of the ``_ratio_row`` ``row`` and each of ``polys`` an int
+    coefficient list in x: as one int list, unreduced, over the last bottom
+    read (see ``_row_total``), and that bottom."""
+    tops, bottoms = row
+    last = bottoms[len(scales) - 1]
+    out = [0] * len(polys[len(scales) - 1])  # degrees grow with k
+    for t, b, s, poly in zip(tops, bottoms, scales, polys):
+        w = t * (last // b) * s
+        for e, c in enumerate(poly):
+            out[e] += w * c
+    return out, last
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The int coefficient list of the product of two, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _x_poly(coeffs: list[int], den: int) -> BiPoly:
+    """sum_e coeffs[e] * x^e / den, for any nonzero int ``den``."""
+    if den < 0:
+        coeffs, den = [-c for c in coeffs], -den
+    return BiPoly._raw({(e, 0): c for e, c in enumerate(coeffs)}, den)
+
+
+def _cross_rows(falling: list[list[int]], a: Fraction | int) -> list[list[int]]:
+    """k!^2 q^k binom(x, k) binom(a - x, k) for k < len(falling), a = p/q, as
+    int lists in x: ``falling[k]`` is k! binom(x, k), and q^k k! binom(a - x, k)
+    is the product of the k factors p - iq - qx, i < k."""
+    p, q = a.numerator, a.denominator
+    mirror = _product_rows((-q, p - i * q) for i in range(len(falling) - 1))
+    return [_convolve(f, g) for f, g in zip(falling, mirror)]
+
+
 def _square_sides(
-    xs: list[BiPoly], cross: list[BiPoly], n: int, a: Fraction | int
+    falling: list[list[int]], cross: list[list[int]], n: int, a: Fraction | int
 ) -> tuple[BiPoly, BiPoly, BiPoly, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
     """The free-parameter square at a < 0: (lhs, lhs^2, rhs, alpha, beta).
 
     With alpha_k = C(n,k) (-2)^k / binom(a,k) and beta_k =
     (-1)^n binom(n+k-a-1, n-k) 4^k / (binom(a,k) binom(a,n)), lhs and rhs
-    are the sums over k <= n of alpha_k binom(x, k) (``xs``) and of
-    beta_k binom(x, k) binom(a - x, k) (``cross``, built once per top a by
-    the caller, since it does not depend on n), symbolic in x.  Both rows
-    are hypergeometric in k with alpha_0 = beta_0 = 1, so each entry is
-    one integer term-ratio step from the one before; with a = p/q < 0 no
-    ratio has a zero denominator.  alpha and beta are ``_ratio_row`` products.
+    are the sums over k <= n of alpha_k binom(x, k) and of beta_k binom(x, k)
+    binom(a - x, k), symbolic in x.  ``falling[k]`` is k! binom(x, k) and
+    ``cross[k]`` is k!^2 q^k binom(x, k) binom(a - x, k) (see ``_cross_rows``;
+    the caller builds it once per top a, since it does not depend on n),
+    both int coefficient lists in x.  Both rows are hypergeometric in k with
+    alpha_0 = beta_0 = 1, so each entry is one integer term-ratio step from
+    the one before; with a = p/q < 0 no ratio has a zero denominator.
+    alpha and beta are ``_ratio_row`` products, and each side is one int
+    list over (last bottom) * n! (lhs) or (last bottom) * n!^2 * q^n (rhs),
+    made a BiPoly once.
     """
     p, q = a.numerator, a.denominator
     alpha = _ratio_row(n, lambda k: -2 * (n - k) * q, lambda k: p - k * q)
@@ -439,20 +489,25 @@ def _square_sides(
         lambda k: 4 * ((n + k) * q - p) * (n - k) * (k + 1) * q * q,
         lambda k: (2 * k * q - p) * ((2 * k + 1) * q - p) * (p - k * q),
     )
-    lhs = sum_products((x, BiPoly.const(Fraction(t, b))) for x, t, b in zip(xs, *alpha))
-    rhs = sum_products((c, BiPoly.const(Fraction(t, b))) for c, t, b in zip(cross, *beta))
-    return lhs, lhs * lhs, rhs, alpha, beta
+    rest = [factorial(n) // factorial(k) for k in range(n + 1)]
+    lhs, lhs_den = _row_poly(alpha, falling, rest)
+    lhs_den *= rest[0]
+    rhs, rhs_den = _row_poly(beta, cross, [s * s * q ** (n - k) for k, s in enumerate(rest)])
+    rhs_den *= rest[0] * rest[0] * q**n
+    square = _x_poly(_convolve(lhs, lhs), lhs_den * lhs_den)
+    return _x_poly(lhs, lhs_den), square, _x_poly(rhs, rhs_den), alpha, beta
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
-    xs = binom_row(X, n_max)  # binom(x, k); entry k does not depend on n
-    # binom(x, k) binom(top - x, k) for k <= n_max, built once per top; the
-    # cache is this call's own, so a cold run builds every row again
-    cross = cache(lambda top: [x * y for x, y in zip(xs, binom_row(top - X, n_max))])
+    # k! binom(x, k), and k!^2 q^k binom(x, k) binom(top - x, k) built once
+    # per top, for k <= n_max: neither depends on n.  The cache is this
+    # call's own, so a cold run builds every row again.
+    falling = _product_rows((1, -i) for i in range(n_max))
+    cross = cache(lambda top: _cross_rows(falling, top))
     for n in range(n_max + 1):
         # The b grid is this square at a = -b and the a = -2 case at a = -2,
         # so each parameter's sides are built once per n.
-        sides = cache(lambda a: _square_sides(xs, cross(a), n, a))
+        sides = cache(lambda a: _square_sides(falling, cross(a), n, a))
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         signs, ones = [(-1) ** k for k in range(n + 1)], [1] * (n + 1)
@@ -485,7 +540,7 @@ def _parametric_square_instances(n_max: int) -> Iterator:
                     f"meixner-square tie n={n}",
                     {"n": n, "b": b, "x": xv},
                     meixner_eval(n, xv, bv, -1),
-                    Fraction(*_row_total(*alpha, [binom_int(xv, k) for k in range(xv + 1)])),
+                    Fraction(*_row_total(*alpha, [comb(xv, k) for k in range(xv + 1)])),
                 )
 
         # a = -2 specialization, symbolic in x

@@ -3,10 +3,11 @@
 ``hyper_eval`` sums its series on plain ints through an integer term ratio;
 ``meixner_eval`` is that kernel applied to 2F1(-n, -x; b; 1 - 1/c), behind
 its own pole check; the bridges and the Clausen product feed the kernel
-parameters they derive as reduced int pairs; and ``binom_row`` builds each
-binomial coefficient from the previous one.  Each is compared with the
-textbook formula, written out in plain ``Fraction`` arithmetic in this file
-and in ``oracles.py``; ``binom_row`` is also checked against sympy.
+parameters they derive as reduced int pairs; and ``binom_row`` builds every
+binomial coefficient of a row from one integer falling product in the top's
+linear part.  Each is compared with the textbook formula, written out in
+plain ``Fraction`` arithmetic in this file and in ``oracles.py``;
+``binom_row`` is also checked against sympy.
 """
 
 from fractions import Fraction
@@ -14,10 +15,12 @@ from math import factorial
 
 import pytest
 
+import delpoly.verify
 from delpoly.bipoly import BiPoly, binom_poly, binom_row
 from delpoly.dcore import meixner_eval
 from delpoly.exactnum import reduced
 from delpoly.hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion, hyper_eval
+from delpoly.verify import verify_parametric_square
 from oracles import rising
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -181,6 +184,47 @@ def test_binom_row_matches_falling_product(linear, k):
     for j, entry in enumerate(row):
         assert entry == falling_over_factorial(linear, j)
     assert binom_poly(linear, k) == row[k]
+
+
+@pytest.mark.parametrize(
+    "linear",
+    [
+        2 * R + 15,  # no x: every x^a r^b with a > 0 drops out
+        -X - Fraction(3, 2),  # no r
+        BiPoly.const(Fraction(7, 3)),  # a constant
+        (X - 3 * R + 7) / 6,  # a denominator above 1, both variables
+        BiPoly.const(11),  # binom(11, j) is 0 past j = 11
+    ],
+    ids=["alpha-0", "beta-0", "constant", "denominator-6", "crosses-zero"],
+)
+def test_binom_row_edges_match_falling_product(linear):
+    row = binom_row(linear, 30)
+    for j, entry in enumerate(row):
+        assert entry == falling_over_factorial(linear, j), j
+        assert binom_poly(linear, j) == entry, j
+
+
+def test_binomial_rows_and_parametric_square_sides_multiply_no_polynomials(monkeypatch):
+    # binom_row works on int coefficient lists, and parametric-square builds
+    # its sides in x alone as int lists: neither reaches BiPoly.__mul__,
+    # and parametric-square reads no binomial row and no sum of products.
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    def refuse(*args):
+        raise AssertionError("parametric-square built a side from BiPoly rows")
+
+    product, top = BiPoly.__mul__, X - R
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    monkeypatch.setattr(BiPoly, "__rmul__", counted)
+    assert len(binom_row(top, 15)) == 16
+    monkeypatch.setattr(delpoly.verify, "binom_row", refuse)
+    monkeypatch.setattr(delpoly.verify, "sum_products", refuse)
+    assert verify_parametric_square(4).passed
+    assert calls == []
 
 
 def test_binom_row_rejects_bad_input():

@@ -3,6 +3,7 @@ agreement, fault sensitivity, and report plumbing."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,7 @@ from delpoly.verify import (
     _parametric_square_instances,
     _PointAlg,
     _SymbolicAlg,
+    _cross_rows,
     _square_sides,
     DEFAULT_DEPTHS,
     SUITE_IDS,
@@ -251,7 +253,8 @@ def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
     want = list(reference_parametric_square_instances(n_max))
     assert [(label, params) for label, params, _, _ in got] == [(label, params) for label, params, _, _ in want]
     for (label, params, lhs, rhs), (_, _, want_lhs, want_rhs) in zip(got, want):
-        assert type(lhs) is type(want_lhs) and type(rhs) is type(want_rhs), (label, params)
+        for side, want_side in ((lhs, want_lhs), (rhs, want_rhs)):
+            assert isinstance(side, BiPoly) == isinstance(want_side, BiPoly), (label, params)
         assert (lhs, rhs) == (want_lhs, want_rhs), (label, params)
     assert {"n": n_max, "a": -1} in [params for label, params, _, _ in got if label.startswith("x=-1")]
 
@@ -261,9 +264,18 @@ def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
 def test_square_rows_match_per_coefficient_formulas(n, a):
     # Every entry of both term-ratio rows, k = n included, against its own
     # binomials; a = -1 is where binom(a + 1, k) vanishes past k = 0.
-    xs = binom_row(X, n)
-    cross = [x * y for x, y in zip(xs, binom_row(a - X, n))]
-    lhs, square, rhs, *products = _square_sides(xs, cross, n, a)
+    # The sides read k! binom(x, k) and k!^2 q^k binom(x, k) binom(a - x, k)
+    # as int lists in x, here taken from the BiPoly rows.
+    def ints(p: BiPoly) -> list[int]:
+        values = [p.coefficient(e, 0) for e in range(p.deg_x + 1)]
+        assert all(v.denominator == 1 for v in values) and p.deg_r == 0
+        return [v.numerator for v in values]
+
+    xs, ys = binom_row(X, n), binom_row(a - X, n)
+    falling = [ints(xs[k] * factorial(k)) for k in range(n + 1)]
+    cross = [ints(xs[k] * ys[k] * (factorial(k) ** 2 * a.denominator**k)) for k in range(n + 1)]
+    assert cross == _cross_rows(falling, a)
+    lhs, square, rhs, *products = _square_sides(falling, cross, n, a)
     alpha, beta = ([Fraction(t, b) for t, b in zip(*row)] for row in products)
     assert alpha == [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
     assert beta == [
