@@ -15,14 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .exactnum import RationalLike, as_rational, check_natural, int_to_decimal
+from .exactnum import RationalLike, as_exact, as_rational, check_natural, int_to_decimal
 
 Key = tuple[int, int]  # (degree in x, degree in r)
 
 
-def _reduce(coeffs: dict[Key, int], den: int) -> tuple[dict[Key, int], int, int]:
-    """(coeffs, den, g): both divided by their gcd g; ``coeffs`` must have no zeros."""
-    g = gcd(den, *coeffs.values())
+def _reduce(coeffs: dict[Key, int], den: int, modulus: int | None = None) -> tuple[dict[Key, int], int, int]:
+    """(coeffs, den, g): both divided by their gcd g; ``coeffs`` must have no
+    zeros.  g is taken against ``modulus`` (default ``den``), a divisor of
+    den known to hold every factor den shares with the coefficients."""
+    g = gcd(den if modulus is None else modulus, *coeffs.values())
     if g > 1:
         coeffs = {k: c // g for k, c in coeffs.items()}
         den //= g
@@ -145,14 +147,7 @@ class BiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        den = da // g * db
-        sa, sb = den // da, den // db
-        out = {k: c * sa for k, c in self._coeffs.items()}
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0) + c * sb
-        return BiPoly._raw(out, den)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -163,18 +158,36 @@ class BiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "BiPoly":
         return (-self) + other
 
+    def _add(self, other: "BiPoly", sign: int) -> "BiPoly":
+        """self + sign * other (sign +-1) in one pass, over da * db / g with
+        g = gcd(da, db).  A prime of da/g dividing every numerator of the
+        sum would divide all of self's, whose gcd is coprime to da; likewise
+        for db/g.  So the gcd is taken against g alone."""
+        da, db = self._den, other._den
+        if da == db:
+            g, out, sb = da, dict(self._coeffs), sign
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g * sign
+            out = {k: c * sa for k, c in self._coeffs.items()}
+        get = out.get
+        for k, c in other._coeffs.items():
+            total = get(k, 0) + c * sb
+            if total:
+                out[k] = total
+            else:  # only a key of both can cancel
+                del out[k]
+        return BiPoly._exact(*_reduce(out, da // g * db, g)[:2])
+
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            f = as_rational(other)
-            return BiPoly._raw(
-                {k: c * f.numerator for k, c in self._coeffs.items()},
-                self._den * f.denominator,
-            )
+            f = as_exact(other)  # a bool is a ValueError
+            return self._scale(f.numerator, f.denominator)
         if not isinstance(other, BiPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -193,10 +206,24 @@ class BiPoly:
     def __truediv__(self, scalar) -> "BiPoly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        f = as_rational(scalar)
-        if f == 0:
+        f = as_exact(scalar)  # a bool is a ValueError
+        p, q = f.numerator, f.denominator
+        if not p:
             raise ZeroDivisionError("division of BiPoly by zero scalar")
-        return self * Fraction(f.denominator, f.numerator)
+        return self._scale(q, p) if p > 0 else self._scale(-q, -p)
+
+    def _scale(self, p: int, q: int) -> "BiPoly":
+        """self * p/q, p/q in lowest terms, q > 0: (c/h) * (p/g) over (den/g) *
+        (q/h) with g = gcd(den, p) and h = gcd(q, c...), canonical as it is,
+        since den is coprime to the numerators c and q to p."""
+        if not p:
+            return BiPoly._exact({}, 1)
+        coeffs, den = self._coeffs, self._den
+        g = gcd(den, p)
+        h = gcd(q, *coeffs.values()) if q != 1 else 1
+        f = p // g
+        out = {k: c // h * f for k, c in coeffs.items()} if h != 1 else {k: c * f for k, c in coeffs.items()}
+        return BiPoly._exact(out, den // g * (q // h))
 
     def __pow__(self, exponent: int) -> "BiPoly":
         check_natural(exponent, "exponent")
@@ -211,6 +238,8 @@ class BiPoly:
         return result
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, bool):  # a bool is no rational, so it equals no polynomial
+            return NotImplemented
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -242,21 +271,21 @@ class BiPoly:
 
     def subst_affine_x(self, shift: RationalLike, negate: bool = False) -> "BiPoly":
         """Substitute x -> (-x if negate else x) + shift, exactly."""
-        return self._subst(0, -1 if negate else 1, as_rational(shift))
+        return self._subst(0, -1 if negate else 1, as_exact(shift))
 
     def subst_affine_r(self, shift: RationalLike) -> "BiPoly":
         """Substitute r -> r + shift, exactly."""
-        return self._subst(1, 1, as_rational(shift))
+        return self._subst(1, 1, as_exact(shift))
 
     def subst_x_value(self, value: RationalLike) -> "BiPoly":
         """Pin x to a rational, leaving a polynomial in r alone."""
-        return self._subst(0, 0, as_rational(value))
+        return self._subst(0, 0, as_exact(value))
 
     def subst_r_value(self, value: RationalLike) -> "BiPoly":
         """Pin r to a rational, leaving a polynomial in x alone."""
-        return self._subst(1, 0, as_rational(value))
+        return self._subst(1, 0, as_exact(value))
 
-    def _subst(self, axis: int, sign: int, shift: Fraction) -> "BiPoly":
+    def _subst(self, axis: int, sign: int, shift: int | Fraction) -> "BiPoly":
         """Substitute v -> sign*v + shift for the variable v on ``axis`` (0: x, 1: r).
 
         With shift = p/q and D the top degree in v,
@@ -266,20 +295,26 @@ class BiPoly:
         so every output coefficient is an integer over den * q^D.  The
         weights of each degree d are built once, the products accumulate on
         plain ints, and the result is normalised once.  Sign 0 pins v to
-        the value p/q: only the j = 0 weight is left.
+        the value p/q: only the j = 0 weight is left, one int per degree.
         """
         p, q = shift.numerator, shift.denominator
         top = max((k[axis] for k in self._coeffs), default=0)
-        weights = [
-            [comb(d, j) * sign**j * p ** (d - j) * q ** (top - d + j) for j in range(d + 1 if sign else 1)]
-            for d in range(top + 1)
-        ]
         out: dict[Key, int] = {}
+        get = out.get
+        if not sign:
+            weights = [p**d * q ** (top - d) for d in range(top + 1)]
+            for key, c in self._coeffs.items():
+                k = (0, key[1]) if axis == 0 else (key[0], 0)
+                out[k] = get(k, 0) + c * weights[key[axis]]
+            return BiPoly._raw(out, self._den * q**top)
+        weights = [
+            [comb(d, j) * sign**j * p ** (d - j) * q ** (top - d + j) for j in range(d + 1)] for d in range(top + 1)
+        ]
         for key, c in self._coeffs.items():
             other = key[1 - axis]
             for j, w in enumerate(weights[key[axis]]):
                 k = (j, other) if axis == 0 else (other, j)
-                out[k] = out.get(k, 0) + c * w
+                out[k] = get(k, 0) + c * w
         return BiPoly._raw(out, self._den * q**top)
 
     # -- canonical text form -------------------------------------------------

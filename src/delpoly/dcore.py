@@ -149,6 +149,9 @@ def clear_caches() -> None:
 def _cached_prefix(route: Route, n_max: int) -> list[BiPoly]:
     # Validate before touching the cache: a negative index would otherwise
     # read (or slice) whatever prefix an earlier call happened to build.
+    if not isinstance(route, Route):
+        names = ", ".join(f"Route.{r.name}" for r in Route)
+        raise ValueError(f"not a Route: {route!r}; the routes are {names}")
     check_natural(n_max, "n_max")
     with _cache_lock:
         if route not in _cache:

@@ -178,7 +178,7 @@ def _square_instances(alg, n_max: int) -> Iterator:
     # binom(x+r+k, k) = (-1)^k binom(-1-x-r, k).
     lower = alg.binom_row(alg.x - alg.r, n_max)
     upper = alg.binom_row(-1 - alg.x - alg.r, n_max)
-    outer = [lower[k] * (upper[k] * (-4) ** k) for k in range(n_max + 1)]
+    outer = [alg.sum([(lower[k], upper[k] * (-4) ** k)]) for k in range(n_max + 1)]
     for n in range(n_max + 1):
         cof = _cofactor_row(alg, n)
         rhs = alg.sum(
@@ -253,19 +253,19 @@ def _recurrence_instances(alg, n_max: int) -> Iterator:
             f"three-term n={n}",
             {"n": n},
             (n + 1) * alg.d(n + 1),
-            (1 + 2 * alg.x) * alg.d(n) + (n + 2 * alg.r) * alg.d(n - 1),
+            alg.sum([(1 + 2 * alg.x, alg.d(n)), (n + 2 * alg.r, alg.d(n - 1))]),
         )
         yield (
             f"two-term n={n}",
             {"n": n},
             (n + 1) * alg.d(n + 1),
-            (alg.x + alg.r + n + 1) * alg.d(n) + sign * (alg.x - alg.r) * mirror,
+            alg.sum([(alg.x + alg.r + n + 1, alg.d(n)), (sign * (alg.x - alg.r), mirror)]),
         )
         yield (
             f"combined n={n}",
             {"n": n},
-            (n + 2 * alg.r) * alg.d(n - 1),
-            (n + alg.r - alg.x) * alg.d(n) + sign * (alg.x - alg.r) * mirror,
+            alg.sum([(n + 2 * alg.r, alg.d(n - 1))]),
+            alg.sum([(n + alg.r - alg.x, alg.d(n)), (sign * (alg.x - alg.r), mirror)]),
         )
 
 
@@ -362,15 +362,15 @@ def _shift_instances(alg, n_max: int) -> Iterator:
 def _weighted_square_sum_instances(alg, n_max: int) -> Iterator:
     # The weight prod_{j=k+1..n} (2r+j)/j of d_k^2 is entry k of the
     # cofactor row.
-    squares = [alg.d(k) * alg.d(k) for k in range(n_max)]
+    squares = [alg.sum([(alg.d(k), alg.d(k))]) for k in range(n_max)]
     for n in range(1, n_max + 1):
         cof = _cofactor_row(alg, n)
         total = alg.sum((cof[k], squares[k]) for k in range(n))
         yield (
             f"n={n}",
             {"n": n},
-            (1 + 2 * alg.x) * total,
-            (n + 2 * alg.r) * alg.d(n) * alg.d(n - 1),
+            alg.sum([(1 + 2 * alg.x, total)]),
+            alg.sum([(n + 2 * alg.r, alg.sum([(alg.d(n), alg.d(n - 1))]))]),
         )
 
 

@@ -16,6 +16,11 @@ X = BiPoly.x()
 R = BiPoly.r()
 
 
+def scalars(st):
+    """Hypothesis scalars: ints, 0 and negatives included, and Fractions."""
+    return st.integers(-40, 40) | st.fractions(min_value=-40, max_value=40, max_denominator=15)
+
+
 def random_poly(rng, max_deg=3, max_terms=5) -> BiPoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -154,6 +159,20 @@ def test_construction_rejects_non_natural_degrees(key, name):
     # IndexError, {(0.5, 0): 1} to print x^0.5, and a True degree to pass.
     with pytest.raises(ValueError, match=f"{name} must be a natural number"):
         BiPoly({key: 1})
+
+
+def test_a_bool_equals_no_polynomial_and_is_no_scalar():
+    # X == True used to raise ValueError, and so did a list search for True.
+    one = BiPoly.one()
+    assert (X == True) is False  # noqa: E712
+    assert (one == True) is False  # noqa: E712
+    assert (X != False) is True  # noqa: E712
+    assert True not in [X, one]
+    assert [X, one].count(True) == 0
+    assert one == 1 and X != Fraction(3, 2) and (X == 1.5) is False
+    for op in (lambda p: p * True, lambda p: True * p, lambda p: p / True, lambda p: p + True, lambda p: p - True):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            op(X)
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
@@ -694,13 +713,19 @@ def test_ring_ops_and_substitutions_match_sympy():
     value = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(a=poly, b=poly, k=st.integers(0, 3), u=value, v=value, negate=st.booleans())
-    def check(a, b, k, u, v, negate):
+    @hypothesis.given(a=poly, b=poly, s=scalars(st), k=st.integers(0, 3), u=value, v=value, negate=st.booleans())
+    def check(a, b, s, k, u, v, negate):
         sa, sb, sv = to_sympy(a), to_sympy(b), sympy.Rational(v.numerator, v.denominator)
-        su = sympy.Rational(u.numerator, u.denominator)
+        su, ss = sympy.Rational(u.numerator, u.denominator), sympy.Rational(s.numerator, s.denominator)
         ea = sa.as_expr()
         assert to_sympy(a * b) == sa * sb
         assert to_sympy(a + b) == sa + sb
+        assert to_sympy(a - b) == sa - sb
+        assert to_sympy(-a) == -sa
+        assert to_sympy(a * s) == to_sympy(s * a) == sa * ss
+        assert to_sympy(a - s) == sa - ss and to_sympy(s - a) == ss - sa
+        if s:
+            assert to_sympy(a / s) == poly_of(ea / ss)
         assert to_sympy(a**k) == sa**k
         assert to_sympy(a.subst_neg_x()) == poly_of(ea.subs(x, -x))
         assert to_sympy(a.subst_affine_x(v, negate=negate)) == poly_of(
@@ -712,3 +737,46 @@ def test_ring_ops_and_substitutions_match_sympy():
         assert a.eval(u, v) == Fraction(str(ea.subs({r: su, x: sv})))
 
     check()
+
+
+def is_canonical(p: BiPoly) -> bool:
+    """Integer numerators with no zero over a positive denominator, gcd 1."""
+    coeffs, den = p._coeffs, p._den
+    return den > 0 and gcd(den, *coeffs.values()) == 1 and all(coeffs.values())
+
+
+def test_every_ring_op_and_substitution_returns_a_canonical_polynomial():
+    # A scalar product takes its reduction from gcd(den, p) and gcd(q,
+    # content), a sum from the gcd of the two denominators alone; both
+    # rest on the operands being canonical, so each result is checked
+    # for it, a decoded sum of products included.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficient, max_size=6
+    ).map(BiPoly)
+    value = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(a=poly, b=poly, s=scalars(st), k=st.integers(0, 3), v=value, negate=st.booleans())
+    def check(a, b, s, k, v, negate):
+        results = [
+            a * s, s * a, a + s, s - a, a + b, a - b, a - a, -a, a**k,
+            a.subst_neg_x(), a.subst_affine_x(v, negate=negate), a.subst_affine_r(v),
+            a.subst_x_value(v), a.subst_r_value(v),
+            sum_products([(a, b), (b * s, a - b)]),
+        ]
+        if s:
+            results.append(a / s)
+        for p in results:
+            assert is_canonical(p), p
+
+    check()
+
+
+def test_reflected_operators_are_the_same_functions():
+    # A tracer that wraps __add__ and __mul__ finds __radd__ and __rmul__
+    # by identity.
+    assert BiPoly.__radd__ is BiPoly.__add__
+    assert BiPoly.__rmul__ is BiPoly.__mul__

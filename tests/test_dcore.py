@@ -235,6 +235,18 @@ def test_bad_indices_fail_whatever_the_cache_holds(warm):
     clear_caches()
 
 
+@pytest.mark.parametrize("bad", ["three-term", None, 3], ids=["route-value", "none", "int"])
+def test_a_route_that_is_no_route_is_named_before_the_cache_is_touched(bad):
+    # d_sequence("three-term", 3) used to fail with a bare KeyError from the
+    # generator table.
+    clear_caches()
+    with pytest.raises(ValueError, match="not a Route") as raised:
+        d_sequence(bad, 3)
+    for route in Route:
+        assert f"Route.{route.name}" in str(raised.value)
+    assert not dcore._cache
+
+
 DEFERRED_ROUTES = [Route.DIRECT, Route.NEWFORM]
 
 
