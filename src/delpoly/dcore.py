@@ -69,15 +69,6 @@ class EvalPoint:
         object.__setattr__(self, "r", as_rational(self.r))
         object.__setattr__(self, "x", as_rational(self.x))
 
-    def r_is_excluded_half_integer(self) -> bool:
-        """True when r lies in {-1/2, -1, -3/2, ...}, i.e. 2r is a negative integer.
-
-        Several connection and inversion formulas degenerate on that set;
-        verifiers consult this single predicate instead of re-encoding it.
-        """
-        twice = 2 * self.r
-        return twice.denominator == 1 and twice <= -1
-
 
 @dataclass(frozen=True)
 class DSequence:

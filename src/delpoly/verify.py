@@ -1,31 +1,36 @@
 """One verifier per identity family, each producing an exact verdict.
 
-Every verifier establishes its identity in one of three proof-grade modes:
+Two modes prove the identity for every n up to the depth:
 
 * SymbolicPoly -- both sides constructed as BiPoly and compared exactly;
 * ClearedDenominator -- parameter-dependent denominators are first absorbed
   into polynomial cofactors (the quotients are exact polynomials), then the
-  cleared sides are compared as BiPoly;
-* InterpolationGrid -- per instance the identity is symbolic in x and
-  checked at more parameter values than a degree bound the verifier
-  states, which makes the grid verdict a proof rather than a sample
-  (ROADMAP item 10 computes that bound instead).
+  cleared sides are compared as BiPoly.
+
+The other two are not shown to be proofs (ROADMAP item 2 makes them so):
+
+* InterpolationGrid (meixner, parametric-square) -- per n the identity is
+  checked on a grid of parameter values, against a degree bound and sample
+  count written into the verifier.  The report's check that the samples
+  exceed the bound compares, for meixner, (n+1)^2 grid points with n, a
+  bound on one axis, so it would pass a grid too small to prove anything;
+* PointGrid (hyper-bridge, clausen-product) -- scalar sides at fixed
+  points.  hyper-bridge's 50 points all lie on the line 14x - 24r + 79 = 0,
+  and clausen-product's 83 (b, c, z) triples per n cover its sides, of
+  degree 2n in each of b, c and z, only for n <= 1.
 
 Every identity is an instance generator yielding (label, params, lhs, rhs)
 cases, and all of them run through one compare loop.  The SymbolicPoly and
-ClearedDenominator generators, and hyper-bridge's, are written once over an
-algebra bundle that supplies binomials, binomial rows, sums of products and
-the values d_n.  Over ``_SymbolicAlg`` the sides are BiPoly and each sum is
-one ``sum_products`` call; over ``_PointAlg`` (PointGrid mode, at explicit
-rational points) they are rebuilt in plain ``Fraction`` arithmetic with no
-BiPoly involved (generalized binomials, d_n from the scalar evaluator or the
-scalar defining sum), an independent cross-check of the polynomial
-machinery.  parametric-square is not written over an algebra bundle: its
-symbolic sides have no r, so it builds each as one int coefficient list in x
-(integer falling products and their convolutions, summed over the running
-products of its term-ratio rows) and makes it a BiPoly once.  A run that
-checks no case, or a PointGrid run with no usable point, is a ValueError
-rather than a vacuous pass.
+ClearedDenominator generators are written once over an algebra bundle that
+supplies binomials, binomial rows, sums of products and the values d_n.
+Over ``_SymbolicAlg`` the sides are BiPoly and each sum is one
+``sum_products`` call; the tests run the same generators over plain
+``Fraction``s at random points, a cross-check from outside the package.
+parametric-square is not written over an algebra bundle: its symbolic sides
+have no r, so it builds each as one int coefficient list in x (integer
+falling products and their convolutions, summed over the running products
+of its term-ratio rows) and makes it a BiPoly once.  A run that checks no
+case is a ValueError rather than a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -34,7 +39,7 @@ by +1, which must flip the verdict and produce a concrete counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -44,18 +49,17 @@ from .bipoly import R, X, BiPoly, _product_rows, binom_poly, binom_row, sum_prod
 from .dcore import (
     EvalPoint,
     Route,
-    d_eval,
     d_eval_sequence,
     d_sequence,
     meixner_eval,
 )
-from .exactnum import as_rational, binom_gen, check_natural
+from .exactnum import as_rational, check_natural
 from .hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
 
 
 # ---------------------------------------------------------------------------
-# Algebra bundles: the same identity generators run over either of these.
+# The algebra bundle the symbolic identity generators run over.
 # ---------------------------------------------------------------------------
 
 
@@ -94,53 +98,8 @@ class _SymbolicAlg:
         return self.d(n).subst_x_value(x_value)
 
 
-class _PointAlg:
-    """Identity sides as plain rationals at one evaluation point.
-
-    Under Route.DIRECT d_n comes from the defining binomial sum, which keeps
-    a check of the recurrences non-vacuous; otherwise from the recurrence.
-    """
-
-    def __init__(self, point: EvalPoint, n_high: int, route: Route):
-        self.r = point.r
-        self.x = point.x
-        self._value = _d_direct_scalar if route is Route.DIRECT else d_eval
-        if route is Route.DIRECT:
-            self._seq = [_d_direct_scalar(n, point) for n in range(n_high + 1)]
-        else:
-            self._seq = d_eval_sequence(n_high, point)
-
-    def binom(self, top, k: int):
-        return binom_gen(top, k)
-
-    def binom_row(self, top, k: int):
-        p, q = top.numerator, top.denominator
-        return [Fraction(*tb) for tb in zip(*_ratio_row(k, lambda j: p - j * q, lambda j: (j + 1) * q))]
-
-    def sum(self, pairs):
-        return sum((a * b for a, b in pairs), Fraction(0))
-
-    def d(self, n: int):
-        return Fraction(0) if n < 0 else self._seq[n]
-
-    def d_subst(self, n: int, r_shift=0, x_shift=0, x_negate: bool = False):
-        xv = -self.x if x_negate else self.x
-        return self._value(n, EvalPoint(self.r + r_shift, xv + x_shift))
-
-    def d_at_x(self, n: int, x_value):
-        return self._value(n, EvalPoint(self.r, x_value))
-
-
-def _d_direct_scalar(n: int, at: EvalPoint) -> Fraction:
-    """d_n at a point straight from the defining binomial sum."""
-    return sum(
-        (binom_gen(at.x + at.r + k, k) * binom_gen(at.x - at.r, n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Deterministic rational points for PointGrid runs.
+# Deterministic rational points for hyper-bridge.
 # ---------------------------------------------------------------------------
 
 
@@ -148,8 +107,11 @@ def deterministic_points(count: int) -> tuple[EvalPoint, ...]:
     """Fixed non-excluded rational (r, x) points.
 
     The r values have denominator 8 with odd numerator, so 2r is never an
-    integer and no point lands in the degenerate half-integer set.
+    integer and no point lands in the degenerate half-integer set.  Point i
+    is r = (2i-7)/8, x = (3i-50)/7, so every point lies on the line
+    14x - 24r + 79 = 0.
     """
+    check_natural(count, "count")
     return tuple(
         EvalPoint(Fraction(2 * i + 1, 8) - 1, Fraction(3 * i - 50, 7))
         for i in range(count)
@@ -157,8 +119,8 @@ def deterministic_points(count: int) -> tuple[EvalPoint, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Identity instance generators.  Each yields (label, params, lhs, rhs);
-# the sides are BiPoly or Fraction depending on the algebra passed in.
+# Identity instance generators.  Each yields (label, params, lhs, rhs); the
+# sides of those written over an algebra bundle are whatever it computes in.
 # ---------------------------------------------------------------------------
 
 
@@ -374,10 +336,15 @@ def _weighted_square_sum_instances(alg, n_max: int) -> Iterator:
         )
 
 
-def _hyper_bridge_instances(alg, n_max: int) -> Iterator:
-    for n in range(n_max + 1):
-        yield f"bridge n={n}", {"n": n}, alg.d(n), d_via_hyper(n, alg.r, alg.x)
-        yield f"mirror-bridge n={n}", {"n": n}, alg.d(n), d_via_hyper_companion(n, alg.r, alg.x)
+def _hyper_bridge_instances(n_max: int, reached: list[EvalPoint]) -> Iterator:
+    # Appends each point to ``reached`` before its first case.
+    for point in deterministic_points(50):
+        reached.append(point)
+        r, x = point.r, point.x
+        seq = d_eval_sequence(n_max, point)
+        for n in range(n_max + 1):
+            yield f"bridge n={n}", {"n": n, "r": r, "x": x}, seq[n], d_via_hyper(n, r, x)
+            yield f"mirror-bridge n={n}", {"n": n, "r": r, "x": x}, seq[n], d_via_hyper_companion(n, r, x)
 
 
 def _meixner_instances(n_max: int) -> Iterator:
@@ -611,45 +578,22 @@ def _run_identity(
     n_high: int | None = None,
     range_desc: str | None = None,
     route: Route | None = Route.THREE_TERM,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
     skipped: tuple = (),
     witness_axes: tuple[str, ...] = ("r", "x"),
     **grid,
 ) -> VerifyReport:
     """Report on the cases ``instances(alg)`` yields over exact polynomials
-    d_0..d_{n_high} (n_high defaults to depth) from ``route``, or at each of
-    ``points`` over rationals; with no route the generator gets no algebra.
-    Points that leave no usable one are a ValueError, not a vacuous pass."""
+    d_0..d_{n_high} (n_high defaults to depth) from ``route``; with no route
+    the generator gets no algebra."""
     check_natural(depth, "depth")
     n_high = depth if n_high is None else n_high
-    skipped, used = list(skipped), []
-    if points is not None:
-        points = tuple(points)
-        if all(point.r_is_excluded_half_integer() for point in points):
-            raise ValueError(f"{identity_id}: none of the {len(points)} given points is usable")
-
-    def point_cases() -> Iterator:
-        for point in points:
-            if point.r_is_excluded_half_integer():
-                skipped.append({"r": point.r, "x": point.x, "reason": "r in excluded half-integer set"})
-                continue
-            used.append(point)
-            for label, params, lhs, rhs in instances(_PointAlg(point, n_high, route)):
-                yield label, {**params, "r": point.r, "x": point.x}, lhs, rhs
-
-    if points is not None:
-        cases = point_cases()
-    else:
-        cases = instances(None if route is None else _SymbolicAlg(d_sequence(route, n_high).polys))
+    cases = instances(None if route is None else _SymbolicAlg(d_sequence(route, n_high).polys))
     counterexample = _first_counterexample(identity_id, cases, fault_index, witness_axes)
-    range_desc = range_desc or f"n<={depth}"
-    if points is not None:
-        mode, range_desc = Mode.POINT_GRID, f"{range_desc} at {len(used)} points"
     return VerifyReport(
         identity_id=identity_id,
         mode=mode,
-        range=range_desc,
+        range=range_desc or f"n<={depth}",
         passed=counterexample is None,
         counterexample=counterexample,
         skipped=tuple(skipped),
@@ -666,7 +610,6 @@ _EXCLUDED_HALF_INT = {
 def verify_square(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Closed form for d_n(x)^2 as a single binomial sum."""
@@ -675,7 +618,6 @@ def verify_square(
         Mode.CLEARED_DENOMINATOR,
         n_max,
         lambda alg: _square_instances(alg, n_max),
-        points=points,
         fault_index=fault_index,
         skipped=(_EXCLUDED_HALF_INT,),
     )
@@ -685,7 +627,6 @@ def verify_linearization(
     m_max: int,
     n_max: int | None = None,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Product d_m * d_n as a signed combination of single d_k."""
@@ -697,7 +638,6 @@ def verify_linearization(
         lambda alg: _linearization_instances(alg, m_max, n_max),
         n_high=m_max + n_max,
         range_desc=f"m<={m_max}, n<={n_max}",
-        points=points,
         fault_index=fault_index,
     )
 
@@ -705,7 +645,6 @@ def verify_linearization(
 def verify_newform_consequences(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Binomial-inversion consequences of the alternative closed form."""
@@ -714,7 +653,6 @@ def verify_newform_consequences(
         Mode.CLEARED_DENOMINATOR,
         n_max,
         lambda alg: _inversion_instances(alg, n_max),
-        points=points,
         fault_index=fault_index,
         skipped=(_EXCLUDED_HALF_INT,),
     )
@@ -723,7 +661,6 @@ def verify_newform_consequences(
 def verify_jacobi(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """The three Jacobi-polynomial representations of d_n."""
@@ -732,7 +669,6 @@ def verify_jacobi(
         Mode.SYMBOLIC_POLY,
         n_max,
         lambda alg: _jacobi_instances(alg, n_max),
-        points=points,
         fault_index=fault_index,
     )
 
@@ -740,7 +676,6 @@ def verify_jacobi(
 def verify_recurrences(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Three-term and two-term recurrences plus their combination.
@@ -755,7 +690,6 @@ def verify_recurrences(
         lambda alg: _recurrence_instances(alg, n_max),
         n_high=n_max + 1,
         route=Route.DIRECT,
-        points=points,
         fault_index=fault_index,
     )
 
@@ -763,7 +697,6 @@ def verify_recurrences(
 def verify_special_values(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Closed forms of d_n at x in {-1/2, 0, -1, 1/2, 1, 3/2, 2}."""
@@ -772,7 +705,6 @@ def verify_special_values(
         Mode.CLEARED_DENOMINATOR,
         n_max,
         lambda alg: _special_value_instances(alg, n_max),
-        points=points,
         fault_index=fault_index,
         skipped=(
             {"r": "-1", "reason": "excluded for x=1 and x=3/2 closed forms"},
@@ -785,7 +717,6 @@ def verify_special_values(
 def verify_shift_identities(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Half-step parameter/argument shift identities and the x -> 1-x swap."""
@@ -795,7 +726,6 @@ def verify_shift_identities(
         n_max,
         lambda alg: _shift_instances(alg, n_max),
         n_high=n_max + 1,
-        points=points,
         fault_index=fault_index,
     )
 
@@ -803,7 +733,6 @@ def verify_shift_identities(
 def verify_weighted_square_sum(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """(1+2x) * sum of weighted d_k^2 equals (n+2r) d_n d_{n-1}."""
@@ -812,7 +741,6 @@ def verify_weighted_square_sum(
         Mode.SYMBOLIC_POLY,
         n_max,
         lambda alg: _weighted_square_sum_instances(alg, n_max),
-        points=points,
         fault_index=fault_index,
     )
 
@@ -864,18 +792,20 @@ def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> V
 def verify_hyper_bridge(
     n_max: int,
     *,
-    points: Iterable[EvalPoint] | None = None,
     fault_index: int | None = None,
 ) -> VerifyReport:
-    """Terminating-2F1 bridge and its mirror match the scalar evaluator."""
-    return _run_identity(
+    """Terminating-2F1 bridge and its mirror match the scalar evaluator at
+    the 50 ``deterministic_points``; the range counts the points reached."""
+    reached: list[EvalPoint] = []
+    report = _run_identity(
         "hyper-bridge",
         Mode.POINT_GRID,
         n_max,
-        lambda alg: _hyper_bridge_instances(alg, n_max),
-        points=deterministic_points(50) if points is None else points,
+        lambda _: _hyper_bridge_instances(n_max, reached),
+        route=None,
         fault_index=fault_index,
     )
+    return replace(report, range=f"{report.range} at {len(reached)} points")
 
 
 def verify_clausen_product(n_max: int, *, fault_index: int | None = None) -> VerifyReport:

@@ -386,15 +386,6 @@ def test_change_of_variables_kernel_matches_sympy(f, g):
         assert dcore._forms_to_xr(m, f, g, den) == want, (top, m, den)
 
 
-def test_excluded_half_integer_predicate():
-    excluded = [Fraction(-1, 2), Fraction(-1), Fraction(-3, 2), Fraction(-7)]
-    allowed = [Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(3), Fraction(-2, 5)]
-    for r in excluded:
-        assert EvalPoint(r, 0).r_is_excluded_half_integer()
-    for r in allowed:
-        assert not EvalPoint(r, 0).r_is_excluded_half_integer()
-
-
 def test_jacobi_eval():
     assert jacobi_eval(0, X - R, 2 * R, 3) == BiPoly.one()
     # forced by the connection formula at n = 1

@@ -12,9 +12,15 @@ from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, 
 from delpoly.exactnum import binom_gen, binom_int
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
+    _inversion_instances,
     _jacobi_instances,
+    _linearization_instances,
     _parametric_square_instances,
-    _PointAlg,
+    _recurrence_instances,
+    _shift_instances,
+    _special_value_instances,
+    _square_instances,
+    _weighted_square_sum_instances,
     _SymbolicAlg,
     _cross_rows,
     _square_sides,
@@ -36,6 +42,9 @@ from delpoly.verify import (
     verify_square,
     verify_weighted_square_sum,
 )
+
+import oracles
+from oracles import FractionAlg
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -66,9 +75,7 @@ def random_points(count: int, seed: int) -> tuple[EvalPoint, ...]:
     while len(points) < count:
         r = Fraction(2 * rng.randint(-10, 30) + 1, 8)
         x = Fraction(rng.randint(-40, 40), rng.choice([3, 5, 7, 8]))
-        pt = EvalPoint(r, x)
-        assert not pt.r_is_excluded_half_integer()
-        points.append(pt)
+        points.append(EvalPoint(r, x))
     return tuple(points)
 
 
@@ -81,9 +88,12 @@ def test_square_hand_case():
 
 
 def test_square_cross_checked_pointwise():
-    report = verify_square(6, points=random_points(5, seed=1))
-    assert report.passed
-    assert report.mode is Mode.POINT_GRID
+    # square at its suite depth, over the plain-Fraction oracle
+    depth = DEFAULT_DEPTHS["square"]
+    for point in random_points(5, seed=1):
+        cases = list(_square_instances(FractionAlg(point.r, point.x), depth))
+        assert len(cases) == depth + 1
+        assert all(lhs == rhs for _, _, lhs, rhs in cases), point
 
 
 def test_linearization_hand_case():
@@ -291,8 +301,9 @@ def test_square_rows_match_per_coefficient_formulas(n, a):
 def test_hyper_bridge_verifier():
     report = verify_hyper_bridge(6)
     assert report.passed
-    report = verify_hyper_bridge(4, points=deterministic_points(10))
-    assert report.passed
+    assert report.mode is Mode.POINT_GRID
+    assert report.range == "n<=6 at 50 points"
+    assert verify_hyper_bridge(0).range == "n<=0 at 50 points"
 
 
 def test_clausen_verifier():
@@ -303,31 +314,79 @@ def test_deterministic_points_avoid_exclusions():
     points = deterministic_points(50)
     assert len(points) == 50
     assert len(set(points)) == 50
-    assert not any(p.r_is_excluded_half_integer() for p in points)
+    # 2r is never an integer, so no r is in {-1/2, -1, -3/2, ...}
+    assert all((2 * p.r).denominator != 1 for p in points)
+    # and every point lies on one line, so a hyper-bridge verdict is no proof
+    assert all(14 * p.x - 24 * p.r + 79 == 0 for p in points)
 
 
-SYMBOLIC_VERIFIERS = {
-    "square": verify_square,
-    "linearization": verify_linearization,
-    "inversion": verify_newform_consequences,
-    "jacobi": verify_jacobi,
-    "recurrences": verify_recurrences,
-    "special-values": verify_special_values,
-    "shift-identities": verify_shift_identities,
-    "weighted-square-sum": verify_weighted_square_sum,
+@pytest.mark.parametrize("count", [-3, True, 2.0])
+def test_deterministic_points_rejects_a_bad_count(count):
+    with pytest.raises(ValueError, match="count must be a natural number"):
+        deterministic_points(count)
+
+
+# Each symbolic family's instance generator, as (algebra, depth) -> cases.
+SYMBOLIC_GENERATORS = {
+    "square": _square_instances,
+    "linearization": lambda alg, depth: _linearization_instances(alg, depth, depth),
+    "inversion": _inversion_instances,
+    "jacobi": _jacobi_instances,
+    "recurrences": _recurrence_instances,
+    "special-values": _special_value_instances,
+    "shift-identities": _shift_instances,
+    "weighted-square-sum": _weighted_square_sum_instances,
 }
-SYMBOLIC_IDS = tuple(SYMBOLIC_VERIFIERS)
+SYMBOLIC_IDS = tuple(SYMBOLIC_GENERATORS)
+
+
+def oracle_failures(generate, depth: int, points) -> list:
+    """(label, params, point) of every case whose sides differ when the
+    generator runs over the plain-Fraction oracle at each point."""
+    return [
+        (label, params, point)
+        for point in points
+        for label, params, lhs, rhs in generate(FractionAlg(point.r, point.x), depth)
+        if lhs != rhs
+    ]
 
 
 @pytest.mark.parametrize("identity_id", SYMBOLIC_IDS)
 def test_point_grid_agrees_with_symbolic(identity_id):
-    """Symbolic/cleared verdicts are spot-checked at >= 20 random points."""
+    """Every case of a symbolic family holds at 20 random points over the
+    plain-Fraction oracle, and its BiPoly sides evaluated there are the
+    oracle's sides."""
     depth = SMALL_DEPTH[identity_id]
-    (symbolic,) = run_suite(SuiteConfig(depths=SMALL_DEPTH, selection=(identity_id,)))
-    verifier = SYMBOLIC_VERIFIERS[identity_id]
-    pointwise = verifier(depth, points=random_points(20, seed=sum(map(ord, identity_id))))
-    assert symbolic.passed == pointwise.passed is True
-    assert pointwise.mode is Mode.POINT_GRID
+    generate = SYMBOLIC_GENERATORS[identity_id]
+    # d_0..d_{2 depth + 1} covers every generator's reads
+    symbolic = list(generate(_SymbolicAlg(d_sequence(Route.THREE_TERM, 2 * depth + 1).polys), depth))
+    assert symbolic and all(lhs == rhs for _, _, lhs, rhs in symbolic)
+    for point in random_points(20, seed=sum(map(ord, identity_id))):
+        at_point = list(generate(FractionAlg(point.r, point.x), depth))
+        assert [case[:2] for case in at_point] == [case[:2] for case in symbolic]
+        for (label, _, lhs, rhs), (_, _, *sides) in zip(at_point, symbolic):
+            assert lhs == rhs, (label, point)
+            assert [side.eval(point.r, point.x) for side in sides] == [lhs, rhs], (label, point)
+
+
+@pytest.mark.parametrize("identity_id", SYMBOLIC_IDS)
+def test_oracle_check_fails_on_a_perturbed_case(identity_id):
+    # The cross-check above is not vacuous: rhs + 1 on case 2 fails there
+    # at every point and nowhere else.
+    generate = SYMBOLIC_GENERATORS[identity_id]
+
+    def perturbed(alg, depth):
+        for index, (label, params, lhs, rhs) in enumerate(generate(alg, depth)):
+            yield label, params, lhs, rhs + 1 if index == 2 else rhs
+
+    depth, points = SMALL_DEPTH[identity_id], random_points(3, seed=7)
+    assert oracle_failures(generate, depth, points) == []
+    label, params, _, _ = list(generate(FractionAlg(points[0].r, points[0].x), depth))[2]
+    assert oracle_failures(perturbed, depth, points) == [(label, params, point) for point in points]
+
+
+def test_oracle_uses_no_package_scalar_kernel():
+    assert not {"binom_gen", "binom_int", "d_eval", "d_eval_sequence", "_ratio_row"} & set(vars(oracles))
 
 
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
@@ -387,22 +446,28 @@ def test_run_suite_rejects_repeated_ids(selection, named):
 
 
 def test_fault_index_counts_cases_across_points():
-    # square at n_max 2 checks 3 cases per point, so index 3 is the first
-    # case at the second point
-    report = verify_square(2, points=deterministic_points(3), fault_index=3)
-    assert not report.passed
-    assert report.range == "n<=2 at 2 points"
-    assert report.counterexample["params"]["n"] == 0
-    assert report.counterexample["params"]["r"] == deterministic_points(3)[1].r
+    # hyper-bridge checks 2(depth+1) cases per point, so index 2(depth+1)
+    # is the first case at the second point, and the run stops there
+    second = deterministic_points(2)[1]
+    for depth in (0, 3):
+        report = verify_hyper_bridge(depth, fault_index=2 * (depth + 1))
+        assert not report.passed
+        assert report.range == f"n<={depth} at 2 points"
+        assert report.counterexample["instance"] == "bridge n=0"
+        assert report.counterexample["params"] == {"n": 0, "r": second.r, "x": second.x}
 
 
 def test_fault_index_past_the_last_case_is_an_error():
     with pytest.raises(ValueError, match="fault index"):
         verify_meixner(2, fault_index=10**6)
-    # the last in-range index still fails: 6 cases per point, 2 points
-    assert not verify_square(5, points=deterministic_points(2), fault_index=11).passed
-    with pytest.raises(ValueError, match="fault index"):
-        verify_square(5, points=deterministic_points(2), fault_index=12)
+    # the last in-range index still fails: 2(depth+1) cases at each of 50 points
+    for depth in (0, 2):
+        last = verify_hyper_bridge(depth, fault_index=100 * (depth + 1) - 1)
+        assert not last.passed
+        assert last.range == f"n<={depth} at 50 points"
+        assert last.counterexample["instance"] == f"mirror-bridge n={depth}"
+        with pytest.raises(ValueError, match="fault index"):
+            verify_hyper_bridge(depth, fault_index=100 * (depth + 1))
 
 
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
@@ -459,31 +524,6 @@ def test_counterexample_values_are_concrete():
     assert set(ce["params"]) >= {"n", "r", "x"}
 
 
-@pytest.mark.parametrize(
-    "verify, points",
-    [
-        (verify_square, ()),
-        (verify_hyper_bridge, [EvalPoint(Fraction(-1, 2), 0)]),
-    ],
-    ids=["no-points", "only-excluded"],
-)
-def test_point_grid_without_a_usable_point_is_an_error(verify, points):
-    with pytest.raises(ValueError, match="none of the"):
-        verify(3, points=points)
-
-
-def test_point_grid_skips_excluded_points_and_runs_the_rest():
-    usable = deterministic_points(1)[0]
-    report = verify_square(2, points=[EvalPoint(-1, 0), usable, EvalPoint(Fraction(-3, 2), 1)])
-    assert report.passed
-    assert report.mode is Mode.POINT_GRID
-    assert report.range == "n<=2 at 1 points"
-    assert [(s["r"], s["x"], s["reason"]) for s in report.skipped if "x" in s] == [
-        (-1, 0, "r in excluded half-integer set"),
-        (Fraction(-3, 2), 1, "r in excluded half-integer set"),
-    ]
-
-
 # The three Jacobi forms of d_n checked by verify_jacobi, as
 # (alpha, beta, t, sign) from (x, r, n): P_n^(x-r-n, 2r)(3),
 # (-1)^n P_n^(2r, x-r-n)(-3) and P_n^(2r, -1-x-r-n)(-3).
@@ -496,8 +536,9 @@ JACOBI_FORMS = {
 
 @pytest.mark.parametrize("name, form", JACOBI_FORMS.items(), ids=JACOBI_FORMS.keys())
 def test_jacobi_forms_match_sympy(name, form):
-    # Each right side verify_jacobi compares with d_n, symbolic and at
-    # points, and jacobi_eval, against sympy's own Jacobi polynomials.
+    # Each right side verify_jacobi compares with d_n, symbolic and over the
+    # plain-Fraction oracle at points, and jacobi_eval, against sympy's own
+    # Jacobi polynomials.
     sympy = pytest.importorskip("sympy")
     x, r = sympy.symbols("x r")
 
@@ -521,7 +562,7 @@ def test_jacobi_forms_match_sympy(name, form):
         for point in random_points(3, seed=n):
             alpha, beta, t, sign = form(point.x, point.r, n)
             want = sign * sympy.jacobi(n, to_sympy(alpha), to_sympy(beta), sympy.Integer(t))
-            got = rhs_of(_PointAlg(point, n, Route.THREE_TERM), n)[f"{name}, n={n}"]
+            got = rhs_of(FractionAlg(point.r, point.x), n)[f"{name}, n={n}"]
             assert to_sympy(got) == want, (n, point)
 
 
