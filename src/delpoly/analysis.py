@@ -13,7 +13,9 @@ with a closed form in n, L and A.  A verdict is the sign of that
 numerator; the scale is computed, and a ``Fraction`` built (and reduced),
 only for a reported violation, and it equals the value the plain rational
 recurrence gives.  The Turán and product-lower-bound numerators are
-quadratic in D and are read off the squared state of ``dcore``; the
+quadratic in D and are read off the squared state of ``dcore``, which is
+divided by s_n = (m!')^2 (m!' the prime-to-L part of m!, m the largest
+multiple of 64 below n), so their scales are the closed forms over s_n; the
 positivity numerator is linear in D and is read off D directly.
 """
 
@@ -23,7 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .dcore import EvalPoint, _scale, _scaled_d, _squared_d, d_eval_sequence
+from .dcore import (
+    _BLOCK,
+    EvalPoint,
+    _block_factor,
+    _block_scale,
+    _divide_exactly,
+    _scale,
+    _scaled_d,
+    _squared_d,
+    d_eval_sequence,
+)
 from .exactnum import as_rational, check_natural
 from .reports import ScanReport
 
@@ -106,7 +118,8 @@ def _turan_terms(at: EvalPoint, n_max: int):
 
 
 def _turan_scale(n: int, L: int, A: int) -> int:
-    return (n + 1) * factorial(n) ** 2 * L ** (2 * n)  # (n+1)! n! L^(2n)
+    """(n+1)! n! L^(2n) / s_n, s_n = _block_scale(n, L) as in ``_squared_d``."""
+    return (n + 1) * factorial(n) ** 2 * L ** (2 * n) // _block_scale(n, L)
 
 
 def _positivity_terms(at: EvalPoint, n_max: int):
@@ -145,7 +158,9 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
     The numerator is read off the squared state of ``_squared_d``
     (Q_n = D_n D_{n-1}, P_{n-1} = D_{n-1}^2): D_n D_{n-1} - A R =
     Q_n - A (T + P_{n-1}) with T = Pi_n (n-1)! (L^2/b)^(n-1), so no step
-    multiplies two values of D's size.
+    multiplies two values of D's size.  T is divided by the state's block
+    factors at the same steps: binom(2r+n-1, n-1) is p-integral for p not
+    dividing b, so ((n-1)!')^2 divides T.
     """
     L, A = _scale(at)
     twice_a, b = 2 * at.r.numerator, at.r.denominator
@@ -157,10 +172,13 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
     for n, (p_prev, q, _, _) in zip(range(2, n_max + 1), squares):
         yield n, sign * (q - A * (T + p_prev))
         T *= (twice_a + n * b) * n * M
+        if n % _BLOCK == 0:
+            (T,) = _divide_exactly((T,), _block_factor(n, L) ** 2)
 
 
 def _lower_bound_scale(n: int, L: int, A: int) -> int:
-    return abs(A) * n * factorial(n - 1) ** 2 * L ** (2 * n - 2)  # |A| n! (n-1)! L^(2n-2)
+    """|A| n! (n-1)! L^(2n-2) / s_n, s_n = _block_scale(n, L)."""
+    return abs(A) * n * factorial(n - 1) ** 2 * L ** (2 * n - 2) // _block_scale(n, L)
 
 
 def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanReport:

@@ -31,6 +31,8 @@ E_n = D_{n+1} D_{n-1},
 
 from P_0 = 1, Q_1 = A, P_1 = A^2.  Every product there has one factor of
 O(log n) bits (A or c_n), so no step multiplies two values of D's size.
+Every _BLOCK steps the state is also divided exactly by the square of the
+prime-to-L part of the block's indices (see ``_squared_d``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Iterator
 
 from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _Slots, binom_row, sum_products
@@ -324,23 +326,62 @@ def _scaled_d(at: EvalPoint, L: int, A: int):
         n += 1
 
 
+# Steps per division of the squared state.  Timed with Python 3.11 on a
+# 2-vCPU VM: on a 3x4 grid at n 800, blocks of 32, 48 and 64 were within 2%
+# of each other and 16 was 4% slower; on a 14x12 grid at n 120, 32 was 1%
+# slower than no division and 64 was not.
+_BLOCK = 64
+
+
+def _block_factor(n: int, L: int) -> int:
+    """The product of n - _BLOCK + 1 .. n with every prime of L divided out."""
+    f = perm(n, _BLOCK)
+    g = gcd(f, L)
+    while g > 1:  # a prime of L left in f divides g, so also gcd(f, g^2)
+        f //= g
+        g = gcd(f, g * g)
+    return f
+
+
+def _block_scale(n: int, L: int) -> int:
+    """s_n = (m!')^2 for m = _BLOCK * floor((n-1) / _BLOCK): what
+    ``_squared_d`` has divided out of the values it yields at step n."""
+    return prod(_block_factor(k, L) for k in range(_BLOCK, n, _BLOCK)) ** 2
+
+
+def _divide_exactly(values, d: int) -> list[int]:
+    """Each of ``values`` over d; an ArithmeticError if one has a remainder."""
+    out = []
+    for v in values:
+        quotient, remainder = divmod(v, d)
+        if remainder:
+            raise ArithmeticError(f"{d} does not divide a scan value exactly")
+        out.append(quotient)
+    return out
+
+
 def _squared_d(at: EvalPoint, L: int, A: int):
-    """Yield (P_{n-1}, Q_n, P_n, E_n) for n = 1, 2, 3, ..., forever, where
-    P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}.
+    """Yield (P_{n-1}, Q_n, P_n, E_n) / s_n for n = 1, 2, 3, ..., forever,
+    where P_m = D_m^2, Q_n = D_n D_{n-1}, E_n = D_{n+1} D_{n-1} and
+    s_n = _block_scale(n, L).
 
     Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
-    one big value by another; the state is three plain ``int``s.
+    one big value by another; the state is three plain ``int``s.  After
+    every _BLOCK steps it is divided by f^2, f = _block_factor(n, L).  d_n
+    is a sum of products of binomials with tops in x and r, so it is
+    p-integral for every prime p not dividing L: n!' divides D_n, and
+    (n!')^2 divides P_n, Q_{n+1} and P_{n+1}.
     """
     L2, K = L * L, _twice_r(at, L)
     p_prev, q, p = 1, A, A * A
-    n = 1
-    while True:
-        c = n * (L2 * n + K)
-        e = A * q + c * p_prev
-        yield p_prev, q, p, e
-        q = A * p + c * q
-        p_prev, p = p, A * q + c * e
-        n += 1
+    for end in count(_BLOCK, _BLOCK):
+        for n in range(end - _BLOCK + 1, end + 1):
+            c = n * (L2 * n + K)
+            e = A * q + c * p_prev
+            yield p_prev, q, p, e
+            q = A * p + c * q
+            p_prev, p = p, A * q + c * e
+        p_prev, q, p = _divide_exactly((p_prev, q, p), _block_factor(end, L) ** 2)
 
 
 def delannoy_dp(n: int, m: int) -> int:

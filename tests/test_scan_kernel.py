@@ -6,8 +6,9 @@ compared with the plain ``Fraction`` formulas, and whole reports are
 compared with a ``Fraction`` reference scan written here.
 """
 
+import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -27,7 +28,8 @@ from delpoly.analysis import (
     scan_conjecture,
     turan_value,
 )
-from delpoly.dcore import EvalPoint, _scale, _scaled_d, d_eval_sequence
+from delpoly import analysis, dcore
+from delpoly.dcore import _BLOCK, EvalPoint, _scale, _scaled_d, d_eval_sequence
 from delpoly.exactnum import binom_gen
 from delpoly.reports import ScanReport
 
@@ -35,11 +37,27 @@ MINUS_HALF = Fraction(-1, 2)
 
 
 # The closed-form positive scale of each claim's numerator, written out
-# from L and A = L(1+2x) at the point.
+# from L and A = L(1+2x) at the point.  The two quadratic claims' numerators
+# come from a state divided by s_n = (m!')^2, with m = _BLOCK * floor((n-1) /
+# _BLOCK) and m!' = m! without its primes of L.  As v_p(m!) < m, the part of
+# m! made of primes of L is gcd(m!, L^m).
+
+
+def _reduction(n: int, L: int) -> int:
+    m = _BLOCK * ((n - 1) // _BLOCK)
+    f = factorial(m)
+    return (f // gcd(f, L**m)) ** 2
+
+
+def _reduced(t: int, n: int, L: int) -> int:
+    """t / s_n, which must be exact."""
+    quotient, remainder = divmod(t, _reduction(n, L))
+    assert remainder == 0
+    return quotient
 
 
 def _turan_ref_scale(n: int, L: int, A: int) -> int:
-    return factorial(n + 1) * factorial(n) * L ** (2 * n)
+    return factorial(n + 1) * factorial(n) * L ** (2 * n) // _reduction(n, L)
 
 
 def _positivity_ref_scale(n: int, L: int, A: int) -> int:
@@ -47,7 +65,7 @@ def _positivity_ref_scale(n: int, L: int, A: int) -> int:
 
 
 def _lower_bound_ref_scale(n: int, L: int, A: int) -> int:
-    return abs(A) * factorial(n) * factorial(n - 1) * L ** (2 * n - 2)
+    return abs(A) * factorial(n) * factorial(n - 1) * L ** (2 * n - 2) // _reduction(n, L)
 
 
 def _values(terms, scale, at: EvalPoint) -> dict[int, Fraction]:
@@ -100,7 +118,7 @@ def test_kernel_property():
     rationals = st.fractions(min_value=-4, max_value=4, max_denominator=40)
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(r=rationals, x=rationals, n_max=st.integers(min_value=0, max_value=40))
+    @hypothesis.given(r=rationals, x=rationals, n_max=st.integers(min_value=0, max_value=80))
     def check(r, x, n_max):
         at = EvalPoint(r, x)
         seq = d_eval_sequence(n_max + 1, at)
@@ -125,18 +143,18 @@ def test_kernel_property():
 
 
 def _turan_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int]]:
-    """The (n, t) pairs with t from (n+1) D_n^2 - n D_{n+1} D_{n-1}."""
+    """The (n, t) pairs with t from (n+1) D_n^2 - n D_{n+1} D_{n-1}, over s_n."""
     L, A = _scale(at)
     D = [value for _, value in zip(range(n_max + 2), _scaled_d(at, L, A))]
     out = []
     for n in range(1, n_max + 1):
-        t = (n + 1) * D[n] * D[n] - n * D[n + 1] * D[n - 1]
+        t = _reduced((n + 1) * D[n] * D[n] - n * D[n + 1] * D[n - 1], n, L)
         out.append((n, -t if n % 2 else t))
     return out
 
 
 def _lower_bound_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int]]:
-    """The (n, t) pairs with t from D_n D_{n-1} - A (T + D_{n-1}^2)."""
+    """The (n, t) pairs with t from D_n D_{n-1} - A (T + D_{n-1}^2), over s_n."""
     L, A = _scale(at)
     D = [value for _, value in zip(range(n_max + 1), _scaled_d(at, L, A))]
     twice_a, b = 2 * at.r.numerator, at.r.denominator
@@ -144,7 +162,8 @@ def _lower_bound_by_products(at: EvalPoint, n_max: int) -> list[tuple[int, int]]
     sign = 1 if A > 0 else -1
     out, T = [], (twice_a + b) * M
     for n in range(2, n_max + 1):
-        out.append((n, sign * (D[n] * D[n - 1] - A * (T + D[n - 1] * D[n - 1]))))
+        t = D[n] * D[n - 1] - A * (T + D[n - 1] * D[n - 1])
+        out.append((n, sign * _reduced(t, n, L)))
         T *= (twice_a + n * b) * n * M
     return out
 
@@ -165,7 +184,66 @@ def test_squared_state_matches_products_of_consecutive_values(at, n_max):
     assert list(_lower_bound_terms(at, n_max)) == _lower_bound_by_products(at, n_max)
 
 
+@pytest.mark.parametrize(
+    "at",
+    # L = 1, where all of n! divides out; L = 64, where its odd part does;
+    # and L = 67, a prime larger than the block, so in at most one index of it.
+    [EvalPoint(2, -3), EvalPoint(Fraction(153, 64), Fraction(-59, 64)), EvalPoint(Fraction(5, 67), Fraction(-20, 67))],
+    ids=lambda at: f"r={at.r},x={at.x}",
+)
+def test_reduced_squared_state_matches_products_at_depth_1000(at):
+    test_squared_state_matches_products_of_consecutive_values(at, 1000)
+
+
+def test_reduced_values_match_products_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    denominators = st.lists(st.sampled_from([2, 3, 5, 7, 37, 67]), max_size=3).map(prod)
+    rationals = st.builds(Fraction, st.integers(min_value=-300, max_value=300), denominators)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(r=rationals, x=rationals, n_max=st.integers(min_value=0, max_value=150))
+    def check(r, x, n_max):
+        at = EvalPoint(r, x)
+        L, A = _scale(at)
+        cases = [
+            (_turan_terms, _turan_scale, _turan_by_products, _turan_ref_scale),
+            (_lower_bound_terms, _lower_bound_scale, _lower_bound_by_products, _lower_bound_ref_scale),
+        ]
+        for terms, scale, by_products, ref_scale in cases:
+            got, want = list(terms(at, n_max)), by_products(at, n_max)
+            assert got == want
+            if A:  # at x = -1/2 the lower bound's scale |A| n! (n-1)! ... is 0
+                values = [Fraction(t, scale(n, L, A)) for n, t in got]
+                assert values == [Fraction(t, ref_scale(n, L, A)) for n, t in want]
+
+    check()
+
+
+@pytest.mark.parametrize("patched", [dcore, analysis], ids=["state", "lower-bound-T"])
+def test_a_block_divisor_that_does_not_divide_raises(monkeypatch, patched):
+    # A block factor with one prime too many must stop the scan, not floor
+    # the state: 1009 divides no value divided at n = 64 at the first point.
+    block_factor = dcore._block_factor
+    monkeypatch.setattr(patched, "_block_factor", lambda n, L: 1009 * block_factor(n, L))
+    grid = GridSpec((Fraction(0), Fraction(1, 4)), (Fraction(-1), Fraction(-3, 8)), 70)
+    with pytest.raises(ArithmeticError):
+        check_product_lower_bound(grid)
+    if patched is dcore:
+        with pytest.raises(ArithmeticError):
+            scan_conjecture(grid)
+    else:
+        assert scan_conjecture(grid).passed
+
+
 # -- a plain Fraction reference scan ----------------------------------------
+
+
+def _assert_same_line(got: str, want: str) -> None:
+    # Parsed first: pytest's diff of two long one-line strings takes minutes.
+    assert json.loads(got) == json.loads(want)
+    assert got == want
 
 
 def _reference_scan(claim_id: str, grid: GridSpec, skip_reason, margins) -> str:
@@ -237,14 +315,17 @@ MIXED_GRID = GridSpec(
     ids=["conjecture-grid", "inequality-grid", "mixed-grid"],
 )
 def test_reports_match_fraction_reference(grid):
-    assert scan_conjecture(grid).to_json_line() == _reference_scan(
-        "turan-conjecture", grid, _conjecture_skip, _turan_reference
+    _assert_same_line(
+        scan_conjecture(grid).to_json_line(),
+        _reference_scan("turan-conjecture", grid, _conjecture_skip, _turan_reference),
     )
-    assert check_positivity(grid).to_json_line() == _reference_scan(
-        "positivity", grid, _inequality_skip("claims apply only off x = -1/2"), _positivity_reference
+    _assert_same_line(
+        check_positivity(grid).to_json_line(),
+        _reference_scan("positivity", grid, _inequality_skip("claims apply only off x = -1/2"), _positivity_reference),
     )
-    assert check_product_lower_bound(grid).to_json_line() == _reference_scan(
-        "product-lower-bound", grid, _inequality_skip("requires x != -1/2"), _lower_bound_reference
+    _assert_same_line(
+        check_product_lower_bound(grid).to_json_line(),
+        _reference_scan("product-lower-bound", grid, _inequality_skip("requires x != -1/2"), _lower_bound_reference),
     )
 
 
@@ -260,12 +341,12 @@ def test_mixed_grid_hits_every_skip_reason():
     }
 
 
-def test_violation_reports_match_fraction_reference():
+def _unrestricted_reports(n_max: int) -> dict[str, ScanReport]:
     # Scanning the mixed grid without the claims' domain restrictions makes
     # the scan driver itself build and report violations; the product lower
     # bound fails only below its domain, at r = -5/2 and r = -5/4.
     r_values = (Fraction(-5, 2), Fraction(-5, 4)) + MIXED_GRID.r_values
-    grid = GridSpec(r_values, tuple(x for x in MIXED_GRID.x_values if x != MINUS_HALF), 12)
+    grid = GridSpec(r_values, tuple(x for x in MIXED_GRID.x_values if x != MINUS_HALF), n_max)
 
     def no_skip(point):
         return None
@@ -275,7 +356,21 @@ def test_violation_reports_match_fraction_reference():
         ("positivity", _positivity_terms, _positivity_scale, _positivity_reference),
         ("product-lower-bound", _lower_bound_terms, _lower_bound_scale, _lower_bound_reference),
     ]
+    reports = {}
     for claim_id, terms, scale, reference in cases:
         report = _scan(claim_id, grid, no_skip, terms, scale)
-        assert report.to_json_line() == _reference_scan(claim_id, grid, no_skip, reference)
+        _assert_same_line(report.to_json_line(), _reference_scan(claim_id, grid, no_skip, reference))
         assert report.violations
+        reports[claim_id] = report
+    return reports
+
+
+def test_violation_reports_match_fraction_reference():
+    _unrestricted_reports(12)
+
+
+def test_violations_past_block_boundaries_match_fraction_reference():
+    # At n_max 150 the Turán and lower-bound values are read off a state
+    # divided twice, and reported over the reduced scales.
+    reports = _unrestricted_reports(150)
+    assert max(n for n, *_ in reports["turan-conjecture"].violations) > 2 * _BLOCK
