@@ -5,18 +5,14 @@ tolerance, and there is no floating point.  Grids are explicit lists of
 rationals (never float ranges) and scans are deterministic: identical grids
 yield identical reports.
 
-The three scans run on the gcd-free integer kernel of ``dcore`` (the
-scaled values D_n = n! L^n d_n(x), with A = L(1+2x) and L the common
-denominator of x and r) that ``d_eval_sequence`` also reads, so each
-scanned quantity is an integer numerator over a positive integer scale
-with a closed form in n, L and A.  A verdict is the sign of that
-numerator; the scale is computed, and a ``Fraction`` built (and reduced),
-only for a reported violation, and it equals the value the plain rational
-recurrence gives.  The Turán and product-lower-bound numerators are
-quadratic in D and are read off the squared state of ``dcore``, which is
-divided by s_n = (m!')^2 (m!' the prime-to-L part of m!, m the largest
-multiple of 64 below n), so their scales are the closed forms over s_n; the
-positivity numerator is linear in D and is read off D directly.
+The three scans decide each sign on the gcd-free integer kernel of
+``dcore`` (D_n = n! L^n d_n(x), with A = L(1+2x) and L the common
+denominator of x and r): each scanned quantity is an integer numerator
+over a positive integer, and a verdict is the numerator's sign.  The Turán
+and product-lower-bound numerators are quadratic in D and are read off the
+kernel's block-divided squared state; positivity's is read off D.  A
+violation's value is the claim's exact quantity on ``d_eval_sequence``'s
+values, and it must be negative too, or the scan raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -25,18 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .dcore import (
-    _BLOCK,
-    EvalPoint,
-    _block_factor,
-    _block_scale,
-    _divide_exactly,
-    _scale,
-    _scaled_d,
-    _squared_d,
-    d_eval_sequence,
-)
-from .exactnum import as_rational, check_natural
+from .dcore import EvalPoint, _divide_exactly, _scale, _scaled_d, _squared_d, d_eval_sequence
+from .exactnum import as_rational, binom_gen, check_natural
 from .reports import ScanReport
 
 
@@ -105,29 +91,31 @@ def default_conjecture_grid() -> GridSpec:
     )
 
 
-def _turan_terms(at: EvalPoint, n_max: int):
-    """(n, t) for n = 1..n_max with turan_value(n, at) = t / _turan_scale(n, L, A).
+_MINUS_HALF = Fraction(-1, 2)
 
-    t = (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}), read off the squared
-    state of ``_squared_d`` as (-1)^n ((n+1) P_n - n E_n).
+
+def _turan_terms(at: EvalPoint, n_max: int):
+    """(n, t) for n = 1..n_max with t of the sign of ``_turan_margin``.
+
+    t = (-1)^n ((n+1) P_n - n E_n) off the squared state of ``_squared_d``,
+    which is (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}) over a positive integer.
     """
     L, A = _scale(at)
-    for n, (_, _, p, e) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
+    for n, (_, _, p, e, _) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
         t = (n + 1) * p - n * e
         yield n, (-t if n % 2 else t)
 
 
-def _turan_scale(n: int, L: int, A: int) -> int:
-    """(n+1)! n! L^(2n) / s_n, s_n = _block_scale(n, L) as in ``_squared_d``."""
-    return (n + 1) * factorial(n) ** 2 * L ** (2 * n) // _block_scale(n, L)
+def _turan_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
+    """(-1)^n (d_n^2 - d_{n+1} d_{n-1}) from the values d = d_0, d_1, ..."""
+    value = d[n] ** 2 - d[n + 1] * d[n - 1]
+    return -value if n % 2 else value
 
 
 def _positivity_terms(at: EvalPoint, n_max: int):
-    """(n, t) with t / _positivity_scale(n, L, A) the claimed-positive margin.
-
-    For x < -1/2: (-1)^n d_n = (-1)^n D_n / (n! L^n), n = 0..n_max.
-    For x > -1/2: d_n - (1+2x)^n / n! = (D_n - A^n) / (n! L^n), n = 2..n_max;
-    the bound (1+2x)^n / n! itself is positive there because A > 0.
+    """(n, t) with t of the sign of ``_positivity_margin``: (-1)^n D_n for
+    x < -1/2, n = 0..n_max, and D_n - A^n for x > -1/2, n = 2..n_max, both
+    over n! L^n; the bound (1+2x)^n / n! is itself positive there as A > 0.
     """
     L, A = _scale(at)
     power = A * A  # A^n at n = 2
@@ -139,28 +127,30 @@ def _positivity_terms(at: EvalPoint, n_max: int):
             power *= A
 
 
-def _positivity_scale(n: int, L: int, A: int) -> int:
-    return factorial(n) * L**n  # n! L^n
+def _positivity_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
+    """(-1)^n d_n for x < -1/2, and d_n - (1+2x)^n / n! otherwise."""
+    if at.x < _MINUS_HALF:
+        return -d[n] if n % 2 else d[n]
+    return d[n] - (1 + 2 * at.x) ** n / factorial(n)
 
 
 def _lower_bound_terms(at: EvalPoint, n_max: int):
-    """(n, t) for n = 2..n_max with t / _lower_bound_scale(n, L, A) = lhs - rhs,
-    where lhs = d_n d_{n-1} / (1+2x) and rhs = (binom(2r+n-1, n-1) + d_{n-1}^2) / n.
+    """(n, t) for n = 2..n_max with t of the sign of ``_lower_bound_margin``.
 
     With b the denominator of r, binom(2r+n-1, n-1) = Pi_n / (b^(n-1) (n-1)!)
-    for Pi_n = prod_{j<n} (2a + jb), so over the scale n! (n-1)! L^(2n-2)
-    the right side has numerator R = Pi_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2,
-    and lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); the sign
-    of A moves to the numerator so that the scale stays positive.  For
-    r > -1/2 every factor of Pi_n is positive, so R > 0: the claim rhs > 0
-    holds on the whole domain and only the sign of lhs - rhs is in question.
+    for Pi_n = prod_{j<n} (2a + jb), so over n! (n-1)! L^(2n-2) the right
+    side has numerator R = Pi_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2, and
+    lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); t carries the
+    sign of A.  For r > -1/2 every factor of Pi_n is positive, so R > 0:
+    the claim rhs > 0 holds on the whole domain and only lhs - rhs is in
+    question.
 
     The numerator is read off the squared state of ``_squared_d``
     (Q_n = D_n D_{n-1}, P_{n-1} = D_{n-1}^2): D_n D_{n-1} - A R =
     Q_n - A (T + P_{n-1}) with T = Pi_n (n-1)! (L^2/b)^(n-1), so no step
-    multiplies two values of D's size.  T is divided by the state's block
-    factors at the same steps: binom(2r+n-1, n-1) is p-integral for p not
-    dividing b, so ((n-1)!')^2 divides T.
+    multiplies two values of D's size.  T is divided by what the state was
+    divided by: binom(2r+n-1, n-1) is p-integral for p not dividing b, so
+    ((n-1)!')^2 divides T.
     """
     L, A = _scale(at)
     twice_a, b = 2 * at.r.numerator, at.r.denominator
@@ -169,23 +159,25 @@ def _lower_bound_terms(at: EvalPoint, n_max: int):
     squares = _squared_d(at, L, A)
     next(squares)  # n = 1
     T = (twice_a + b) * M  # Pi_n (n-1)! M^(n-1) at n = 2
-    for n, (p_prev, q, _, _) in zip(range(2, n_max + 1), squares):
+    for n, (p_prev, q, _, _, g) in zip(range(2, n_max + 1), squares):
+        if g > 1:
+            (T,) = _divide_exactly((T,), g)
         yield n, sign * (q - A * (T + p_prev))
         T *= (twice_a + n * b) * n * M
-        if n % _BLOCK == 0:
-            (T,) = _divide_exactly((T,), _block_factor(n, L) ** 2)
 
 
-def _lower_bound_scale(n: int, L: int, A: int) -> int:
-    """|A| n! (n-1)! L^(2n-2) / s_n, s_n = _block_scale(n, L)."""
-    return abs(A) * n * factorial(n - 1) ** 2 * L ** (2 * n - 2) // _block_scale(n, L)
+def _lower_bound_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
+    """d_n d_{n-1} / (1+2x) - (binom(2r+n-1, n-1) + d_{n-1}^2) / n."""
+    return d[n] * d[n - 1] / (1 + 2 * at.x) - (binom_gen(2 * at.r + n - 1, n - 1) + d[n - 1] ** 2) / n
 
 
-def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanReport:
+def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin) -> ScanReport:
     """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
-    does not exclude; a negative numerator t is a violation, reported as
-    t / scale(n, L, A), and a zero one a zero hit.  A scan that checks no
-    (n, point) pair is a ValueError, not a vacuous pass."""
+    does not exclude; a negative t is a violation, and a zero one a zero
+    hit.  A violation's value is ``margin(d, n, point)`` on the values d of
+    ``d_eval_sequence``, which must be negative too, or the scan raises
+    ArithmeticError.  A scan that checks no (n, point) pair is a
+    ValueError, not a vacuous pass."""
     violations = []
     zero_hits = []
     skipped = []
@@ -195,9 +187,18 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanRepor
         if reason is not None:
             skipped.append({"r": point.r, "x": point.x, "reason": reason})
             continue
+        d = None
         for checked, (n, t) in enumerate(terms(point, grid.n_max), checked + 1):
             if t < 0:
-                violations.append((n, point.r, point.x, Fraction(t, scale(n, *_scale(point)))))
+                if d is None:
+                    d = d_eval_sequence(grid.n_max + 1, point)
+                value = margin(d, n, point)
+                if value >= 0:
+                    raise ArithmeticError(
+                        f"{claim_id}: the kernel's sign at n={n}, r={point.r}, x={point.x} "
+                        f"disagrees with the rational value {value}"
+                    )
+                violations.append((n, point.r, point.x, value))
             elif t == 0:
                 zero_hits.append((n, point.r, point.x))
     if not checked:
@@ -209,9 +210,6 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, scale) -> ScanRepor
         zero_hits=tuple(zero_hits),
         skipped=tuple(skipped),
     )
-
-
-_MINUS_HALF = Fraction(-1, 2)
 
 
 def _off_half_skip(x_reason: str):
@@ -241,7 +239,7 @@ def check_product_lower_bound(grid: GridSpec) -> ScanReport:
     zero hit at n = 2.
     """
     return _scan(
-        "product-lower-bound", grid, _off_half_skip("requires x != -1/2"), _lower_bound_terms, _lower_bound_scale
+        "product-lower-bound", grid, _off_half_skip("requires x != -1/2"), _lower_bound_terms, _lower_bound_margin
     )
 
 
@@ -252,7 +250,7 @@ def check_positivity(grid: GridSpec) -> ScanReport:
     d_n > (2x+1)^n / n! > 0.  Strict-inequality boundary hits are recorded
     separately from violations.
     """
-    return _scan("positivity", grid, _off_half_skip("claims apply only off x = -1/2"), _positivity_terms, _positivity_scale)
+    return _scan("positivity", grid, _off_half_skip("claims apply only off x = -1/2"), _positivity_terms, _positivity_margin)
 
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:
@@ -260,9 +258,7 @@ def turan_value(n: int, at: EvalPoint) -> Fraction:
     check_natural(n, "n")
     if n < 1:
         raise ValueError("turan_value requires n >= 1")
-    seq = d_eval_sequence(n + 1, at)
-    value = seq[n] ** 2 - seq[n + 1] * seq[n - 1]
-    return -value if n % 2 else value
+    return _turan_margin(d_eval_sequence(n + 1, at), n, at)
 
 
 def scan_conjecture(grid: GridSpec) -> ScanReport:
@@ -273,4 +269,4 @@ def scan_conjecture(grid: GridSpec) -> ScanReport:
     degenerates to equality at some boundary points, and this scanner
     records rather than resolves that.
     """
-    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_terms, _turan_scale)
+    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_terms, _turan_margin)

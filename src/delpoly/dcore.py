@@ -42,7 +42,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, factorial, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterator
 
 from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _Slots, binom_row, sum_products
@@ -343,12 +343,6 @@ def _block_factor(n: int, L: int) -> int:
     return f
 
 
-def _block_scale(n: int, L: int) -> int:
-    """s_n = (m!')^2 for m = _BLOCK * floor((n-1) / _BLOCK): what
-    ``_squared_d`` has divided out of the values it yields at step n."""
-    return prod(_block_factor(k, L) for k in range(_BLOCK, n, _BLOCK)) ** 2
-
-
 def _divide_exactly(values, d: int) -> list[int]:
     """Each of ``values`` over d; an ArithmeticError if one has a remainder."""
     out = []
@@ -361,9 +355,10 @@ def _divide_exactly(values, d: int) -> list[int]:
 
 
 def _squared_d(at: EvalPoint, L: int, A: int):
-    """Yield (P_{n-1}, Q_n, P_n, E_n) / s_n for n = 1, 2, 3, ..., forever,
-    where P_m = D_m^2, Q_n = D_n D_{n-1}, E_n = D_{n+1} D_{n-1} and
-    s_n = _block_scale(n, L).
+    """Yield (P_{n-1}, Q_n, P_n, E_n, g) for n = 1, 2, 3, ..., forever,
+    where P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}, each
+    divided by every block factor so far, and g is what the state was
+    divided by since the previous yield: 1, or f^2 right after a block.
 
     Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
     one big value by another; the state is three plain ``int``s.  After
@@ -374,14 +369,17 @@ def _squared_d(at: EvalPoint, L: int, A: int):
     """
     L2, K = L * L, _twice_r(at, L)
     p_prev, q, p = 1, A, A * A
+    g = 1
     for end in count(_BLOCK, _BLOCK):
         for n in range(end - _BLOCK + 1, end + 1):
             c = n * (L2 * n + K)
             e = A * q + c * p_prev
-            yield p_prev, q, p, e
+            yield p_prev, q, p, e, g
+            g = 1
             q = A * p + c * q
             p_prev, p = p, A * q + c * e
-        p_prev, q, p = _divide_exactly((p_prev, q, p), _block_factor(end, L) ** 2)
+        g = _block_factor(end, L) ** 2
+        p_prev, q, p = _divide_exactly((p_prev, q, p), g)
 
 
 def delannoy_dp(n: int, m: int) -> int:

@@ -587,6 +587,8 @@ def _run_identity(
     d_0..d_{n_high} (n_high defaults to depth) from ``route``; with no route
     the generator gets no algebra."""
     check_natural(depth, "depth")
+    if fault_index is not None:
+        check_natural(fault_index, "fault index")
     n_high = depth if n_high is None else n_high
     cases = instances(None if route is None else _SymbolicAlg(d_sequence(route, n_high).polys))
     counterexample = _first_counterexample(identity_id, cases, fault_index, witness_axes)

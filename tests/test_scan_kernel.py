@@ -14,12 +14,12 @@ import pytest
 
 from delpoly.analysis import (
     GridSpec,
-    _lower_bound_scale,
+    _lower_bound_margin,
     _lower_bound_terms,
-    _positivity_scale,
+    _positivity_margin,
     _positivity_terms,
     _scan,
-    _turan_scale,
+    _turan_margin,
     _turan_terms,
     check_positivity,
     check_product_lower_bound,
@@ -208,33 +208,67 @@ def test_reduced_values_match_products_property():
         at = EvalPoint(r, x)
         L, A = _scale(at)
         cases = [
-            (_turan_terms, _turan_scale, _turan_by_products, _turan_ref_scale),
-            (_lower_bound_terms, _lower_bound_scale, _lower_bound_by_products, _lower_bound_ref_scale),
+            (_turan_terms, _turan_by_products, _turan_ref_scale, _turan_reference),
+            (_lower_bound_terms, _lower_bound_by_products, _lower_bound_ref_scale, _lower_bound_reference),
         ]
-        for terms, scale, by_products, ref_scale in cases:
+        for terms, by_products, ref_scale, reference in cases:
             got, want = list(terms(at, n_max)), by_products(at, n_max)
             assert got == want
             if A:  # at x = -1/2 the lower bound's scale |A| n! (n-1)! ... is 0
-                values = [Fraction(t, scale(n, L, A)) for n, t in got]
-                assert values == [Fraction(t, ref_scale(n, L, A)) for n, t in want]
+                assert {n: Fraction(t, ref_scale(n, L, A)) for n, t in got} == reference(n_max, at)
 
     check()
 
 
-@pytest.mark.parametrize("patched", [dcore, analysis], ids=["state", "lower-bound-T"])
-def test_a_block_divisor_that_does_not_divide_raises(monkeypatch, patched):
-    # A block factor with one prime too many must stop the scan, not floor
-    # the state: 1009 divides no value divided at n = 64 at the first point.
+def _wrong_block_factor(monkeypatch):
     block_factor = dcore._block_factor
-    monkeypatch.setattr(patched, "_block_factor", lambda n, L: 1009 * block_factor(n, L))
+    monkeypatch.setattr(dcore, "_block_factor", lambda n, L: 1009 * block_factor(n, L))
+
+
+def _wrong_divisor_for_T(monkeypatch):
+    # The state is divided correctly; only the divisor handed on to the
+    # lower bound's T carries the extra prime.
+    squared_d = analysis._squared_d
+
+    def patched(at, L, A):
+        for *state, g in squared_d(at, L, A):
+            yield (*state, g if g == 1 else 1009 * g)
+
+    monkeypatch.setattr(analysis, "_squared_d", patched)
+
+
+@pytest.mark.parametrize(
+    "patch, turan_raises", [(_wrong_block_factor, True), (_wrong_divisor_for_T, False)], ids=["state", "lower-bound-T"]
+)
+def test_a_block_divisor_that_does_not_divide_raises(monkeypatch, patch, turan_raises):
+    # A divisor with one prime too many must stop the scan, not floor the
+    # value: 1009 divides no value divided at n = 64 at the first point.
+    patch(monkeypatch)
     grid = GridSpec((Fraction(0), Fraction(1, 4)), (Fraction(-1), Fraction(-3, 8)), 70)
     with pytest.raises(ArithmeticError):
         check_product_lower_bound(grid)
-    if patched is dcore:
+    if turan_raises:
         with pytest.raises(ArithmeticError):
             scan_conjecture(grid)
     else:
         assert scan_conjecture(grid).passed
+
+
+@pytest.mark.parametrize(
+    "claim_id, terms, margin, wrong",
+    [
+        # (-1)^n d_n changes sign with d; the quadratic Turán value is 0 at d = 0.
+        ("positivity", _positivity_terms, _positivity_margin, lambda d: [-v for v in d]),
+        ("turan-conjecture", _turan_terms, _turan_margin, lambda d: [Fraction(0)] * len(d)),
+    ],
+    ids=["positive", "zero"],
+)
+def test_a_violation_whose_value_is_not_negative_raises(monkeypatch, claim_id, terms, margin, wrong):
+    d_eval_sequence = analysis.d_eval_sequence
+    monkeypatch.setattr(analysis, "d_eval_sequence", lambda n_max, at: wrong(d_eval_sequence(n_max, at)))
+    grid = GridSpec((Fraction(-5, 2),), (Fraction(-2),), 6)
+    with pytest.raises(ArithmeticError, match=rf"^{claim_id}: .* n=\d+, r=-5/2, x=-2 "):
+        _scan(claim_id, grid, lambda point: None, terms, margin)
 
 
 # -- a plain Fraction reference scan ----------------------------------------
@@ -352,13 +386,13 @@ def _unrestricted_reports(n_max: int) -> dict[str, ScanReport]:
         return None
 
     cases = [
-        ("turan-conjecture", _turan_terms, _turan_scale, _turan_reference),
-        ("positivity", _positivity_terms, _positivity_scale, _positivity_reference),
-        ("product-lower-bound", _lower_bound_terms, _lower_bound_scale, _lower_bound_reference),
+        ("turan-conjecture", _turan_terms, _turan_margin, _turan_reference),
+        ("positivity", _positivity_terms, _positivity_margin, _positivity_reference),
+        ("product-lower-bound", _lower_bound_terms, _lower_bound_margin, _lower_bound_reference),
     ]
     reports = {}
-    for claim_id, terms, scale, reference in cases:
-        report = _scan(claim_id, grid, no_skip, terms, scale)
+    for claim_id, terms, margin, reference in cases:
+        report = _scan(claim_id, grid, no_skip, terms, margin)
         _assert_same_line(report.to_json_line(), _reference_scan(claim_id, grid, no_skip, reference))
         assert report.violations
         reports[claim_id] = report

@@ -470,6 +470,14 @@ def test_fault_index_past_the_last_case_is_an_error():
             verify_hyper_bridge(depth, fault_index=100 * (depth + 1))
 
 
+@pytest.mark.parametrize("fault_index", [True, 1.0, -1, "0"], ids=repr)
+def test_verifier_rejects_a_fault_index_that_is_not_natural(fault_index):
+    # True and 1.0 would otherwise fault case 1; -1 and "0" would run every
+    # case before the index was found missing.
+    with pytest.raises(ValueError, match="fault index must be a natural number"):
+        verify_square(2, fault_index=fault_index)
+
+
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
 def test_suite_rejects_bad_config_for_each_id(identity_id):
     one = (identity_id,)
