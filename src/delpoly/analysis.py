@@ -101,7 +101,7 @@ def _turan_terms(at: EvalPoint, n_max: int):
     which is (-1)^n ((n+1) D_n^2 - n D_{n+1} D_{n-1}) over a positive integer.
     """
     L, A = _scale(at)
-    for n, (_, _, p, e, _) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
+    for n, (_, _, p, e, _, _) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
         t = (n + 1) * p - n * e
         yield n, (-t if n % 2 else t)
 
@@ -137,33 +137,29 @@ def _positivity_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
 def _lower_bound_terms(at: EvalPoint, n_max: int):
     """(n, t) for n = 2..n_max with t of the sign of ``_lower_bound_margin``.
 
-    With b the denominator of r, binom(2r+n-1, n-1) = Pi_n / (b^(n-1) (n-1)!)
-    for Pi_n = prod_{j<n} (2a + jb), so over n! (n-1)! L^(2n-2) the right
-    side has numerator R = Pi_n (n-1)! (L^2/b)^(n-1) + D_{n-1}^2, and
-    lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); t carries the
-    sign of A.  For r > -1/2 every factor of Pi_n is positive, so R > 0:
-    the claim rhs > 0 holds on the whole domain and only lhs - rhs is in
-    question.
+    With c_j = j L^2 (j+2r) the kernel's step coefficients,
+    binom(2r+n-1, n-1) = T / ((n-1)!^2 L^(2n-2)) for T = c_1 ... c_{n-1}, so
+    over n! (n-1)! L^(2n-2) the right side has numerator R = T + D_{n-1}^2,
+    and lhs - rhs = (D_n D_{n-1} - A R) / (A n! (n-1)! L^(2n-2)); t carries
+    the sign of A.  For r > -1/2 every c_j is positive, so R > 0: the claim
+    rhs > 0 holds on the whole domain and only lhs - rhs is in question.
 
     The numerator is read off the squared state of ``_squared_d``
     (Q_n = D_n D_{n-1}, P_{n-1} = D_{n-1}^2): D_n D_{n-1} - A R =
-    Q_n - A (T + P_{n-1}) with T = Pi_n (n-1)! (L^2/b)^(n-1), so no step
-    multiplies two values of D's size.  T is divided by what the state was
-    divided by: binom(2r+n-1, n-1) is p-integral for p not dividing b, so
-    ((n-1)!')^2 divides T.
+    Q_n - A (T + P_{n-1}), so no step multiplies two values of D's size.
+    T is multiplied by the c_n the kernel yields, and divided by what the
+    state was divided by: binom(2r+n-1, n-1) is p-integral for p not
+    dividing L, so ((n-1)!')^2 divides T.
     """
     L, A = _scale(at)
-    twice_a, b = 2 * at.r.numerator, at.r.denominator
-    M = L * L // b
     sign = 1 if A > 0 else -1
     squares = _squared_d(at, L, A)
-    next(squares)  # n = 1
-    T = (twice_a + b) * M  # Pi_n (n-1)! M^(n-1) at n = 2
-    for n, (p_prev, q, _, _, g) in zip(range(2, n_max + 1), squares):
+    *_, T, _ = next(squares)  # T = c_1 at n = 2
+    for n, (p_prev, q, _, _, c, g) in zip(range(2, n_max + 1), squares):
         if g > 1:
             (T,) = _divide_exactly((T,), g)
         yield n, sign * (q - A * (T + p_prev))
-        T *= (twice_a + n * b) * n * M
+        T *= c
 
 
 def _lower_bound_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:

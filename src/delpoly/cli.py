@@ -123,8 +123,8 @@ def parse_grid_file(path: str) -> GridSpec:
 
     The r and x values collected over all lines form the two axes of the
     (Cartesian-product) grid; duplicates are dropped, order is kept.  Each
-    line is decoded from UTF-8 on its own, so bytes that are not UTF-8 are
-    reported with their line number, as any other bad entry is.
+    line is decoded on its own as UTF-8 with an optional BOM, so bytes that
+    are not UTF-8 are reported with their line number, as any bad entry is.
     """
     n_max = None
     r_values: list[Fraction] = []
@@ -132,7 +132,7 @@ def parse_grid_file(path: str) -> GridSpec:
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
-                for token in raw.decode("utf-8").split("#", 1)[0].split():
+                for token in raw.decode("utf-8-sig").split("#", 1)[0].split():
                     key, sep, value = token.partition("=")
                     if not sep:
                         raise ValueError(f"expected key=value, got {token!r}")

@@ -355,10 +355,10 @@ def _divide_exactly(values, d: int) -> list[int]:
 
 
 def _squared_d(at: EvalPoint, L: int, A: int):
-    """Yield (P_{n-1}, Q_n, P_n, E_n, g) for n = 1, 2, 3, ..., forever,
-    where P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}, each
-    divided by every block factor so far, and g is what the state was
-    divided by since the previous yield: 1, or f^2 right after a block.
+    """Yield (P_{n-1}, Q_n, P_n, E_n, c_n, g) for n = 1, 2, 3, ..., forever:
+    P_m = D_m^2, Q_n = D_n D_{n-1} and E_n = D_{n+1} D_{n-1}, each divided by
+    every block factor so far, and g is what the state was divided by since
+    the previous yield: 1, or f^2 right after a block.
 
     Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
     one big value by another; the state is three plain ``int``s.  After
@@ -374,7 +374,7 @@ def _squared_d(at: EvalPoint, L: int, A: int):
         for n in range(end - _BLOCK + 1, end + 1):
             c = n * (L2 * n + K)
             e = A * q + c * p_prev
-            yield p_prev, q, p, e, g
+            yield p_prev, q, p, e, c, g
             g = 1
             q = A * p + c * q
             p_prev, p = p, A * q + c * e
@@ -402,22 +402,20 @@ def delannoy_dp(n: int, m: int) -> int:
 def jacobi_eval(
     n: int, alpha: BiPoly | int | Fraction, beta: BiPoly | int | Fraction, point: RationalLike
 ) -> BiPoly:
-    """Jacobi polynomial P_n^(alpha, beta) at a rational point.
-
-    alpha and beta may be affine in x and r (that is how the connection
-    formulas use them; an int or ``Fraction`` is a constant), so the result
-    is again a BiPoly.
-    """
+    """Jacobi polynomial P_n^(alpha, beta) at a rational point, by
+    ``_jacobi_sum``; alpha and beta may be affine in x and r (an int or
+    ``Fraction`` is a constant), so the result is again a BiPoly."""
     check_natural(n, "n")
     message = "jacobi_eval requires affine alpha and beta"
     alpha, beta = _affine(alpha, message), _affine(beta, message)
-    t = as_rational(point)
-    alphas = binom_row(n + alpha, n)
-    betas = binom_row(n + beta, n)
-    total = sum_products(
-        (alphas[k], betas[n - k] * ((t + 1) ** k * (t - 1) ** (n - k))) for k in range(n + 1)
-    )
-    return total / Fraction(2**n)
+    return _jacobi_sum(sum_products, n, binom_row(n + alpha, n), binom_row(n + beta, n), as_rational(point))
+
+
+def _jacobi_sum(total, n: int, a_row, b_row, t: Fraction):
+    """P_n^(alpha, beta)(t) = sum_k a_row[k] b_row[n-k] ((t+1)/2)^k ((t-1)/2)^(n-k)
+    for a_row = binom(n+alpha, .), b_row = binom(n+beta, .) (Szegő, Orthogonal
+    Polynomials, §4.3), with ``total`` summing pairs' products in any algebra."""
+    return total((a_row[k], b_row[n - k] * (((t + 1) / 2) ** k * ((t - 1) / 2) ** (n - k))) for k in range(n + 1))
 
 
 def meixner_eval(n: int, x: RationalLike, b: RationalLike, c: RationalLike) -> Fraction:

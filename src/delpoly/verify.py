@@ -15,9 +15,9 @@ The other two are not shown to be proofs (ROADMAP item 2 makes them so):
   exceed the bound compares, for meixner, (n+1)^2 grid points with n, a
   bound on one axis, so it would pass a grid too small to prove anything;
 * PointGrid (hyper-bridge, clausen-product) -- scalar sides at fixed
-  points.  hyper-bridge's 50 points all lie on the line 14x - 24r + 79 = 0,
-  and clausen-product's 83 (b, c, z) triples per n cover its sides, of
-  degree 2n in each of b, c and z, only for n <= 1.
+  points.  hyper-bridge's first 45 points, a triangular lattice, prove its
+  identity only for n <= 8; clausen-product's 83 (b, c, z) triples per n
+  cover its sides, of degree 2n in each of b, c and z, only for n <= 1.
 
 Every identity is an instance generator yielding (label, params, lhs, rhs)
 cases, and all of them run through one compare loop.  The SymbolicPoly and
@@ -28,8 +28,8 @@ Over ``_SymbolicAlg`` the sides are BiPoly and each sum is one
 ``Fraction``s at random points, a cross-check from outside the package.
 parametric-square is not written over an algebra bundle: its symbolic sides
 have no r, so it builds each as one int coefficient list in x (integer
-falling products and their convolutions, summed over the running products
-of its term-ratio rows) and makes it a BiPoly once.  A run that checks no
+falling-factorial products, summed over the running products of its
+term-ratio rows) and makes it a BiPoly once.  A run that checks no
 case is a ValueError rather than a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
@@ -49,6 +50,7 @@ from .bipoly import R, X, BiPoly, _product_rows, binom_poly, binom_row, sum_prod
 from .dcore import (
     EvalPoint,
     Route,
+    _jacobi_sum,
     d_eval_sequence,
     d_sequence,
     meixner_eval,
@@ -104,18 +106,16 @@ class _SymbolicAlg:
 
 
 def deterministic_points(count: int) -> tuple[EvalPoint, ...]:
-    """Fixed non-excluded rational (r, x) points.
+    """Fixed non-excluded rational (r, x) points: cell (i, j) is r = (2i-7)/8,
+    x = (15j-50)/7, walked over the diagonals i + j = 0, 1, 2, ... in turn.
 
-    The r values have denominator 8 with odd numerator, so 2r is never an
-    integer and no point lands in the degenerate half-integer set.  Point i
-    is r = (2i-7)/8, x = (3i-50)/7, so every point lies on the line
-    14x - 24r + 79 = 0.
+    2r is never an integer, so no point lands in the degenerate half-integer
+    set.  The first 45 points are the lattice i + j <= 8, on which only the
+    zero polynomial of total degree <= 8 vanishes.
     """
     check_natural(count, "count")
-    return tuple(
-        EvalPoint(Fraction(2 * i + 1, 8) - 1, Fraction(3 * i - 50, 7))
-        for i in range(count)
-    )
+    cells = ((i, s - i) for s in range(count) for i in range(s + 1))
+    return tuple(EvalPoint(Fraction(2 * i - 7, 8), Fraction(15 * j - 50, 7)) for i, j in islice(cells, count))
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +189,16 @@ def _inversion_instances(alg, n_max: int) -> Iterator:
 
 
 def _jacobi_instances(alg, n_max: int) -> Iterator:
-    # P_n^(a, b)(t) = sum_k binom(n+a, k) binom(n+b, n-k) ((t+1)/2)^k ((t-1)/2)^(n-k)
-    # (Szegő, Orthogonal Polynomials, §4.3).  With a or b equal to 2r, x-r-n
-    # or -1-x-r-n, the forms read only the rows binom(2r+n, .), binom(x-r, .)
-    # and binom(-1-x-r, .); the form at 3 is the NEWFORM sum itself.
-    def jacobi(n, a_row, b_row, t):
-        return alg.sum(
-            (a_row[k], b_row[n - k] * (((t + 1) / 2) ** k * ((t - 1) / 2) ** (n - k))) for k in range(n + 1)
-        )
-
+    # With a or b equal to 2r, x-r-n or -1-x-r-n, ``_jacobi_sum`` reads only
+    # the rows binom(2r+n, .), binom(x-r, .) and binom(-1-x-r, .) for
+    # P_n^(a, b)(t); the form at 3 is the NEWFORM sum itself.
     lower = alg.binom_row(alg.x - alg.r, n_max)
     mirror = alg.binom_row(-1 - alg.x - alg.r, n_max)
     for n in range(n_max + 1):
         d, sign, two_r = alg.d(n), -1 if n % 2 else 1, alg.binom_row(2 * alg.r + n, n)
-        yield f"alpha=x-r-n at 3, n={n}", {"n": n}, d, jacobi(n, lower, two_r, Fraction(3))
-        yield f"swapped at -3, n={n}", {"n": n}, d, sign * jacobi(n, two_r, lower, Fraction(-3))
-        yield f"reflected at -3, n={n}", {"n": n}, d, jacobi(n, two_r, mirror, Fraction(-3))
+        yield f"alpha=x-r-n at 3, n={n}", {"n": n}, d, _jacobi_sum(alg.sum, n, lower, two_r, Fraction(3))
+        yield f"swapped at -3, n={n}", {"n": n}, d, sign * _jacobi_sum(alg.sum, n, two_r, lower, Fraction(-3))
+        yield f"reflected at -3, n={n}", {"n": n}, d, _jacobi_sum(alg.sum, n, two_r, mirror, Fraction(-3))
 
 
 def _recurrence_instances(alg, n_max: int) -> Iterator:
@@ -424,11 +418,10 @@ def _x_poly(coeffs: list[int], den: int) -> BiPoly:
 
 def _cross_rows(falling: list[list[int]], a: Fraction | int) -> list[list[int]]:
     """k!^2 q^k binom(x, k) binom(a - x, k) for k < len(falling), a = p/q, as
-    int lists in x: ``falling[k]`` is k! binom(x, k), and q^k k! binom(a - x, k)
-    is the product of the k factors p - iq - qx, i < k."""
+    int lists in x: the product of the 2k factors x - i and p - iq - qx,
+    i < k, which is entry 2k of one ``_product_rows`` pass over them."""
     p, q = a.numerator, a.denominator
-    mirror = _product_rows((-q, p - i * q) for i in range(len(falling) - 1))
-    return [_convolve(f, g) for f, g in zip(falling, mirror)]
+    return _product_rows(f for i in range(len(falling) - 1) for f in ((1, -i), (-q, p - i * q)))[::2]
 
 
 def _square_sides(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from delpoly.analysis import GridSpec
 from delpoly.cli import (
     EXIT_CLAIM_FAILED,
     EXIT_OK,
@@ -386,6 +387,16 @@ def test_scan_rejects_malformed_grid_file_entries(tmp_path, capsys, grid_text, m
     assert out == ""
     assert err.startswith("error: ")
     assert message in err
+
+
+def test_scan_grid_file_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on some systems write one; it used to be read as part of the
+    # first key, "unknown key '\ufeffn_max'"
+    grid = tmp_path / "grid.txt"
+    grid.write_bytes("n_max=4\nr=0 x=-1/2\nr=1/4 x=0\n".encode("utf-8-sig"))
+    code, _, _ = run_cli(capsys, "scan", "--grid-file", str(grid), "--format", "json")
+    assert code == EXIT_OK
+    assert parse_grid_file(str(grid)) == GridSpec((Fraction(0), Fraction(1, 4)), (Fraction(-1, 2), Fraction(0)), 4)
 
 
 def test_scan_reports_undecodable_grid_file_line(tmp_path, capsys):

@@ -396,6 +396,16 @@ def test_jacobi_eval():
     assert jacobi_eval(2, zero, zero, 1) == BiPoly.one()
 
 
+def test_jacobi_eval_gives_d_n_in_the_three_forms():
+    # the three right sides of verify_jacobi: alpha = x-r-n, beta = 2r at 3;
+    # swapped at -3 with the sign (-1)^n; reflected, beta = -1-x-r-n, at -3
+    d = d_sequence(Route.THREE_TERM, 10).polys
+    for n in range(11):
+        assert jacobi_eval(n, X - R - n, 2 * R, 3) == d[n]
+        assert (-1) ** n * jacobi_eval(n, 2 * R, X - R - n, -3) == d[n]
+        assert jacobi_eval(n, 2 * R, -1 - X - R - n, -3) == d[n]
+
+
 def test_jacobi_eval_rejects_non_affine():
     with pytest.raises(ValueError):
         jacobi_eval(1, X * R, BiPoly.zero(), 3)

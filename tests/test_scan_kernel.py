@@ -220,6 +220,17 @@ def test_reduced_values_match_products_property():
     check()
 
 
+@pytest.mark.parametrize("at", DEEP_POINTS[2:], ids=lambda at: f"r={at.r},x={at.x}")
+def test_squared_state_yields_the_step_coefficient(at):
+    # c_n = n L^2 (n+2r), with L and A = L(1+2x) written out here; n <= 200
+    # crosses three block divisions.
+    L = at.x.denominator * at.r.denominator // gcd(at.x.denominator, at.r.denominator)
+    A = L + 2 * at.x.numerator * (L // at.x.denominator)
+    assert A == L * (1 + 2 * at.x)
+    for n, (*_, c, _) in zip(range(1, 201), dcore._squared_d(at, L, A)):
+        assert c == n * L * L * (n + 2 * at.r), n
+
+
 def _wrong_block_factor(monkeypatch):
     block_factor = dcore._block_factor
     monkeypatch.setattr(dcore, "_block_factor", lambda n, L: 1009 * block_factor(n, L))

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from delpoly import verify
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
 from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen, binom_int
@@ -316,8 +317,43 @@ def test_deterministic_points_avoid_exclusions():
     assert len(set(points)) == 50
     # 2r is never an integer, so no r is in {-1/2, -1, -3/2, ...}
     assert all((2 * p.r).denominator != 1 for p in points)
-    # and every point lies on one line, so a hyper-bridge verdict is no proof
-    assert all(14 * p.x - 24 * p.r + 79 == 0 for p in points)
+    # The first 45 are the lattice i + j <= 8 with 9 distinct r and 9
+    # distinct x values, and the r^a x^b (a + b <= 8) columns at them are
+    # independent (full rank mod a prime implies full rank over Q), so only
+    # the zero polynomial of total degree <= 8 vanishes there.
+    lattice = {EvalPoint(Fraction(2 * i - 7, 8), Fraction(15 * j - 50, 7)) for i in range(9) for j in range(9 - i)}
+    assert set(points[:45]) == lattice
+    assert _rank_mod_prime([[p.r**a * p.x**b for a in range(9) for b in range(9 - a)] for p in points[:45]]) == 45
+
+
+def _rank_mod_prime(rows: list[list[Fraction]], prime: int = 2**31 - 1) -> int:
+    rows = [[v.numerator * pow(v.denominator, -1, prime) % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, prime)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inverse
+            rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_hyper_bridge_catches_a_perturbation_that_vanishes_on_a_line(monkeypatch):
+    # 14x - 24r + 79 vanishes on the line the points once all lay on, which
+    # holds point 0; point 1 is off it, so the bridge at n = 3 fails there.
+    bridge = verify.d_via_hyper
+    monkeypatch.setattr(
+        verify, "d_via_hyper", lambda n, r, x: bridge(n, r, x) + (14 * x - 24 * r + 79 if n == 3 else 0)
+    )
+    report = verify_hyper_bridge(5)
+    second = deterministic_points(2)[1]
+    assert not report.passed
+    assert report.counterexample["instance"] == "bridge n=3"
+    assert report.counterexample["params"] == {"n": 3, "r": second.r, "x": second.x}
 
 
 @pytest.mark.parametrize("count", [-3, True, 2.0])
