@@ -637,8 +637,8 @@ def _product_rows(factors) -> list[list[int]]:
     """[p_0, p_1, ...] with p_0 = 1 and p_k = p_{k-1} * (a_k v + b_k) for the
     k-th (a_k, b_k) of ``factors``, each an int coefficient list in v, low
     degree first.  The one falling/rising-product kernel: it builds the
-    binomial rows here, the defining-sum routes' factorial rows in ``dcore``
-    and parametric-square's sides in ``verify``."""
+    binomial rows here and the defining-sum routes' factorial rows in
+    ``dcore``."""
     rows = [[1]]
     for a, b in factors:
         row = rows[-1]

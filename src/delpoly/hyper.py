@@ -6,7 +6,8 @@ every value is a finite exact sum.  The module also evaluates both sides
 of the product identity that turns a product of two terminating 2F1 values
 into a single terminating 4F3.  Every series is summed on reduced (p, q)
 int pairs, derived parameters (2r+1, c/2, ...) are built as such pairs,
-and one ``Fraction`` is built per value returned.
+and one ``Fraction`` is built per value returned; a series symbolic in x
+is an int coefficient list over one int.
 """
 
 from __future__ import annotations
@@ -25,17 +26,30 @@ def hyper_eval(
 ) -> Fraction:
     """Exact value of the terminating series sum_k prod(a_i)_k / prod(b_j)_k * z^k / k!.
 
-    The sum stops at the smallest -a_i over the non-positive-integer
-    numerator parameters; a series with none of them does not terminate,
-    and a denominator parameter in {0, -1, ...} whose pole comes before that
-    stop leaves a term undefined.  Both are a ValueError.  An int or a
-    Fraction is read through its numerator and denominator, a "p/q" string
-    is parsed, and the one Fraction built is the value.
+    A series that does not terminate, or has a pole before it stops, is a
+    ValueError (see ``_stop``).  An int or a Fraction is read through its
+    numerator and denominator, a "p/q" string is parsed, and the one
+    Fraction built is the value.
     """
     nums = [(a.numerator, a.denominator) for a in map(as_exact, numerator_params)]
     dens = [(b.numerator, b.denominator) for b in map(as_exact, denominator_params)]
     z = as_exact(argument)
     return Fraction(*_hyper_sum(nums, dens, z.numerator, z.denominator))
+
+
+def _stop(nums: list[tuple[int, int]], dens: list[tuple[int, int]]) -> int:
+    """The last term index: the smallest -p over the non-positive-integer
+    numerator parameters p/q.  With none of them the series does not
+    terminate, and a denominator parameter in {0, -1, ...} with its pole
+    before that stop leaves a term undefined: both are a ValueError."""
+    stops = [-p for p, q in nums if q == 1 and p <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
+    stop = min(stops)
+    for u, v in dens:
+        if v == 1 and -(stop - 1) <= u <= 0:
+            raise ValueError(f"pole in denominator parameter {u} before termination at k={stop}")
+    return stop
 
 
 def _hyper_sum(nums: list[tuple[int, int]], dens: list[tuple[int, int]], zn: int, zd: int) -> tuple[int, int]:
@@ -50,13 +64,7 @@ def _hyper_sum(nums: list[tuple[int, int]], dens: list[tuple[int, int]], zn: int
     so the term numerator is streamed and the running total is kept over
     the current term's denominator (``total = total*fd + num``).
     """
-    stops = [-p for p, q in nums if q == 1 and p <= 0]
-    if not stops:
-        raise ValueError("series does not terminate: no non-positive-integer numerator parameter")
-    stop = min(stops)
-    for u, v in dens:
-        if v == 1 and -(stop - 1) <= u <= 0:
-            raise ValueError(f"pole in denominator parameter {u} before termination at k={stop}")
+    stop = _stop(nums, dens)
     num_scale = zn * prod(v for _, v in dens)
     den_scale = zd * prod(q for _, q in nums)
     term = total = den = 1
@@ -73,6 +81,35 @@ def _hyper_sum(nums: list[tuple[int, int]], dens: list[tuple[int, int]], zn: int
     return total, den
 
 
+def _x_series(
+    nums: list[tuple[int, int]], x_nums: list[tuple[int, int, int]], dens: list[tuple[int, int]], z: int | Fraction
+) -> tuple[list[int], int]:
+    """``_hyper_sum`` with the numerator parameters s*x + p/q, s = +-1, given
+    as ``x_nums`` triples (s, p, q): the value symbolic in x as an int
+    coefficient list, low degree first, over an int den > 0.  Such a
+    parameter's factor s*x + p/q + k is the linear (p + k*q) + s*q*x over q,
+    and only ``nums`` can stop the series."""
+    stop = _stop(nums, dens)
+    num_scale = z.numerator * prod(v for _, v in dens)
+    den_scale = z.denominator * prod(q for _, q in nums) * prod(q for _, _, q in x_nums)
+    # term k is scale * x_term, x_term being the product of the x-parameters' linear factors
+    x_term, scale, total, den = [1], 1, [1], 1
+    for k in range(stop):
+        fn = num_scale
+        for p, q in nums:
+            fn *= p + k * q
+        fd = den_scale * (k + 1)
+        for u, v in dens:
+            fd *= u + k * v
+        scale *= fn
+        for s, p, q in x_nums:
+            a, b = s * q, p + k * q
+            x_term = [b * lo + a * hi for lo, hi in zip(x_term + [0], [0] + x_term)]
+        total = [fd * c + scale * t for c, t in zip(total + [0] * len(x_nums), x_term)]
+        den *= fd
+    return (total, den) if den > 0 else ([-c for c in total], -den)
+
+
 def hyper2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:
     """Terminating 2F1(a, b; c; z)."""
     return hyper_eval((a, b), (c,), z)
@@ -84,12 +121,14 @@ def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     Requires r outside {-1/2, -1, -3/2, ...}, where the 2r+1 denominator
     parameter degenerates.
     """
+    check_natural(n, "n")
     rv, xv = as_exact(r), as_exact(x)
     return _bridge(n, rv, rv - xv, 1)
 
 
 def d_via_hyper_companion(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     """The mirror bridge (-1)^n (2r+1)_n / n! * 2F1(-n, r+1+x; 2r+1; 2)."""
+    check_natural(n, "n")
     rv, xv = as_exact(r), as_exact(x)
     return _bridge(n, rv, rv + 1 + xv, -1 if n % 2 else 1)
 

@@ -26,11 +26,10 @@ supplies binomials, binomial rows, sums of products and the values d_n.
 Over ``_SymbolicAlg`` the sides are BiPoly and each sum is one
 ``sum_products`` call; the tests run the same generators over plain
 ``Fraction``s at random points, a cross-check from outside the package.
-parametric-square is not written over an algebra bundle: its symbolic sides
-have no r, so it builds each as one int coefficient list in x (integer
-falling-factorial products, summed over the running products of its
-term-ratio rows) and makes it a BiPoly once.  A run that checks no
-case is a ValueError rather than a vacuous pass.
+parametric-square is not written over an algebra bundle: its sides have no
+r, and ``hyper``'s series kernel sums each as an int coefficient list in x,
+made a BiPoly once.  A run that checks no case is a ValueError rather than
+a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -43,10 +42,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .bipoly import R, X, BiPoly, _product_rows, binom_poly, binom_row, sum_products
+from .bipoly import R, X, BiPoly, binom_poly, binom_row, sum_products
 from .dcore import (
     EvalPoint,
     Route,
@@ -55,8 +54,8 @@ from .dcore import (
     d_sequence,
     meixner_eval,
 )
-from .exactnum import as_rational, check_natural
-from .hyper import clausen_product_sides, d_via_hyper, d_via_hyper_companion
+from .exactnum import as_rational, check_natural, reduced
+from .hyper import _hyper_sum, _x_series, clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
 
 
@@ -367,38 +366,6 @@ def _meixner_instances(n_max: int) -> Iterator:
                 )
 
 
-def _ratio_row(n: int, num: Callable[[int], int], den: Callable[[int], int]) -> tuple[list[int], list[int]]:
-    """t_0 = 1, ..., t_n with t_{k+1} = t_k * num(k) / den(k), as the running
-    integer products (tops, bottoms): t_k = tops[k] / bottoms[k], unreduced."""
-    tops, bottoms = [1], [1]
-    for k in range(n):
-        tops.append(tops[-1] * num(k))
-        bottoms.append(bottoms[-1] * den(k))
-    return tops, bottoms
-
-
-def _row_total(tops: list[int], bottoms: list[int], weights: list[int]) -> tuple[int, int]:
-    """sum_k weights[k] * tops[k] / bottoms[k] over k < len(weights), as
-    unreduced ints over the last bottom read, which every earlier one divides."""
-    last = bottoms[len(weights) - 1]
-    return sum(w * t * (last // b) for w, t, b in zip(weights, tops, bottoms)), last
-
-
-def _row_poly(row: tuple[list[int], list[int]], polys: list[list[int]], scales: list[int]) -> tuple[list[int], int]:
-    """sum_k t_k * scales[k] * polys[k] over k < len(scales), t_k = tops[k] /
-    bottoms[k] of the ``_ratio_row`` ``row`` and each of ``polys`` an int
-    coefficient list in x: as one int list, unreduced, over the last bottom
-    read (see ``_row_total``), and that bottom."""
-    tops, bottoms = row
-    last = bottoms[len(scales) - 1]
-    out = [0] * len(polys[len(scales) - 1])  # degrees grow with k
-    for t, b, s, poly in zip(tops, bottoms, scales, polys):
-        w = t * (last // b) * s
-        for e, c in enumerate(poly):
-            out[e] += w * c
-    return out, last
-
-
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """The int coefficient list of the product of two, low degree first."""
     out = [0] * (len(a) + len(b) - 1)
@@ -410,102 +377,66 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def _x_poly(coeffs: list[int], den: int) -> BiPoly:
-    """sum_e coeffs[e] * x^e / den, for any nonzero int ``den``."""
-    if den < 0:
-        coeffs, den = [-c for c in coeffs], -den
+    """sum_e coeffs[e] * x^e / den, for a positive int ``den``."""
     return BiPoly._raw({(e, 0): c for e, c in enumerate(coeffs)}, den)
 
 
-def _cross_rows(falling: list[list[int]], a: Fraction | int) -> list[list[int]]:
-    """k!^2 q^k binom(x, k) binom(a - x, k) for k < len(falling), a = p/q, as
-    int lists in x: the product of the 2k factors x - i and p - iq - qx,
-    i < k, which is entry 2k of one ``_product_rows`` pass over them."""
+def _x_value(coeffs: list[int], x: int) -> int:
+    """sum_e coeffs[e] * x^e at an int x."""
+    return sum(c * x**e for e, c in enumerate(coeffs))
+
+
+def _square_sides(n: int, a: Fraction | int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """lhs = 2F1(-n, -x; -a; 2) and rhs = 4F3(-n, n-a, -x, x-a; -a, -a/2, (1-a)/2; 1)
+    at a = p/q < 0, as ``_x_series`` sums them.  lhs^2 = rhs is the Clausen
+    product at b = -x, c = -a, z = 2, whose two 2F1 factors are equal up to
+    (-1)^n there by Pfaff's transformation."""
     p, q = a.numerator, a.denominator
-    return _product_rows(f for i in range(len(falling) - 1) for f in ((1, -i), (-q, p - i * q)))[::2]
-
-
-def _square_sides(
-    falling: list[list[int]], cross: list[list[int]], n: int, a: Fraction | int
-) -> tuple[BiPoly, BiPoly, BiPoly, tuple[list[int], list[int]], tuple[list[int], list[int]]]:
-    """The free-parameter square at a < 0: (lhs, lhs^2, rhs, alpha, beta).
-
-    With alpha_k = C(n,k) (-2)^k / binom(a,k) and beta_k =
-    (-1)^n binom(n+k-a-1, n-k) 4^k / (binom(a,k) binom(a,n)), lhs and rhs
-    are the sums over k <= n of alpha_k binom(x, k) and of beta_k binom(x, k)
-    binom(a - x, k), symbolic in x.  ``falling[k]`` is k! binom(x, k) and
-    ``cross[k]`` is k!^2 q^k binom(x, k) binom(a - x, k) (see ``_cross_rows``;
-    the caller builds it once per top a, since it does not depend on n),
-    both int coefficient lists in x.  Both rows are hypergeometric in k with
-    alpha_0 = beta_0 = 1, so each entry is one integer term-ratio step from
-    the one before; with a = p/q < 0 no ratio has a zero denominator.
-    alpha and beta are ``_ratio_row`` products, and each side is one int
-    list over (last bottom) * n! (lhs) or (last bottom) * n!^2 * q^n (rhs),
-    made a BiPoly once.
-    """
-    p, q = a.numerator, a.denominator
-    alpha = _ratio_row(n, lambda k: -2 * (n - k) * q, lambda k: p - k * q)
-    beta = _ratio_row(
-        n,
-        lambda k: 4 * ((n + k) * q - p) * (n - k) * (k + 1) * q * q,
-        lambda k: (2 * k * q - p) * ((2 * k + 1) * q - p) * (p - k * q),
+    lhs = _x_series([(-n, 1)], [(-1, 0, 1)], [(-p, q)], 2)
+    rhs = _x_series(
+        [(-n, 1), (n * q - p, q)], [(-1, 0, 1), (1, -p, q)], [(-p, q), reduced(-p, 2 * q), reduced(q - p, 2 * q)], 1
     )
-    rest = [factorial(n) // factorial(k) for k in range(n + 1)]
-    lhs, lhs_den = _row_poly(alpha, falling, rest)
-    lhs_den *= rest[0]
-    rhs, rhs_den = _row_poly(beta, cross, [s * s * q ** (n - k) for k, s in enumerate(rest)])
-    rhs_den *= rest[0] * rest[0] * q**n
-    square = _x_poly(_convolve(lhs, lhs), lhs_den * lhs_den)
-    return _x_poly(lhs, lhs_den), square, _x_poly(rhs, rhs_den), alpha, beta
+    return lhs, rhs
 
 
 def _parametric_square_instances(n_max: int) -> Iterator:
-    # k! binom(x, k), and k!^2 q^k binom(x, k) binom(top - x, k) built once
-    # per top, for k <= n_max: neither depends on n.  The cache is this
-    # call's own, so a cold run builds every row again.
-    falling = _product_rows((1, -i) for i in range(n_max))
-    cross = cache(lambda top: _cross_rows(falling, top))
     for n in range(n_max + 1):
-        # The b grid is this square at a = -b and the a = -2 case at a = -2,
-        # so each parameter's sides are built once per n.
-        sides = cache(lambda a: _square_sides(falling, cross(a), n, a))
+        # The b grid is this square at a = -b and the a = -2 case at a = -2, so each
+        # parameter's sides, as int lists and as the BiPoly lhs^2 and rhs, are built once per n.
+        @cache
+        def sides(a):
+            (lhs, d), rhs = _square_sides(n, a)
+            return (lhs, d), rhs, (_x_poly(_convolve(lhs, lhs), d * d), _x_poly(*rhs))
+
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
-        signs, ones = [(-1) ** k for k in range(n + 1)], [1] * (n + 1)
         for a in a_grid:
-            _, square, rhs, alpha, beta = sides(a)
-            yield f"free-parameter square n={n}", {"n": n, "a": a}, square, rhs
-            # specialization x = -1, where binom(-1, k) = (-1)^k and
-            # binom(x, k) binom(a - x, k) = (-1)^k binom(a + 1, k)
-            p, q = a.numerator, a.denominator
-            up = _ratio_row(n, lambda k: p + q - k * q, lambda k: (k + 1) * q)  # binom(a + 1, k)
-            s, d = _row_total(*alpha, signs)
-            rhs_s = _row_total(*([u * v for u, v in zip(*rows)] for rows in zip(beta, up)), signs)
-            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, Fraction(s * s, d * d), Fraction(*rhs_s)
+            (lhs, d), (rhs, e), symbolic = sides(a)
+            yield f"free-parameter square n={n}", {"n": n, "a": a}, *symbolic
+            s = _x_value(lhs, -1)
+            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, Fraction(s * s, d * d), Fraction(_x_value(rhs, -1), e)
 
-        # a = -1/2: central-binomial form.  Term k of the lhs sum is C(n,k) (-8)^k / C(2k,k),
-        # of the rhs (-1)^k/(1-2k) binom(n+k-1/2, n-k) 4^(n+k) / C(2n,n); both rows start at 1.
-        s, d = _row_total(*_ratio_row(n, lambda k: -4 * (n - k), lambda k: 2 * k + 1), ones)
-        rhs_c = _ratio_row(
-            n, lambda k: 8 * (1 - 2 * k) * (2 * n + 2 * k + 1) * (n - k), lambda k: (2 * k + 1) * (4 * k + 1) * (4 * k + 3)
-        )
-        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, Fraction(s * s, d * d), Fraction(*_row_total(*rhs_c, ones))
+        # Central-binomial form: 2F1(-n, 1; 1/2; 2)^2 = 4F3(-n, n+1/2, -1/2, 1; 1/2, 1/4, 3/4; 1),
+        # the x = -1 parameters at a = -1/2.
+        s, d = _hyper_sum([(-n, 1), (1, 1)], [(1, 2)], 2, 1)
+        rhs_c = _hyper_sum([(-n, 1), (2 * n + 1, 2), (-1, 2), (1, 1)], [(1, 2), (1, 4), (3, 4)], 1, 1)
+        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, Fraction(s * s, d * d), Fraction(*rhs_c)
 
         # b parameterization over positive integers, plus the Meixner tie-in (lhs at x = xv)
         for bv in range(1, 2 * n + 3):
             b = Fraction(bv)
-            _, square, rhs, alpha, _ = sides(-b)
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, square, rhs
+            (lhs, d), _, symbolic = sides(-b)
+            yield f"squared-sum form n={n}", {"n": n, "b": b}, *symbolic
             for xv in range(n + 1):
                 yield (
                     f"meixner-square tie n={n}",
                     {"n": n, "b": b, "x": xv},
                     meixner_eval(n, xv, bv, -1),
-                    Fraction(*_row_total(*alpha, [comb(xv, k) for k in range(xv + 1)])),
+                    Fraction(_x_value(lhs, xv), d),
                 )
 
         # a = -2 specialization, symbolic in x
-        _, square, rhs, _, _ = sides(-2)
-        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, square, rhs
+        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, *sides(-2)[2]
 
 
 _CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))
@@ -864,6 +795,8 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
     a bad config raises ValueError before any verifier runs."""
     config = config or SuiteConfig()
     suite = _suite()
+    if isinstance(config.selection, str):
+        raise ValueError(f"selection must be a sequence of identity ids, not the string {config.selection!r}")
     ids = config.selection if config.selection is not None else tuple(suite)
     if not ids:
         raise ValueError("no identity ids selected")
@@ -873,6 +806,8 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
     unknown = sorted({*ids, *config.depths} - suite.keys())
     if unknown:
         raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    for identity_id, depth in config.depths.items():
+        check_natural(depth, f"{identity_id} depth")
     fault_id, fault_index = config.fault or (None, None)
     if config.fault is not None:
         if fault_id not in ids:

@@ -8,6 +8,7 @@ import pytest
 
 from delpoly.dcore import EvalPoint, d_eval, meixner_eval
 from delpoly.hyper import (
+    _x_series,
     clausen_product_sides,
     d_via_hyper,
     d_via_hyper_companion,
@@ -104,6 +105,59 @@ def test_spec_pole_check_matches_pochhammer_oracle():
     assert hyper_eval((-3, -1), (-2,), 2) == hyper_sum_oracle([-3, -1], [-2], 2) == -2
     with pytest.raises(ValueError, match="pole"):
         meixner_eval(3, 1, -2, -1)
+
+
+def test_x_series_at_an_integer_x_is_the_scalar_series():
+    # Each x-parameter s*x + c, with x put in, as a scalar parameter of
+    # hyper_eval; where one becomes a non-positive integer the scalar series
+    # stops early, and the symbolic one's later terms vanish there.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    params = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        n=st.integers(0, 6),
+        nums=st.lists(params, max_size=2),
+        x_nums=st.lists(st.tuples(st.sampled_from((-1, 1)), params), min_size=1, max_size=2),
+        dens=st.lists(params.filter(lambda b: b.denominator != 1 or b > 0), max_size=3),
+        z=params,
+        x=st.integers(-6, 6),
+    )
+    def check(n, nums, x_nums, dens, z, x):
+        coeffs, den = _x_series(
+            [(-n, 1)] + [(a.numerator, a.denominator) for a in nums],
+            [(s, c.numerator, c.denominator) for s, c in x_nums],
+            [(b.numerator, b.denominator) for b in dens],
+            z,
+        )
+        stop = min([n] + [int(-a) for a in nums if a.denominator == 1 and a <= 0])
+        assert den > 0 and len(coeffs) == stop * len(x_nums) + 1
+        value = Fraction(sum(c * x**e for e, c in enumerate(coeffs)), den)
+        assert value == hyper_eval([-n, *nums, *(s * x + c for s, c in x_nums)], dens, z)
+
+    check()
+
+
+def test_x_series_rejects_a_pole_before_the_stop():
+    # parametric-square's rhs with (1+a)/2 in place of (1-a)/2 at a = -1:
+    # the parameter 0 is a pole at k = 1, before the stop at k = 2
+    with pytest.raises(ValueError, match="^pole in denominator parameter 0 before termination at k=2$"):
+        _x_series([(-2, 1), (3, 1)], [(-1, 0, 1), (1, 1, 1)], [(1, 1), (1, 2), (0, 1)], 1)
+    with pytest.raises(ValueError, match="^pole in denominator parameter -1 before termination at k=3$"):
+        _x_series([(-3, 1)], [(-1, 0, 1)], [(-1, 1)], 2)
+    # a pole exactly at the stop is fine, as for the scalar kernel
+    assert _x_series([(-1, 1)], [(1, 0, 1)], [(-1, 1)], 1) == ([1, 1], 1)
+    with pytest.raises(ValueError, match="does not terminate"):
+        _x_series([(1, 2)], [(-1, 0, 1)], [(1, 1)], 1)
+
+
+@pytest.mark.parametrize("bridge", [d_via_hyper, d_via_hyper_companion])
+@pytest.mark.parametrize("bad", [-1, 2.0, True, "2"], ids=repr)
+def test_bridges_reject_a_bad_n_first(bridge, bad):
+    # "2" used to reach n % 2 in the mirror bridge and raise a TypeError
+    with pytest.raises(ValueError, match=f"^n must be a natural number, got {bad!r}$"):
+        bridge(bad, 1, 0)
 
 
 def test_bridge_example():

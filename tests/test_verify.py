@@ -3,7 +3,6 @@ agreement, fault sensitivity, and report plumbing."""
 
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -11,6 +10,7 @@ from delpoly import verify
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
 from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen, binom_int
+from delpoly.hyper import clausen_product_sides
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
     _inversion_instances,
@@ -23,8 +23,9 @@ from delpoly.verify import (
     _square_instances,
     _weighted_square_sum_instances,
     _SymbolicAlg,
-    _cross_rows,
     _square_sides,
+    _x_poly,
+    _x_value,
     DEFAULT_DEPTHS,
     SUITE_IDS,
     SuiteConfig,
@@ -273,30 +274,41 @@ def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2), Fraction(-1, 2), Fraction(-9), Fraction(-17, 2)])
 def test_square_rows_match_per_coefficient_formulas(n, a):
-    # Every entry of both term-ratio rows, k = n included, against its own
-    # binomials; a = -1 is where binom(a + 1, k) vanishes past k = 0.
-    # The sides read k! binom(x, k) and k!^2 q^k binom(x, k) binom(a - x, k)
-    # as int lists in x, here taken from the BiPoly rows.
-    def ints(p: BiPoly) -> list[int]:
-        values = [p.coefficient(e, 0) for e in range(p.deg_x + 1)]
-        assert all(v.denominator == 1 for v in values) and p.deg_r == 0
-        return [v.numerator for v in values]
-
-    xs, ys = binom_row(X, n), binom_row(a - X, n)
-    falling = [ints(xs[k] * factorial(k)) for k in range(n + 1)]
-    cross = [ints(xs[k] * ys[k] * (factorial(k) ** 2 * a.denominator**k)) for k in range(n + 1)]
-    assert cross == _cross_rows(falling, a)
-    lhs, square, rhs, *products = _square_sides(falling, cross, n, a)
-    alpha, beta = ([Fraction(t, b) for t, b in zip(*row)] for row in products)
-    assert alpha == [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
-    assert beta == [
+    # Both series in x against their terms written as binomials,
+    #   lhs = sum_k C(n,k) (-2)^k / binom(a,k) * binom(x,k),
+    #   rhs = sum_k (-1)^n binom(n+k-a-1, n-k) 4^k / (binom(a,k) binom(a,n)) * binom(x,k) binom(a-x,k),
+    # k = n included; a = -1 is where binom(a + 1, k) vanishes past k = 0,
+    # so the x = -1 case's rhs is a single term there.
+    (lhs, lhs_den), (rhs, rhs_den) = _square_sides(n, a)
+    assert lhs_den > 0 and rhs_den > 0
+    assert len(lhs) == n + 1 and len(rhs) == 2 * n + 1
+    alpha = [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
+    beta = [
         (-1) ** n * binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / (binom_gen(a, k) * binom_gen(a, n))
         for k in range(n + 1)
     ]
-    assert square == lhs * lhs
-    # At x = -1 the sides are the alternating row sums the x = -1 cases read.
-    assert lhs.eval(0, -1) == sum((-1) ** k * c for k, c in enumerate(alpha))
-    assert rhs.eval(0, -1) == sum((-1) ** k * c * binom_gen(a + 1, k) for k, c in enumerate(beta))
+    xs, ys = binom_row(X, n), binom_row(a - X, n)
+    assert _x_poly(lhs, lhs_den) == sum((xs[k] * c for k, c in enumerate(alpha)), BiPoly.zero())
+    assert _x_poly(rhs, rhs_den) == sum((xs[k] * ys[k] * c for k, c in enumerate(beta)), BiPoly.zero())
+    # At x = -1 the sides are the alternating sums the x = -1 cases read.
+    assert Fraction(_x_value(lhs, -1), lhs_den) == sum((-1) ** k * c for k, c in enumerate(alpha))
+    assert Fraction(_x_value(rhs, -1), rhs_den) == sum((-1) ** k * c * binom_gen(a + 1, k) for k, c in enumerate(beta))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_square_sides_are_the_clausen_product_at_z_two(n):
+    # lhs^2 = rhs is the Clausen product at b = -x, c = -a, z = 2: its left
+    # side is (-1)^n lhs^2 (Pfaff's transformation at z = 2 turns the second
+    # 2F1 into (-1)^n times the first) and its right side (-1)^n rhs.
+    def at(side, x):
+        coeffs, den = side
+        return sum((c * x**e for e, c in enumerate(coeffs)), Fraction(0)) / den
+
+    for a in (Fraction(-1), Fraction(-3, 2), Fraction(-7, 3)):
+        lhs, rhs = _square_sides(n, a)
+        for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(9, 4)):
+            left, right = clausen_product_sides(n, -x, -a, 2)
+            assert (left, right) == ((-1) ** n * at(lhs, x) ** 2, (-1) ** n * at(rhs, x)), (a, x)
 
 
 def test_hyper_bridge_verifier():
@@ -422,7 +434,7 @@ def test_oracle_check_fails_on_a_perturbed_case(identity_id):
 
 
 def test_oracle_uses_no_package_scalar_kernel():
-    assert not {"binom_gen", "binom_int", "d_eval", "d_eval_sequence", "_ratio_row"} & set(vars(oracles))
+    assert not {"binom_gen", "binom_int", "d_eval", "d_eval_sequence", "_hyper_sum", "_x_series"} & set(vars(oracles))
 
 
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
@@ -526,6 +538,40 @@ def test_suite_rejects_bad_config_for_each_id(identity_id):
     other = "square" if identity_id != "square" else "jacobi"
     with pytest.raises(ValueError, match="not selected"):
         run_suite(SuiteConfig(depths=SMALL_DEPTH, selection=one, fault=(other, 0)))
+
+
+@pytest.fixture
+def verifier_calls(monkeypatch):
+    """Every suite verifier replaced by a spy; the list records the ids run."""
+    calls = []
+    for identity_id, (_, verifier) in verify._suite().items():
+
+        def spy(depth, *, fault_index=None, identity_id=identity_id):
+            calls.append(identity_id)
+
+        monkeypatch.setattr(verify, verifier.__name__, spy)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.0, "3"], ids=repr)
+def test_run_suite_checks_every_depth_before_any_verifier_runs(verifier_calls, bad):
+    # The bad depth is the last verifier's, so a check made only when that
+    # verifier runs would first run the other eleven.
+    with pytest.raises(ValueError, match=f"^clausen-product depth must be a natural number, got {bad!r}$"):
+        run_suite(SuiteConfig(depths={"clausen-product": bad}))
+    # a depth for an id that is not selected is checked too
+    with pytest.raises(ValueError, match="^jacobi depth must be a natural number"):
+        run_suite(SuiteConfig(depths={"jacobi": bad}, selection=("square",)))
+    assert verifier_calls == []
+    run_suite(SuiteConfig(depths={"clausen-product": 0}, selection=("square", "clausen-product")))
+    assert verifier_calls == ["square", "clausen-product"]
+
+
+def test_run_suite_rejects_a_string_selection(verifier_calls):
+    # read as a sequence, "square" would be the unknown ids a, e, q, r, s, u
+    with pytest.raises(ValueError, match="^selection must be a sequence of identity ids, not the string 'square'$"):
+        run_suite(SuiteConfig(selection="square"))
+    assert verifier_calls == []
 
 
 def test_suite_rejects_depth_for_unknown_id():
