@@ -1,10 +1,9 @@
 """Exact rational arithmetic and generalized combinatorial primitives.
 
-Everything downstream is built from three functions: the generalized
-binomial coefficient (falling-factorial product over k!), the Pochhammer
-symbol (rising factorial), and the plain integer binomial.  All values are
-``fractions.Fraction`` instances; there is no floating point anywhere in
-this package.
+Everything downstream is built from two functions: the generalized
+binomial coefficient (falling-factorial product over k!) and the Pochhammer
+symbol (rising factorial).  All values are ``fractions.Fraction``
+instances; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 RationalLike = Fraction | int | str
 
@@ -130,10 +129,3 @@ def _product(a: Fraction, k: int, step: int) -> tuple[int, int]:
         if num == 0:
             return 0, 1
     return num, q**k
-
-
-def binom_int(n: int, k: int) -> int:
-    """Ordinary binomial coefficient for natural n, k; 0 when k > n."""
-    check_natural(k, "lower index")
-    check_natural(n, "top index")
-    return comb(n, k)

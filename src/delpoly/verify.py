@@ -28,8 +28,8 @@ Over ``_SymbolicAlg`` the sides are BiPoly and each sum is one
 ``Fraction``s at random points, a cross-check from outside the package.
 parametric-square is not written over an algebra bundle: its sides have no
 r, and ``hyper``'s series kernel sums each as an int coefficient list in x,
-made a BiPoly once.  A run that checks no case is a ValueError rather than
-a vacuous pass.
+made a BiPoly once, and it checks each (n, a) once.  A run that checks no
+case is a ValueError rather than a vacuous pass.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -55,7 +55,7 @@ from .dcore import (
     meixner_eval,
 )
 from .exactnum import as_rational, check_natural, reduced
-from .hyper import _hyper_sum, _x_series, clausen_product_sides, d_via_hyper, d_via_hyper_companion
+from .hyper import _x_series, clausen_product_sides, d_via_hyper, d_via_hyper_companion
 from .reports import Mode, VerifyReport
 
 
@@ -148,8 +148,8 @@ def _square_instances(alg, n_max: int) -> Iterator:
         yield f"n={n}", {"n": n}, alg.d(n) * alg.d(n), rhs
 
 
-def _linearization_instances(alg, m_max: int, n_max: int) -> Iterator:
-    for m in range(m_max + 1):
+def _linearization_instances(alg, n_max: int) -> Iterator:
+    for m in range(n_max + 1):
         for n in range(n_max + 1):
             rhs = alg.sum(
                 (
@@ -401,42 +401,20 @@ def _square_sides(n: int, a: Fraction | int) -> tuple[tuple[list[int], int], tup
 
 def _parametric_square_instances(n_max: int) -> Iterator:
     for n in range(n_max + 1):
-        # The b grid is this square at a = -b and the a = -2 case at a = -2, so each
-        # parameter's sides, as int lists and as the BiPoly lhs^2 and rhs, are built once per n.
-        @cache
-        def sides(a):
-            (lhs, d), rhs = _square_sides(n, a)
-            return (lhs, d), rhs, (_x_poly(_convolve(lhs, lhs), d * d), _x_poly(*rhs))
-
         a_grid = [Fraction(-j) for j in range(1, n + 2)]
         a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
         for a in a_grid:
-            (lhs, d), (rhs, e), symbolic = sides(a)
-            yield f"free-parameter square n={n}", {"n": n, "a": a}, *symbolic
+            (lhs, d), (rhs, e) = _square_sides(n, a)
+            square = _x_poly(_convolve(lhs, lhs), d * d)
+            yield f"free-parameter square n={n}", {"n": n, "a": a}, square, _x_poly(rhs, e)
             s = _x_value(lhs, -1)
             yield f"x=-1 specialization n={n}", {"n": n, "a": a}, Fraction(s * s, d * d), Fraction(_x_value(rhs, -1), e)
 
-        # Central-binomial form: 2F1(-n, 1; 1/2; 2)^2 = 4F3(-n, n+1/2, -1/2, 1; 1/2, 1/4, 3/4; 1),
-        # the x = -1 parameters at a = -1/2.
-        s, d = _hyper_sum([(-n, 1), (1, 1)], [(1, 2)], 2, 1)
-        rhs_c = _hyper_sum([(-n, 1), (2 * n + 1, 2), (-1, 2), (1, 1)], [(1, 2), (1, 4), (3, 4)], 1, 1)
-        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, Fraction(s * s, d * d), Fraction(*rhs_c)
-
-        # b parameterization over positive integers, plus the Meixner tie-in (lhs at x = xv)
-        for bv in range(1, 2 * n + 3):
-            b = Fraction(bv)
-            (lhs, d), _, symbolic = sides(-b)
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, *symbolic
-            for xv in range(n + 1):
-                yield (
-                    f"meixner-square tie n={n}",
-                    {"n": n, "b": b, "x": xv},
-                    meixner_eval(n, xv, bv, -1),
-                    Fraction(_x_value(lhs, xv), d),
-                )
-
-        # a = -2 specialization, symbolic in x
-        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, *sides(-2)[2]
+        # The squared-sum form is the square at a = -b; b <= n+1 is on the a grid.
+        for bv in range(n + 2, 2 * n + 3):
+            (lhs, d), (rhs, e) = _square_sides(n, -bv)
+            square = _x_poly(_convolve(lhs, lhs), d * d)
+            yield f"squared-sum form n={n}", {"n": n, "b": Fraction(bv)}, square, _x_poly(rhs, e)
 
 
 _CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))
@@ -459,9 +437,13 @@ def _clausen_instances(n_max: int) -> Iterator:
 
 
 def _witness_point(diff: BiPoly, axes: tuple[str, ...]) -> EvalPoint:
-    """A point where a non-zero ``diff`` provably does not vanish; r is 0 unless in ``axes``."""
-    for rv in range(1, diff.deg_r + 2) if "r" in axes else (0,):
-        for xv in range(diff.deg_x + 1):
+    """A point where a non-zero ``diff`` provably does not vanish; r is 0 unless in ``axes``.
+
+    With x alone it tries x = -1, -2, ..., where no binom(x, k) vanishes.
+    """
+    with_r = "r" in axes
+    for rv in range(1, diff.deg_r + 2) if with_r else (0,):
+        for xv in range(diff.deg_x + 1) if with_r else range(-1, -diff.deg_x - 2, -1):
             if diff.eval(rv, xv) != 0:
                 return EvalPoint(Fraction(rv), Fraction(xv))
     raise AssertionError("non-zero polynomial vanished on its witness grid")
@@ -550,20 +532,18 @@ def verify_square(
 
 
 def verify_linearization(
-    m_max: int,
-    n_max: int | None = None,
+    n_max: int,
     *,
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Product d_m * d_n as a signed combination of single d_k."""
-    n_max = m_max if n_max is None else check_natural(n_max, "n_max")
     return _run_identity(
         "linearization",
         Mode.SYMBOLIC_POLY,
-        m_max,
-        lambda alg: _linearization_instances(alg, m_max, n_max),
-        n_high=m_max + n_max,
-        range_desc=f"m<={m_max}, n<={n_max}",
+        n_max,
+        lambda alg: _linearization_instances(alg, n_max),
+        n_high=2 * n_max,
+        range_desc=f"m<={n_max}, n<={n_max}",
         fault_index=fault_index,
     )
 
@@ -693,12 +673,14 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
 
 
 def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
-    """Square identities with a free parameter and their specializations.
-
-    For each n, both sides times the clearing factor are polynomials of
-    degree <= 2n in the parameter, so agreement at 2n+2 parameter values
-    (with the x-dependence handled symbolically) is a proof.  A symbolic
-    counterexample is reported at a value of x alone.
+    """Clausen's product at z = 2, 2F1(-n, -x; -a; 2)^2 = 4F3(-n, n-a, -x, x-a;
+    -a, -a/2, (1-a)/2; 1), symbolic in x and at x = -1 for the 2n+2 values
+    a = -1..-(n+1), -1/2..-(2n+1)/2, and symbolic as the squared-sum form at
+    a = -b, b = n+2..2n+2.  Both sides times the clearing factor have degree
+    <= 2n in a, so agreement at 2n+2 values is a proof.  The tests, not this
+    run, check the Meixner tie (2F1(-n, -x; b; 2) is M_n(x; b, -1)) and the
+    central-binomial form (x = -1 at a = -1/2).  A symbolic counterexample
+    is reported at a negative integer x.
     """
     return _run_identity(
         "parametric-square",

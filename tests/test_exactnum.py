@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -13,7 +13,6 @@ from delpoly.bipoly import BiPoly
 from delpoly.dcore import EvalPoint, meixner_eval
 from delpoly.exactnum import (
     binom_gen,
-    binom_int,
     check_natural,
     format_rational,
     int_to_decimal,
@@ -43,6 +42,10 @@ def test_binom_gen_ordinary():
     assert binom_gen(5, 2) == 10
     assert binom_gen(Fraction(5), 0) == 1
     assert binom_gen(0, 0) == 1
+    assert binom_gen(20, 10) == 184756
+    for n in range(12):
+        for k in range(15):
+            assert binom_gen(n, k) == pascal_triangle_oracle(n, k)
 
 
 def test_binom_gen_integer_top_crossing_zero():
@@ -55,7 +58,7 @@ def test_binom_gen_negative_half():
     # binom(-1/2, k) = binom(2k, k) * (-4)^(-k)
     assert binom_gen(Fraction(-1, 2), 2) == Fraction(3, 8)
     for k in range(10):
-        expected = Fraction(binom_int(2 * k, k), (-4) ** k)
+        expected = Fraction(comb(2 * k, k), (-4) ** k)
         assert binom_gen(Fraction(-1, 2), k) == expected
 
 
@@ -109,24 +112,6 @@ def test_pochhammer_binomial_bridge():
         a = Fraction(rng.randint(-25, 25), rng.randint(1, 10))
         for k in range(51):
             assert pochhammer(a, k) == (-1) ** k * binom_gen(-a, k) * factorial(k)
-
-
-def test_binom_int():
-    assert binom_int(4, 2) == 6
-    assert binom_int(3, 5) == 0
-    assert binom_int(20, 10) == 184756
-    assert binom_int(20, 10) == pascal_triangle_oracle(20, 10)
-    for n in range(12):
-        for k in range(15):
-            assert binom_int(n, k) == pascal_triangle_oracle(n, k)
-            assert binom_int(n, k) == binom_gen(n, k)
-
-
-def test_binom_int_rejects_bad_input():
-    with pytest.raises(ValueError):
-        binom_int(-1, 2)
-    with pytest.raises(ValueError):
-        binom_int(3, -1)
 
 
 def test_parse_and_format_rational():

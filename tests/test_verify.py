@@ -3,14 +3,15 @@ agreement, fault sensitivity, and report plumbing."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from delpoly import verify
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
 from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
-from delpoly.exactnum import binom_gen, binom_int
-from delpoly.hyper import clausen_product_sides
+from delpoly.exactnum import binom_gen
+from delpoly.hyper import clausen_product_sides, hyper_eval
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
     _inversion_instances,
@@ -102,12 +103,15 @@ def test_linearization_hand_case():
     # m = n = 1: d_1^2 = 2 d_2 - (2r+1) d_0
     d2 = d_direct(2)
     assert (1 + 2 * X) ** 2 == 2 * d2 - (2 * R + 1)
-    assert verify_linearization(4, 4).passed
+    assert verify_linearization(4).passed
 
 
 def test_linearization_m_zero_reduces_to_identity():
-    report = verify_linearization(0, 6)
-    assert report.passed
+    # The m = 0 row is d_0 * d_n = d_n: both sides are d_n itself.
+    d = d_sequence(Route.THREE_TERM, 12).polys
+    cases = list(_linearization_instances(_SymbolicAlg(d), 6))[:7]
+    assert [params for _, params, _, _ in cases] == [{"m": 0, "n": n} for n in range(7)]
+    assert all(lhs == rhs == d[n] for n, (_, _, lhs, rhs) in enumerate(cases))
 
 
 def test_inversion_hand_case():
@@ -203,12 +207,12 @@ def reference_parametric_square_instances(n_max: int):
             scale = (-1) ** n / binom_gen(a, n)
             lhs, rhs = sides(
                 n,
-                lambda k: binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k),
+                lambda k: comb(n, k) * Fraction(-2) ** k / binom_gen(a, k),
                 a,
                 lambda k: binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k) * scale,
             )
             yield f"free-parameter square n={n}", {"n": n, "a": a}, lhs * lhs, rhs
-            lhs_s = sum((binom_int(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)), Fraction(0))
+            lhs_s = sum((comb(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)), Fraction(0))
             rhs_s = sum(
                 (
                     Fraction(-1) ** (n - k)
@@ -221,42 +225,16 @@ def reference_parametric_square_instances(n_max: int):
                 Fraction(0),
             ) / binom_gen(a, n)
             yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
-        lhs_c = sum(
-            (binom_int(n, k) * Fraction(-8) ** k / binom_gen(Fraction(2 * k), k) for k in range(n + 1)),
-            Fraction(0),
-        )
-        rhs_c = sum(
-            (
-                Fraction(-1) ** k / (1 - 2 * k) * binom_gen(n + k - Fraction(1, 2), n - k) * Fraction(4) ** (n + k)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
-        ) / binom_gen(Fraction(2 * n), n)
-        yield f"central-binomial n={n}", {"n": n, "a": "-1/2"}, lhs_c * lhs_c, rhs_c
-        for bv in range(1, 2 * n + 3):
+        for bv in range(n + 2, 2 * n + 3):
             b = Fraction(bv)
             scale = 1 / binom_gen(b + n - 1, n)
             base, rhs = sides(
                 n,
-                lambda k: binom_int(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
+                lambda k: comb(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
                 -b,
                 lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
             )
             yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs
-            for xv in range(n + 1):
-                yield (
-                    f"meixner-square tie n={n}",
-                    {"n": n, "b": b, "x": xv},
-                    meixner_eval(n, xv, b, -1),
-                    base.eval(0, xv),
-                )
-        lhs, rhs = sides(
-            n,
-            lambda k: binom_int(n, k) * Fraction(2**k, k + 1),
-            -2,
-            lambda k: binom_int(n + k + 1, 2 * k + 1) * Fraction(-4) ** k / ((k + 1) * (n + 1)),
-        )
-        yield f"a=-2 specialization n={n}", {"n": n, "a": -2}, lhs * lhs, rhs
 
 
 @pytest.mark.parametrize("n_max", range(9))
@@ -271,6 +249,48 @@ def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
     assert {"n": n_max, "a": -1} in [params for label, params, _, _ in got if label.startswith("x=-1")]
 
 
+def test_parametric_square_checks_each_parameter_once():
+    # Per n the symbolic cases take every value of the a grid and
+    # a = -(n+2), ..., -(2n+2) (the squared-sum form's b = -a) exactly once.
+    cases = list(_parametric_square_instances(10))
+    assert len(cases) == 330
+    assert {label.split(" n=")[0] for label, _, _, _ in cases} == {
+        "free-parameter square",
+        "x=-1 specialization",
+        "squared-sum form",
+    }
+    for n in range(11):
+        symbolic = [
+            params["a"] if "a" in params else -params["b"]
+            for _, params, lhs, _ in cases
+            if params["n"] == n and isinstance(lhs, BiPoly)
+        ]
+        a_grid = [Fraction(-j) for j in range(1, n + 2)] + [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
+        assert sorted(symbolic) == sorted(a_grid + [Fraction(-b) for b in range(n + 2, 2 * n + 3)]), n
+
+
+def test_square_lhs_at_a_minus_b_is_the_meixner_polynomial():
+    # 2F1(-n, -x; b; 2) is M_n(x; b, -1) by definition, and it is the
+    # square's lhs at a = -b; the suite checks that lhs against the rhs only.
+    for n in range(11):
+        for b in range(1, 2 * n + 3):
+            (lhs, d), _ = _square_sides(n, Fraction(-b))
+            for x in range(n + 1):
+                assert Fraction(_x_value(lhs, x), d) == meixner_eval(n, x, b, -1), (n, b, x)
+
+
+def test_central_binomial_form_is_the_x_minus_one_case_at_a_minus_half():
+    # 2F1(-n, 1; 1/2; 2)^2 = 4F3(-n, n+1/2, -1/2, 1; 1/2, 1/4, 3/4; 1) is the
+    # x = -1 case at a = -1/2, written with the parameters substituted.
+    half = Fraction(1, 2)
+    for n in range(21):
+        (lhs, d), (rhs, e) = _square_sides(n, -half)
+        lhs_c = hyper_eval([-n, 1], [half], 2)
+        rhs_c = hyper_eval([-n, n + half, -half, 1], [half, Fraction(1, 4), Fraction(3, 4)], 1)
+        assert (lhs_c, rhs_c) == (Fraction(_x_value(lhs, -1), d), Fraction(_x_value(rhs, -1), e)), n
+        assert lhs_c * lhs_c == rhs_c, n
+
+
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-2), Fraction(-1, 2), Fraction(-9), Fraction(-17, 2)])
 def test_square_rows_match_per_coefficient_formulas(n, a):
@@ -282,7 +302,7 @@ def test_square_rows_match_per_coefficient_formulas(n, a):
     (lhs, lhs_den), (rhs, rhs_den) = _square_sides(n, a)
     assert lhs_den > 0 and rhs_den > 0
     assert len(lhs) == n + 1 and len(rhs) == 2 * n + 1
-    alpha = [binom_int(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
+    alpha = [comb(n, k) * Fraction(-2) ** k / binom_gen(a, k) for k in range(n + 1)]
     beta = [
         (-1) ** n * binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / (binom_gen(a, k) * binom_gen(a, n))
         for k in range(n + 1)
@@ -377,7 +397,7 @@ def test_deterministic_points_rejects_a_bad_count(count):
 # Each symbolic family's instance generator, as (algebra, depth) -> cases.
 SYMBOLIC_GENERATORS = {
     "square": _square_instances,
-    "linearization": lambda alg, depth: _linearization_instances(alg, depth, depth),
+    "linearization": _linearization_instances,
     "inversion": _inversion_instances,
     "jacobi": _jacobi_instances,
     "recurrences": _recurrence_instances,
@@ -434,7 +454,7 @@ def test_oracle_check_fails_on_a_perturbed_case(identity_id):
 
 
 def test_oracle_uses_no_package_scalar_kernel():
-    assert not {"binom_gen", "binom_int", "d_eval", "d_eval_sequence", "_hyper_sum", "_x_series"} & set(vars(oracles))
+    assert not {"binom_gen", "d_eval", "d_eval_sequence", "_hyper_sum", "_x_series"} & set(vars(oracles))
 
 
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
