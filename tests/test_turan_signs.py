@@ -29,8 +29,8 @@ from delpoly.dcore import EvalPoint
 
 GOLDEN = Path(__file__).with_name("golden")
 
-# T_n turns negative at (4, 16/25); the other two lie just off the
-# conjectured region's x = 0 edge.
+# T_n turns negative at (4, 16/25); all three lie past the conjectured
+# region's x = 0 edge.
 POINTS = [EvalPoint(4, Fraction(16, 25)), EvalPoint(0, Fraction(1, 50)), EvalPoint(1, Fraction(19, 50))]
 
 
@@ -78,12 +78,9 @@ def test_x_minus_half_where_A_is_zero():
     assert _interval_decided(at, 600)
 
 
-def _line(grid: GridSpec, skip, terms) -> str:
+def _line(grid: GridSpec, skip, terms=_turan_terms) -> str:
+    """The report's JSON line; exact-only unless ``terms`` says otherwise."""
     return _scan("turan-conjecture", grid, skip, terms, _turan_margin).to_json_line()
-
-
-def _exact_only_line(grid: GridSpec, skip) -> str:
-    return _line(grid, skip, _turan_terms)
 
 
 def test_small_precision_falls_back_to_identical_reports(monkeypatch):
@@ -103,14 +100,14 @@ def test_small_precision_falls_back_to_identical_reports(monkeypatch):
     def check(r, x, n_max):
         grid = GridSpec(tuple(r), tuple(x), n_max)
         if any(_conjecture_skip(point) is None for point in grid.points()):
-            assert scan_conjecture(grid).to_json_line() == _exact_only_line(grid, _conjecture_skip)
+            assert scan_conjecture(grid).to_json_line() == _line(grid, _conjecture_skip)
 
         # Unrestricted, so that violations outside the region are reported
         # from interval signs too.
         def no_skip(point):
             return None
 
-        assert _line(grid, no_skip, _turan_signs) == _exact_only_line(grid, no_skip)
+        assert _line(grid, no_skip, _turan_signs) == _line(grid, no_skip)
 
     check()
 
@@ -118,7 +115,7 @@ def test_small_precision_falls_back_to_identical_reports(monkeypatch):
 def test_violations_from_interval_signs_carry_exact_values():
     grid = GridSpec((Fraction(4),), (Fraction(16, 25),), 200)
     report = _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin)
-    assert report.to_json_line() == _exact_only_line(grid, lambda point: None)
+    assert report.to_json_line() == _line(grid, lambda point: None)
     assert report.violations[0][0] == 149
 
 
