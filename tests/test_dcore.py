@@ -397,8 +397,9 @@ def test_jacobi_eval():
 
 
 def test_jacobi_eval_gives_d_n_in_the_three_forms():
-    # the three right sides of verify_jacobi: alpha = x-r-n, beta = 2r at 3;
-    # swapped at -3 with the sign (-1)^n; reflected, beta = -1-x-r-n, at -3
+    # the three Jacobi forms of d_n: alpha = x-r-n, beta = 2r at 3; swapped
+    # at -3 with the sign (-1)^n (which verify_jacobi leaves out, as Jacobi's
+    # symmetry gives it from the first); reflected, beta = -1-x-r-n, at -3
     d = d_sequence(Route.THREE_TERM, 10).polys
     for n in range(11):
         assert jacobi_eval(n, X - R - n, 2 * R, 3) == d[n]

@@ -3,20 +3,22 @@ agreement, fault sensitivity, and report plumbing."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from delpoly import verify
 from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
-from delpoly.dcore import EvalPoint, Route, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
+from delpoly.dcore import EvalPoint, Route, _jacobi_sum, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen
 from delpoly.hyper import clausen_product_sides, hyper_eval
 from delpoly.reports import Mode, VerifyReport
 from delpoly.verify import (
+    _cofactor_row,
     _inversion_instances,
     _jacobi_instances,
     _linearization_instances,
+    _meixner_instances,
     _parametric_square_instances,
     _recurrence_instances,
     _shift_instances,
@@ -47,7 +49,7 @@ from delpoly.verify import (
 )
 
 import oracles
-from oracles import FractionAlg
+from oracles import FractionAlg, rising
 
 X = BiPoly.x()
 R = BiPoly.r()
@@ -634,9 +636,10 @@ def test_counterexample_values_are_concrete():
     assert set(ce["params"]) >= {"n", "r", "x"}
 
 
-# The three Jacobi forms of d_n checked by verify_jacobi, as
-# (alpha, beta, t, sign) from (x, r, n): P_n^(x-r-n, 2r)(3),
-# (-1)^n P_n^(2r, x-r-n)(-3) and P_n^(2r, -1-x-r-n)(-3).
+# The three Jacobi forms of d_n, as (alpha, beta, t, sign) from (x, r, n):
+# P_n^(x-r-n, 2r)(3), (-1)^n P_n^(2r, x-r-n)(-3) and P_n^(2r, -1-x-r-n)(-3).
+# verify_jacobi checks the first and the third; the swapped second is the
+# first's sum with k -> n-k.
 JACOBI_FORMS = {
     "alpha=x-r-n at 3": lambda x, r, n: (x - r - n, 2 * r, 3, 1),
     "swapped at -3": lambda x, r, n: (2 * r, x - r - n, -3, (-1) ** n),
@@ -646,9 +649,9 @@ JACOBI_FORMS = {
 
 @pytest.mark.parametrize("name, form", JACOBI_FORMS.items(), ids=JACOBI_FORMS.keys())
 def test_jacobi_forms_match_sympy(name, form):
-    # Each right side verify_jacobi compares with d_n, symbolic and over the
-    # plain-Fraction oracle at points, and jacobi_eval, against sympy's own
-    # Jacobi polynomials.
+    # Each right side verify_jacobi compares with d_n, and the swapped form's
+    # sum on the same rows, symbolic and over the plain-Fraction oracle at
+    # points, and jacobi_eval, against sympy's own Jacobi polynomials.
     sympy = pytest.importorskip("sympy")
     x, r = sympy.symbols("x r")
 
@@ -659,6 +662,13 @@ def test_jacobi_forms_match_sympy(name, form):
         return sum((to_sympy(c) * x**dx * r**dr for (dx, dr), c in p.terms()), sympy.Integer(0))
 
     def rhs_of(alg, n_max):
+        if name == "swapped at -3":
+            lower = alg.binom_row(alg.x - alg.r, n_max)
+            return {
+                f"{name}, n={n}": (-1) ** n
+                * _jacobi_sum(alg.sum, n, alg.binom_row(2 * alg.r + n, n), lower, Fraction(-3))
+                for n in range(n_max + 1)
+            }
         return {label: rhs for label, _, _, rhs in _jacobi_instances(alg, n_max) if label.startswith(name + ",")}
 
     n_max = 6
@@ -690,3 +700,208 @@ def test_jacobi_builds_each_binomial_row_once(monkeypatch):
     clear_caches()
     assert verify_jacobi(6).passed
     assert len(tops) == 9
+
+
+# ---------------------------------------------------------------------------
+# Statements the verifiers leave out because checked cases decide them.  Each
+# generator below yields (label, lhs, rhs, combination): the left-out
+# statement's sides, and the combination of kept cases' lhs - rhs that its
+# verifier's docstring names, read from the verifier's own generator.
+# ---------------------------------------------------------------------------
+
+
+def _kept_differences(cases) -> dict:
+    return {label: lhs - rhs for label, _, lhs, rhs in cases}
+
+
+def swapped_linearization_cases(alg, depth: int):
+    # (m, n) for m > n: the same identity as the kept (n, m), as
+    # C(m+n-2k, m-k) = C(m+n-2k, n-k).
+    kept = _kept_differences(_linearization_instances(alg, depth))
+    for m in range(depth + 1):
+        for n in range(m):
+            rhs = alg.sum(
+                (
+                    alg.binom(2 * alg.r + m + n - k, k) * (comb(m + n - 2 * k, m - k) * (-1) ** k),
+                    alg.d(m + n - 2 * k),
+                )
+                for k in range(min(m, n) + 1)
+            )
+            yield f"m={m},n={n}", alg.d(m) * alg.d(n), rhs, kept[f"m={n},n={m}"]
+
+
+def odd_part_cases(alg, depth: int):
+    # The odd part is the inversion minus the even part.
+    kept = _kept_differences(_inversion_instances(alg, depth))
+    lower = alg.binom_row(alg.x - alg.r, depth)
+    mirror = alg.binom_row(-1 - alg.x - alg.r, depth)
+    for n in range(depth + 1):
+        cof = _cofactor_row(alg, n)
+        odd = alg.sum((alg.d(k) * (comb(n, k) * (-1) ** (n - k)), cof[k]) for k in range(1, n + 1, 2))
+        rhs = (lower[n] - mirror[n]) * Fraction(2) ** (n - 1)
+        yield f"odd-part n={n}", odd, rhs, kept[f"inversion n={n}"] - kept[f"even-part n={n}"]
+
+
+def combined_recurrence_cases(alg, depth: int):
+    # The combined rhs - lhs is the two-term rhs minus the three-term rhs.
+    kept = _kept_differences(_recurrence_instances(alg, depth))
+    for n in range(depth + 1):
+        mirror = (-1) ** n * alg.d_subst(n, x_negate=True)
+        lhs = (n + 2 * alg.r) * alg.d(n - 1)
+        rhs = (n + alg.r - alg.x) * alg.d(n) + (alg.x - alg.r) * mirror
+        yield f"combined n={n}", lhs, rhs, kept[f"two-term n={n}"] - kept[f"three-term n={n}"]
+
+
+def combined_shift_cases(alg, depth: int):
+    # The combined shift is (x-r) times the difference shift plus the sum shift.
+    kept = _kept_differences(_shift_instances(alg, depth))
+    half = Fraction(1, 2)
+    for n in range(1, depth + 1):
+        up = alg.d_subst(n - 1, r_shift=half, x_shift=-half)
+        down = alg.d_subst(n + 1, r_shift=-half, x_shift=-half)
+        lhs = 2 * (alg.x - alg.r) * up + (n + 1) * down
+        combination = (alg.x - alg.r) * kept[f"difference-shift n={n}"] + kept[f"sum-shift n={n}"]
+        yield f"combined-shift n={n}", lhs, 2 * alg.x * alg.d(n), combination
+
+
+def reparameterized_meixner_case(alg, n: int, b: int):
+    """The re-parameterized form d_n(x + r) = (b)_n / n! * M_n(x; b, -1) over
+    an algebra at r = (b-1)/2 whose x stands for x + r, so that x - r is the
+    form's x; its combination is the connection formula's lhs - rhs there,
+    with (2r+1)_n / n! * M_n(x-r; 2r+1, -1) written as
+    sum_k C(n,k) 2^k k! (2r+1+k)_{n-k} / n! * binom(x-r, k)."""
+    assert alg.r == Fraction(b - 1, 2)
+    # M_n(t; b, -1) = sum_k (-n)_k (-t)_k 2^k / ((b)_k k!), (-t)_k = (-1)^k k! binom(t, k)
+    meixner = sum(
+        (alg.binom(alg.x - alg.r, k) * (comb(n, k) * 2**k * factorial(k) / rising(b, k)) for k in range(n + 1)),
+        0 * alg.x,
+    )
+    connection = sum(
+        (
+            alg.binom(alg.x - alg.r, k) * (comb(n, k) * 2**k * factorial(k) * rising(2 * alg.r + 1 + k, n - k) / factorial(n))
+            for k in range(n + 1)
+        ),
+        0 * alg.x,
+    )
+    return f"reparameterized n={n}, b={b}", alg.d(n), comb(b + n - 1, n) * meixner, alg.d(n) - connection
+
+
+class _PinnedAlg(_SymbolicAlg):
+    """The symbolic bundle at r = s, with x standing for x + s: each d_n is
+    pinned and shifted once."""
+
+    def __init__(self, polys, s: Fraction):
+        super().__init__(tuple(p.subst_r_value(s).subst_affine_x(s) for p in polys))
+        self.r, self.x = s, X + s
+
+
+def reparameterized_meixner_cases(alg_at, depth: int):
+    # b = 1..n+1 for every n <= depth; alg_at(s) is an algebra at r = s whose
+    # x stands for x + s.
+    for b in range(1, depth + 2):
+        alg = alg_at(Fraction(b - 1, 2))
+        for n in range(b - 1, depth + 1):
+            yield reparameterized_meixner_case(alg, n, b)
+
+
+# id -> (route and top n the verifier reads at a depth, left-out cases)
+RESTATED = {
+    "linearization": (Route.THREE_TERM, lambda depth: 2 * depth, swapped_linearization_cases),
+    "inversion": (Route.THREE_TERM, lambda depth: depth, odd_part_cases),
+    "recurrences": (Route.DIRECT, lambda depth: depth + 1, combined_recurrence_cases),
+    "shift-identities": (Route.THREE_TERM, lambda depth: depth + 1, combined_shift_cases),
+}
+
+
+def _assert_restated_cases_hold(cases) -> int:
+    count = 0
+    for count, (label, lhs, rhs, combination) in enumerate(cases, 1):
+        assert lhs == rhs, label
+        assert lhs - rhs == combination, label
+    assert count
+    return count
+
+
+@pytest.mark.parametrize("identity_id", RESTATED)
+def test_restated_statements_follow_symbolically(identity_id):
+    # At the suite's default depth, on the verifier's own route.
+    route, n_high, cases = RESTATED[identity_id]
+    depth = DEFAULT_DEPTHS[identity_id]
+    _assert_restated_cases_hold(cases(_SymbolicAlg(d_sequence(route, n_high(depth)).polys), depth))
+
+
+def test_reparameterized_meixner_follows_symbolically():
+    # Symbolic in x at each b = 1..n+1 for n <= 12, the meixner default depth.
+    depth = DEFAULT_DEPTHS["meixner"]
+    polys = d_sequence(Route.THREE_TERM, depth).polys
+    count = _assert_restated_cases_hold(reparameterized_meixner_cases(lambda s: _PinnedAlg(polys, s), depth))
+    assert count == sum(n + 1 for n in range(depth + 1))
+
+
+@pytest.mark.parametrize("identity_id", [*RESTATED, "meixner"])
+def test_restated_statements_follow_over_the_oracle(identity_id):
+    # At random points over the plain-Fraction oracle; the meixner points
+    # are x + (b-1)/2 at r = (b-1)/2 for a random x.
+    depth = DEFAULT_DEPTHS[identity_id]
+    for point in random_points(3, seed=sum(map(ord, identity_id)) + 1):
+        if identity_id == "meixner":
+            cases = reparameterized_meixner_cases(lambda s: FractionAlg(s, point.x + s), depth)
+        else:
+            cases = RESTATED[identity_id][2](FractionAlg(point.r, point.x), depth)
+        _assert_restated_cases_hold(cases)
+
+
+class _ArbitraryDAlg(FractionAlg):
+    """The oracle with every d_n(x) at (r, x) replaced by an arbitrary
+    rational fixed by (n, r, x), so no identity of d holds over it."""
+
+    @staticmethod
+    def _value(n, r, x) -> Fraction:
+        return Fraction(random.Random(hash((n, r, x))).randint(-(10**6), 10**6), 7)
+
+    def d(self, n):
+        return self._value(n, self.r, self.x)
+
+    def d_subst(self, n, r_shift=0, x_shift=0, x_negate=False):
+        return self._value(n, self.r + r_shift, (-self.x if x_negate else self.x) + x_shift)
+
+
+@pytest.mark.parametrize("identity_id", [*RESTATED, "meixner"])
+def test_restated_statements_are_combinations_of_kept_cases_for_any_d(identity_id):
+    # Each left-out lhs - rhs equals its combination of kept cases even when
+    # d_n is arbitrary: the relation is formal, so the kept cases decide it.
+    depth = 4
+    point = random_points(1, seed=3)[0]
+    if identity_id == "meixner":
+        cases = reparameterized_meixner_cases(lambda s: _ArbitraryDAlg(s, point.x + s), depth)
+    else:
+        cases = RESTATED[identity_id][2](_ArbitraryDAlg(point.r, point.x), depth)
+    differences = [(label, lhs - rhs, combination) for label, lhs, rhs, combination in cases]
+    assert all(difference == combination for _, difference, combination in differences)
+    assert any(difference != 0 for _, difference, _ in differences)
+
+
+def test_generators_leave_out_the_restated_kinds():
+    # At depth 3 each affected family yields only its kept kinds, and
+    # linearization only m <= n.
+    alg = _SymbolicAlg(d_sequence(Route.THREE_TERM, 7).polys)
+    generators = {
+        "inversion": _inversion_instances,
+        "jacobi": _jacobi_instances,
+        "recurrences": _recurrence_instances,
+        "shift-identities": _shift_instances,
+    }
+    kinds = {
+        identity_id: {label.rsplit(" n=", 1)[0].rstrip(",") for label, _, _, _ in generate(alg, 3)}
+        for identity_id, generate in generators.items()
+    }
+    kinds["meixner"] = {label.rsplit(" n=", 1)[0] for label, _, _, _ in _meixner_instances(3)}
+    assert kinds == {
+        "inversion": {"scaled-form", "inversion", "even-part"},
+        "jacobi": {"alpha=x-r-n at 3", "reflected at -3"},
+        "recurrences": {"three-term", "two-term"},
+        "shift-identities": {"difference-shift", "sum-shift", "reflection-swap"},
+        "meixner": {"connection"},
+    }
+    pairs = [(params["m"], params["n"]) for _, params, _, _ in _linearization_instances(alg, 3)]
+    assert pairs == [(m, n) for m in range(4) for n in range(m, 4)]
