@@ -14,13 +14,12 @@ kernel's block-divided squared state; positivity's is read off D.  A
 violation's value is the claim's exact quantity on ``d_eval_sequence``'s
 values, and it must be negative too, or the scan raises ArithmeticError.
 
-The Turán scan runs its kernel exactly only while the squared state is
-small.  Past that it runs the same linear step on integer intervals over
-one common power of two, rounded outward whenever they are shortened, and
-takes a sign only from an interval that excludes 0: the interval contains
-the exact numerator, so the sign is proved.  At the first interval that
-holds 0 the point goes back to the exact kernel, so every zero hit is
-exact.
+The Turán scan runs the kernel's linear step on integer intervals over one
+common power of two, from n = 1: they are exact until the state is first
+shortened, and rounded outward each time it is.  A sign is taken only from
+an interval that excludes 0: the interval contains the exact numerator, so
+the sign is proved.  At the first interval that holds 0 the point goes back
+to the exact kernel, so every zero hit is exact.
 """
 
 from __future__ import annotations
@@ -115,21 +114,18 @@ def _turan_terms(at: EvalPoint, n_max: int):
         yield n, (-t if n % 2 else t)
 
 
-# The Turán scan's interval phase (``_turan_signs``), timed with Python
-# 3.11 on a 2-vCPU VM.  _PREC is the bits each end keeps after a shift: the
-# interval of T_n must exclude 0 although T_n is the difference of two
-# values of P_n's size, and 160 decided every n <= 2000 at every point of
-# the default conjecture grid but the two where T_n is 0 for every n.
-# _SLACK is how far the state grows past _PREC before it is shifted back;
-# a step adds about 2 log2(n L^2) bits, so with 64 the state is shifted
-# once in two to three steps, and it stays within a few machine words.
-# _EXACT_BITS is the size of P_n at which the exact phase ends: below it an
-# exact step costs about as much as an interval step, and exact zeros come
-# out exact.  From 256 to 4096 the scan of tests/golden/scan_deep.grid
-# moved only within noise; 8192 was slower.
+# The Turán scan's intervals (``_turan_signs``), timed and measured with
+# Python 3.11 on a 2-vCPU VM.  _PREC is the bits each end keeps after a
+# shift: the interval of T_n must exclude 0 although T_n is the difference
+# of two values of P_n's size.  With shifts from the first step past 224
+# bits, every _PREC from 46 up decided every n <= 2000 at every point of
+# the default conjecture grid but the two where T_n is 0 for every n, and
+# 44 did not; 160 keeps a wide margin for deeper scans.  _SLACK is how far
+# the state grows past _PREC before it is shifted back; a step adds about
+# 2 log2(n L^2) bits, so with 64 the state is shifted once in two to three
+# steps, and it stays within a few machine words.
 _PREC = 160
 _SLACK = 64
-_EXACT_BITS = 2048
 
 
 def _round_out(lo: int, hi: int, s: int) -> tuple[int, int]:
@@ -145,16 +141,17 @@ def _flip(n: int, sign: int) -> int:
 def _turan_signs(at: EvalPoint, n_max: int):
     """(n, t) for n = 1..n_max with t of the sign of ``_turan_margin``.
 
-    The exact t of ``_turan_terms`` while P_n has at most _EXACT_BITS bits.
-    From there the same step runs on integer intervals [lo, hi] that contain
-    P_{n-1}, Q_n and P_n over one common power of two; once P_{n-1} or P_n
+    The step of ``_turan_terms`` runs on integer intervals [lo, hi] that
+    contain P_{n-1}, Q_n and P_n over one common power of two, from the
+    exact P_0 = 1, Q_1 = |A|, P_1 = A^2 (lo = hi).  Once P_{n-1} or P_n
     passes _PREC + _SLACK bits (|Q_n| is at most the larger of the two),
     every end is shifted right so that they keep _PREC bits, lo rounded
     down and hi up.  The step is linear and homogeneous, so the
     common scale keeps every sign, and t is +1 or -1 while the interval of
     (n+1) P_n - n E_n excludes 0: a sign given there is proved.  At the
-    first n whose interval holds 0, the rest comes from ``_turan_terms``,
-    which is also used throughout for r <= -1/2, where c_n can be <= 0.
+    first n whose interval holds 0 (an exact zero gives lo = hi = 0), the
+    rest comes from ``_turan_terms``, which is also used throughout for
+    r <= -1/2, where c_n can be <= 0.
 
     Only A and c_n multiply an interval.  For A < 0 the step runs at the
     mirror point -1-x, which has -A, the same P and E, and Q negated, so
@@ -164,21 +161,12 @@ def _turan_signs(at: EvalPoint, n_max: int):
         yield from _turan_terms(at, n_max)
         return
     L, A = _scale(at)
-    for n, (p_prev, q, p, e, _, _) in zip(range(1, n_max + 1), _squared_d(at, L, A)):
-        if p.bit_length() > _EXACT_BITS:
-            break
-        t = (n + 1) * p - n * e
-        yield n, (-t if n % 2 else t)
-    else:
-        return
     a, L2, K = abs(A), L * L, _twice_r(at, L)
-    if A < 0:
-        q = -q
     round_out, flip, limit = _round_out, _flip, _PREC + _SLACK
-    pp_lo = pp_hi = p_prev
-    q_lo = q_hi = q
-    p_lo = p_hi = p
-    for n in range(n, n_max + 1):
+    pp_lo = pp_hi = 1
+    q_lo = q_hi = a
+    p_lo = p_hi = a * a
+    for n in range(1, n_max + 1):
         top = max(pp_hi, p_hi).bit_length()
         if top > limit:
             s = top - _PREC

@@ -1,13 +1,16 @@
 """Tests of the Turán scan's interval kernel, ``analysis._turan_signs``.
 
-Past its exact phase the kernel gives each sign from an outward-rounded
-integer interval, and hands the rest of a point to the exact kernel
-``_turan_terms`` at the first interval that holds 0.  Its signs are compared
-here with the exact kernel's, deep and on whole grids, with the interval
-phase forced to fall back often, and with its outward rounding or its sign
-flip broken on purpose.
+From n = 1 the kernel gives each sign from an integer interval, exact until
+it is first shortened and rounded outward from there, and hands the rest
+of a point to the exact kernel ``_turan_terms`` at the first interval that
+holds 0.  Its signs are compared here with the exact kernel's, deep and on
+whole grids, with the intervals forced to fall back often, and with its
+outward rounding or its sign flip broken on purpose.  Only the two points
+where T_n is 0 for every n fall back on the default grid, and each runs
+the exact kernel once.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from delpoly.analysis import (
     scan_conjecture,
 )
 from delpoly.cli import parse_grid_file
-from delpoly.dcore import EvalPoint
+from delpoly.dcore import EvalPoint, _squared_d
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -56,6 +59,35 @@ def test_signs_agree_on_the_deep_golden_grid_at_n_1600():
 
 def test_signs_agree_on_the_default_grid_at_n_1000():
     _assert_signs_agree(default_conjecture_grid().points(), 1000)
+
+
+ZERO_POINTS = {EvalPoint(0, 0), EvalPoint(0, -1)}
+
+
+def test_only_the_two_zero_points_fall_back_on_the_default_grid_at_n_1000(monkeypatch):
+    fell_back = []
+
+    def spy(at, n_max):
+        fell_back.append(at)
+        return _turan_terms(at, n_max)
+
+    monkeypatch.setattr(analysis, "_turan_terms", spy)
+    assert scan_conjecture(replace(default_conjecture_grid(), n_max=1000)).passed
+    assert sorted(fell_back, key=repr) == sorted(ZERO_POINTS, key=repr)
+
+
+def test_the_zero_points_run_the_exact_kernel_once_to_n_70000(monkeypatch):
+    # Their T_1 is 0, so the intervals hand over at n = 1.
+    started = []
+
+    def counted(at, L, A):
+        started.append(at)
+        return _squared_d(at, L, A)
+
+    monkeypatch.setattr(analysis, "_squared_d", counted)
+    report = scan_conjecture(GridSpec((0,), (0, -1), 70000))
+    assert report.passed and len(report.zero_hits) == 140000
+    assert sorted(started, key=repr) == sorted(ZERO_POINTS, key=repr)
 
 
 def test_signs_agree_off_the_region_and_the_first_negative_is_n_149():
@@ -90,7 +122,6 @@ def test_small_precision_falls_back_to_identical_reports(monkeypatch):
     # A few bits: intervals decide some steps and then hold 0, so most
     # points fall back to the exact kernel part way.
     monkeypatch.setattr(analysis, "_PREC", 6)
-    monkeypatch.setattr(analysis, "_EXACT_BITS", 8)
 
     def values(low, high):
         return st.lists(st.fractions(min_value=low, max_value=high, max_denominator=24), min_size=1, max_size=3, unique=True)
@@ -135,7 +166,6 @@ def _no_flip(n, sign):
 )
 def test_a_broken_interval_kernel_disagrees_with_the_exact_one(monkeypatch, name, broken):
     monkeypatch.setattr(analysis, "_PREC", 8)
-    monkeypatch.setattr(analysis, "_EXACT_BITS", 16)
     at = POINTS[0]
     # At this precision the sound kernel still decides some n on intervals.
     _assert_signs_agree([at], 400)
