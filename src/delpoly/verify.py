@@ -32,9 +32,10 @@ made a BiPoly once, and it checks each (n, a) once.  A run that checks no
 case is a ValueError rather than a vacuous pass.
 
 Each statement is checked once.  A form that restates checked cases is left
-to the tests: linearization at m > n, inversion's odd part, Jacobi's swapped
-form, the combined recurrence and shift, and Meixner's re-parameterized
-form; each verifier's docstring says why it follows.
+to the tests: linearization at m > n, inversion's scaled form and odd part,
+Jacobi's swapped form, the combined recurrence and shift, Meixner's
+re-parameterized form, and parametric-square's values at x = -1 and its
+squared-sum form; each verifier's docstring says why it follows.
 
 For fault-sensitivity testing every verifier accepts ``fault_index``; the
 reference side of that case (counted over every case checked) is perturbed
@@ -167,18 +168,14 @@ def _linearization_instances(alg, n_max: int) -> Iterator:
 
 
 def _inversion_instances(alg, n_max: int) -> Iterator:
-    # The scaled alternative form, its binomial inversion, and its even part,
-    # all multiplied through by binom(-2r-1, n).  The k-th term then carries
+    # The inversion of the scaled alternative form and its even part, both
+    # multiplied through by binom(-2r-1, n).  The k-th term then carries
     # binom(-2r-1, n) / binom(-2r-1, k), which is (-1)^(n-k) times the
-    # cofactor row; in the scaled form that sign cancels against the form's
-    # own (-1)^k and the (-1)^n it is taken with.
+    # cofactor row.  The scaled form itself is left out: these cases decide it.
     lower = alg.binom_row(alg.x - alg.r, n_max)
     mirror = alg.binom_row(-1 - alg.x - alg.r, n_max)
     for n in range(n_max + 1):
         cof = _cofactor_row(alg, n)
-        scaled = alg.sum((lower[k] * (comb(n, k) * 2**k), cof[k]) for k in range(n + 1))
-        yield f"scaled-form n={n}", {"n": n}, alg.d(n), scaled
-
         even, odd = (
             alg.sum(
                 (alg.d(k) * (comb(n, k) * (-1) ** (n - k)), cof[k])
@@ -362,12 +359,7 @@ def _x_poly(coeffs: list[int], den: int) -> BiPoly:
     return BiPoly._raw({(e, 0): c for e, c in enumerate(coeffs)}, den)
 
 
-def _x_value(coeffs: list[int], x: int) -> int:
-    """sum_e coeffs[e] * x^e at an int x."""
-    return sum(c * x**e for e, c in enumerate(coeffs))
-
-
-def _square_sides(n: int, a: Fraction | int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+def _square_sides(n: int, a: Fraction) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
     """lhs = 2F1(-n, -x; -a; 2) and rhs = 4F3(-n, n-a, -x, x-a; -a, -a/2, (1-a)/2; 1)
     at a = p/q < 0, as ``_x_series`` sums them.  lhs^2 = rhs is the Clausen
     product at b = -x, c = -a, z = 2, whose two 2F1 factors are equal up to
@@ -388,14 +380,6 @@ def _parametric_square_instances(n_max: int) -> Iterator:
             (lhs, d), (rhs, e) = _square_sides(n, a)
             square = _x_poly(_convolve(lhs, lhs), d * d)
             yield f"free-parameter square n={n}", {"n": n, "a": a}, square, _x_poly(rhs, e)
-            s = _x_value(lhs, -1)
-            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, Fraction(s * s, d * d), Fraction(_x_value(rhs, -1), e)
-
-        # The squared-sum form is the square at a = -b; b <= n+1 is on the a grid.
-        for bv in range(n + 2, 2 * n + 3):
-            (lhs, d), (rhs, e) = _square_sides(n, -bv)
-            square = _x_poly(_convolve(lhs, lhs), d * d)
-            yield f"squared-sum form n={n}", {"n": n, "b": Fraction(bv)}, square, _x_poly(rhs, e)
 
 
 _CLAUSEN_B = (Fraction(-3, 2), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 2))
@@ -519,7 +503,9 @@ def verify_linearization(
 ) -> VerifyReport:
     """Product d_m * d_n as a signed combination of single d_k, for m <= n:
     the rhs is symmetric, as C(m+n-2k, m-k) = C(m+n-2k, n-k), so (n, m) is
-    the same identity, and the range covers both orders."""
+    the same identity, and the range covers both orders.  The m = 0 row,
+    d_0 d_n = d_n, only restates d_0 = 1; it stays so that depth 0 checks a
+    case rather than none."""
     return _run_identity(
         "linearization",
         Mode.SYMBOLIC_POLY,
@@ -536,9 +522,13 @@ def verify_newform_consequences(
     *,
     fault_index: int | None = None,
 ) -> VerifyReport:
-    """Binomial-inversion consequences of the alternative closed form: the
-    scaled form, its inversion and the inversion's even part.  The odd part
-    is the inversion minus the even part, so it is not checked apart."""
+    """Binomial-inversion consequences of the alternative closed form: its
+    inversion and the inversion's even part.  The odd part is the inversion
+    minus the even part, so it is not checked apart.  Neither is the scaled
+    form d_n = sum_k C(n,k) 2^k binom(x-r, k) binom(2r+n, n-k) / binom(n, k):
+    its right side is the NEWFORM sum that Jacobi's form at 3 checks, and
+    by binomial inversion its lhs - rhs is sum_k C(n,k) cof_n[k] times the
+    inversion case k's lhs - rhs, cof_n the cofactor row."""
     return _run_identity(
         "inversion",
         Mode.CLEARED_DENOMINATOR,
@@ -667,13 +657,15 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
 
 def verify_parametric_square(n_max: int, *, fault_index: int | None = None) -> VerifyReport:
     """Clausen's product at z = 2, 2F1(-n, -x; -a; 2)^2 = 4F3(-n, n-a, -x, x-a;
-    -a, -a/2, (1-a)/2; 1), symbolic in x and at x = -1 for the 2n+2 values
-    a = -1..-(n+1), -1/2..-(2n+1)/2, and symbolic as the squared-sum form at
-    a = -b, b = n+2..2n+2.  Both sides times the clearing factor have degree
-    <= 2n in a, so agreement at 2n+2 values is a proof.  The tests, not this
-    run, check the Meixner tie (2F1(-n, -x; b; 2) is M_n(x; b, -1)) and the
-    central-binomial form (x = -1 at a = -1/2).  A symbolic counterexample
-    is reported at a negative integer x.
+    -a, -a/2, (1-a)/2; 1), symbolic in x for the 2n+2 values
+    a = -1..-(n+1), -1/2..-(2n+1)/2.  Cleared termwise by (-a)_n^2, the 4F3's
+    term k is (-n)_k (-x)_k (x-a)_k 4^k / k! * (k-a)_{n-k} (2k-a)_{n-k}, of
+    degree 2n-k in a, and the squared 2F1 side has degree <= 2n, so 2n+1
+    values of a are a proof.  The tests check what these cases decide: the
+    values at x = -1, the squared-sum form (a = -b, b = n+2..2n+2), the
+    Meixner tie (2F1(-n, -x; b; 2) is M_n(x; b, -1)) and the central-binomial
+    form (x = -1 at a = -1/2).  A symbolic counterexample is reported at a
+    negative integer x.
     """
     return _run_identity(
         "parametric-square",

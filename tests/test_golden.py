@@ -10,10 +10,9 @@ and at case 0, all depths 5, which pins the exact counterexample values
 (case 0 reaches meixner's connection grid, the x-only parametric-square
 witness and hyper-bridge's first bridge);
 ``tests/golden/parametric_square_faults.jsonl`` holds parametric-square's
-report line at depth 6 with the fault at indices that reach each of its three
-case kinds at n = 0, 3 and 6, the last a and b of the grids at n = 6, and the
-x = -1 case at a = -1/2 (the central-binomial form) at n = 3 and 6,
-and at a few more indices that reach n = 1, 4, 5 and 6;
+report line at its default depth 10 with the fault at indices that reach
+its one case kind at integer and half-integer a, at every n from 0 to 10,
+including the first and last a of the grid at n = 10;
 ``tests/golden/scan_default.jsonl`` and ``tests/golden/scan_deep.jsonl``
 hold what ``delpoly scan --format json`` printed on the default grid and on
 ``tests/golden/scan_deep.grid`` (a 3x4 grid at n_max 800) before the scans
@@ -98,6 +97,6 @@ def test_fault_injected_line_matches_golden(identity_id, index):
     "golden", PARAMETRIC_SQUARE_FAULTS, ids=[str(golden["fault_index"]) for golden in PARAMETRIC_SQUARE_FAULTS]
 )
 def test_parametric_square_fault_line_matches_golden(golden):
-    report = verify_parametric_square(6, fault_index=golden["fault_index"])
+    report = verify_parametric_square(10, fault_index=golden["fault_index"])
     assert not report.passed
     assert report.to_json_line() == golden["line"]

@@ -28,7 +28,6 @@ from delpoly.verify import (
     _SymbolicAlg,
     _square_sides,
     _x_poly,
-    _x_value,
     DEFAULT_DEPTHS,
     SUITE_IDS,
     SuiteConfig,
@@ -189,54 +188,34 @@ def test_scalar_cases_never_evaluate_a_polynomial(monkeypatch):
     assert verify_parametric_square(4).passed
 
 
+def a_grid(n: int) -> list[Fraction]:
+    """parametric-square's a values at n: -1..-(n+1), then -1/2..-(2n+1)/2."""
+    return [Fraction(-j) for j in range(1, n + 2)] + [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
+
+
+def per_coefficient_sides(n: int, alpha, top, beta) -> tuple[BiPoly, BiPoly]:
+    """sum_k alpha(k) binom(x, k) and sum_k beta(k) binom(x, k) binom(top - x, k),
+    k = 0..n, each coefficient from its binomials and each side from rows
+    built for that n and parameter alone."""
+    xs, ys = binom_row(X, n), binom_row(top - X, n)
+    return (
+        sum_products((xs[k], BiPoly.const(alpha(k))) for k in range(n + 1)),
+        sum_products((xs[k], ys[k] * beta(k)) for k in range(n + 1)),
+    )
+
+
 def reference_parametric_square_instances(n_max: int):
-    """The parametric-square cases from the per-coefficient formulas: each
-    coefficient from its binomials, each side from binom(top - x, k) built
-    for that n and parameter alone."""
-
-    def sides(n, alpha, top, beta):
-        ys = binom_row(top - X, n)
-        return (
-            sum_products((xs[k], BiPoly.const(alpha(k))) for k in range(n + 1)),
-            sum_products((xs[k], ys[k] * beta(k)) for k in range(n + 1)),
-        )
-
-    xs = binom_row(X, n_max)
+    """The parametric-square cases from the per-coefficient formulas."""
     for n in range(n_max + 1):
-        a_grid = [Fraction(-j) for j in range(1, n + 2)]
-        a_grid += [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
-        for a in a_grid:
+        for a in a_grid(n):
             scale = (-1) ** n / binom_gen(a, n)
-            lhs, rhs = sides(
+            lhs, rhs = per_coefficient_sides(
                 n,
                 lambda k: comb(n, k) * Fraction(-2) ** k / binom_gen(a, k),
                 a,
                 lambda k: binom_gen(n + k - a - 1, n - k) * Fraction(4) ** k / binom_gen(a, k) * scale,
             )
             yield f"free-parameter square n={n}", {"n": n, "a": a}, lhs * lhs, rhs
-            lhs_s = sum((comb(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)), Fraction(0))
-            rhs_s = sum(
-                (
-                    Fraction(-1) ** (n - k)
-                    * binom_gen(a + 1, k)
-                    / binom_gen(a, k)
-                    * binom_gen(n + k - a - 1, n - k)
-                    * Fraction(4) ** k
-                    for k in range(n + 1)
-                ),
-                Fraction(0),
-            ) / binom_gen(a, n)
-            yield f"x=-1 specialization n={n}", {"n": n, "a": a}, lhs_s * lhs_s, rhs_s
-        for bv in range(n + 2, 2 * n + 3):
-            b = Fraction(bv)
-            scale = 1 / binom_gen(b + n - 1, n)
-            base, rhs = sides(
-                n,
-                lambda k: comb(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
-                -b,
-                lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
-            )
-            yield f"squared-sum form n={n}", {"n": n, "b": b}, base * base, rhs
 
 
 @pytest.mark.parametrize("n_max", range(9))
@@ -245,30 +224,109 @@ def test_parametric_square_cases_match_per_coefficient_formulas(n_max):
     want = list(reference_parametric_square_instances(n_max))
     assert [(label, params) for label, params, _, _ in got] == [(label, params) for label, params, _, _ in want]
     for (label, params, lhs, rhs), (_, _, want_lhs, want_rhs) in zip(got, want):
-        for side, want_side in ((lhs, want_lhs), (rhs, want_rhs)):
-            assert isinstance(side, BiPoly) == isinstance(want_side, BiPoly), (label, params)
+        assert isinstance(lhs, BiPoly) and isinstance(rhs, BiPoly), (label, params)
         assert (lhs, rhs) == (want_lhs, want_rhs), (label, params)
-    assert {"n": n_max, "a": -1} in [params for label, params, _, _ in got if label.startswith("x=-1")]
+    assert len(got) == (n_max + 1) * (n_max + 2)
 
 
 def test_parametric_square_checks_each_parameter_once():
-    # Per n the symbolic cases take every value of the a grid and
-    # a = -(n+2), ..., -(2n+2) (the squared-sum form's b = -a) exactly once.
+    # Per n the cases take every value of the a grid exactly once, all of
+    # them symbolic in x.
     cases = list(_parametric_square_instances(10))
-    assert len(cases) == 330
-    assert {label.split(" n=")[0] for label, _, _, _ in cases} == {
-        "free-parameter square",
-        "x=-1 specialization",
-        "squared-sum form",
-    }
+    assert len(cases) == 132
+    assert {label.split(" n=")[0] for label, _, _, _ in cases} == {"free-parameter square"}
     for n in range(11):
-        symbolic = [
-            params["a"] if "a" in params else -params["b"]
-            for _, params, lhs, _ in cases
-            if params["n"] == n and isinstance(lhs, BiPoly)
+        symbolic = [params["a"] for _, params, lhs, _ in cases if params["n"] == n and isinstance(lhs, BiPoly)]
+        assert sorted(symbolic) == sorted(a_grid(n)), n
+
+
+def test_parametric_square_clears_termwise_to_degree_2n_minus_k():
+    # The bound behind the report's degree_bound 2n and samples 2n+2: times
+    # (-a)_n^2, term k of the 4F3 side is a polynomial of degree 2n-k in a,
+    # and lhs^2 one of degree <= 2n.  With (-a)_n the terms are not
+    # polynomials, so the check below rejects that factor.
+    sympy = pytest.importorskip("sympy")
+    a, x = sympy.symbols("a x")
+
+    def poly(expr):
+        return sympy.Poly(expr, a, x, domain="QQ")
+
+    def rising_poly(z, k: int):
+        return poly(sympy.Mul(*(z + i for i in range(k))))
+
+    def quotient(num, den):
+        """num / den as a polynomial in a and x, or None if it is not one."""
+        q, rem = num.div(den)
+        return q if rem.is_zero else None
+
+    def rhs_terms(n: int):
+        """Term k of the 4F3 side as (numerator, denominator) polynomials."""
+        return [
+            (
+                rising_poly(-n, k) * rising_poly(n - a, k) * rising_poly(-x, k) * rising_poly(x - a, k),
+                rising_poly(-a, k) * rising_poly(-a / 2, k) * rising_poly((1 - a) / 2, k) * factorial(k),
+            )
+            for k in range(n + 1)
         ]
-        a_grid = [Fraction(-j) for j in range(1, n + 2)] + [Fraction(-(2 * j - 1), 2) for j in range(1, n + 2)]
-        assert sorted(symbolic) == sorted(a_grid + [Fraction(-b) for b in range(n + 2, 2 * n + 3)]), n
+
+    for n in range(7):
+        clear = rising_poly(-a, n)
+        cleared = [quotient(num * clear**2, den) for num, den in rhs_terms(n)]
+        assert [q.degree(a) for q in cleared] == [2 * n - k for k in range(n + 1)], n
+        lhs_terms = [
+            (rising_poly(-n, k) * rising_poly(-x, k) * 2**k, rising_poly(-a, k) * factorial(k)) for k in range(n + 1)
+        ]
+        assert (sum(quotient(num * clear, den) for num, den in lhs_terms) ** 2).degree(a) <= 2 * n, n
+        if n:
+            assert None in [quotient(num * clear, den) for num, den in rhs_terms(n)], n
+        # The sides are the package's: at a grid value, at a few x.
+        (lhs_c, d), (rhs_c, e) = _square_sides(n, Fraction(-3, 2))
+        for xv in (-2, 1, 5):
+            at = {a: sympy.Rational(-3, 2), x: xv}
+            values = [sum(num.eval(at) / den.eval(at) for num, den in side) for side in (lhs_terms, rhs_terms(n))]
+            assert values == [_x_poly(lhs_c, d).eval(0, xv), _x_poly(rhs_c, e).eval(0, xv)], (n, xv)
+    report = verify_parametric_square(6)
+    assert (report.degree_bound, report.sample_count) == (12, 14)
+
+
+def test_x_minus_one_values_are_the_symbolic_cases_at_minus_one():
+    # The left-out x = -1 values, from the alternating per-coefficient sums,
+    # hold and are each kept case's sides at x = -1, at the default depth.
+    for _, params, lhs, rhs in _parametric_square_instances(DEFAULT_DEPTHS["parametric-square"]):
+        n, a = params["n"], params["a"]
+        lhs_s = sum((comb(n, k) * Fraction(2) ** k / binom_gen(a, k) for k in range(n + 1)), Fraction(0))
+        rhs_s = sum(
+            (
+                Fraction(-1) ** (n - k)
+                * binom_gen(a + 1, k)
+                / binom_gen(a, k)
+                * binom_gen(n + k - a - 1, n - k)
+                * Fraction(4) ** k
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        ) / binom_gen(a, n)
+        assert lhs_s * lhs_s == rhs_s, params
+        assert (lhs.eval(0, -1), rhs.eval(0, -1)) == (lhs_s * lhs_s, rhs_s), params
+
+
+def test_squared_sum_form_holds_and_is_the_square_at_a_minus_b():
+    # The left-out squared-sum form at b = n+2..2n+2 for n <= 10, from its
+    # per-coefficient formulas: it holds, and its sides are the square's
+    # at a = -b, the grid past the suite's a values.
+    for n in range(11):
+        for bv in range(n + 2, 2 * n + 3):
+            b = Fraction(bv)
+            scale = 1 / binom_gen(b + n - 1, n)
+            base, rhs = per_coefficient_sides(
+                n,
+                lambda k: comb(n, k) * Fraction(2) ** k / binom_gen(b - 1 + k, k),
+                -b,
+                lambda k: Fraction(-4) ** k * binom_gen(n + k + b - 1, n - k) / binom_gen(b - 1 + k, k) * scale,
+            )
+            assert base * base == rhs, (n, bv)
+            (lhs, d), (square_rhs, e) = _square_sides(n, -b)
+            assert (base, rhs) == (_x_poly(lhs, d), _x_poly(square_rhs, e)), (n, bv)
 
 
 def test_square_lhs_at_a_minus_b_is_the_meixner_polynomial():
@@ -277,19 +335,20 @@ def test_square_lhs_at_a_minus_b_is_the_meixner_polynomial():
     for n in range(11):
         for b in range(1, 2 * n + 3):
             (lhs, d), _ = _square_sides(n, Fraction(-b))
+            lhs = _x_poly(lhs, d)
             for x in range(n + 1):
-                assert Fraction(_x_value(lhs, x), d) == meixner_eval(n, x, b, -1), (n, b, x)
+                assert lhs.eval(0, x) == meixner_eval(n, x, b, -1), (n, b, x)
 
 
 def test_central_binomial_form_is_the_x_minus_one_case_at_a_minus_half():
     # 2F1(-n, 1; 1/2; 2)^2 = 4F3(-n, n+1/2, -1/2, 1; 1/2, 1/4, 3/4; 1) is the
-    # x = -1 case at a = -1/2, written with the parameters substituted.
+    # case at a = -1/2 read at x = -1, written with the parameters substituted.
     half = Fraction(1, 2)
     for n in range(21):
         (lhs, d), (rhs, e) = _square_sides(n, -half)
         lhs_c = hyper_eval([-n, 1], [half], 2)
         rhs_c = hyper_eval([-n, n + half, -half, 1], [half, Fraction(1, 4), Fraction(3, 4)], 1)
-        assert (lhs_c, rhs_c) == (Fraction(_x_value(lhs, -1), d), Fraction(_x_value(rhs, -1), e)), n
+        assert (lhs_c, rhs_c) == (_x_poly(lhs, d).eval(0, -1), _x_poly(rhs, e).eval(0, -1)), n
         assert lhs_c * lhs_c == rhs_c, n
 
 
@@ -300,7 +359,7 @@ def test_square_rows_match_per_coefficient_formulas(n, a):
     #   lhs = sum_k C(n,k) (-2)^k / binom(a,k) * binom(x,k),
     #   rhs = sum_k (-1)^n binom(n+k-a-1, n-k) 4^k / (binom(a,k) binom(a,n)) * binom(x,k) binom(a-x,k),
     # k = n included; a = -1 is where binom(a + 1, k) vanishes past k = 0,
-    # so the x = -1 case's rhs is a single term there.
+    # so the rhs at x = -1 is a single term there.
     (lhs, lhs_den), (rhs, rhs_den) = _square_sides(n, a)
     assert lhs_den > 0 and rhs_den > 0
     assert len(lhs) == n + 1 and len(rhs) == 2 * n + 1
@@ -312,9 +371,9 @@ def test_square_rows_match_per_coefficient_formulas(n, a):
     xs, ys = binom_row(X, n), binom_row(a - X, n)
     assert _x_poly(lhs, lhs_den) == sum((xs[k] * c for k, c in enumerate(alpha)), BiPoly.zero())
     assert _x_poly(rhs, rhs_den) == sum((xs[k] * ys[k] * c for k, c in enumerate(beta)), BiPoly.zero())
-    # At x = -1 the sides are the alternating sums the x = -1 cases read.
-    assert Fraction(_x_value(lhs, -1), lhs_den) == sum((-1) ** k * c for k, c in enumerate(alpha))
-    assert Fraction(_x_value(rhs, -1), rhs_den) == sum((-1) ** k * c * binom_gen(a + 1, k) for k, c in enumerate(beta))
+    # At x = -1 the sides are alternating sums.
+    assert _x_poly(lhs, lhs_den).eval(0, -1) == sum((-1) ** k * c for k, c in enumerate(alpha))
+    assert _x_poly(rhs, rhs_den).eval(0, -1) == sum((-1) ** k * c * binom_gen(a + 1, k) for k, c in enumerate(beta))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -730,8 +789,10 @@ def swapped_linearization_cases(alg, depth: int):
             yield f"m={m},n={n}", alg.d(m) * alg.d(n), rhs, kept[f"m={n},n={m}"]
 
 
-def odd_part_cases(alg, depth: int):
-    # The odd part is the inversion minus the even part.
+def inversion_restated_cases(alg, depth: int):
+    # The odd part is the inversion minus the even part.  By binomial
+    # inversion the scaled form's lhs - rhs is sum_k C(n,k) cof_n[k] times
+    # inversion case k's lhs - rhs, as cof_n[k] cof_k[j] = cof_n[j].
     kept = _kept_differences(_inversion_instances(alg, depth))
     lower = alg.binom_row(alg.x - alg.r, depth)
     mirror = alg.binom_row(-1 - alg.x - alg.r, depth)
@@ -740,6 +801,9 @@ def odd_part_cases(alg, depth: int):
         odd = alg.sum((alg.d(k) * (comb(n, k) * (-1) ** (n - k)), cof[k]) for k in range(1, n + 1, 2))
         rhs = (lower[n] - mirror[n]) * Fraction(2) ** (n - 1)
         yield f"odd-part n={n}", odd, rhs, kept[f"inversion n={n}"] - kept[f"even-part n={n}"]
+        scaled = alg.sum((lower[k] * (comb(n, k) * 2**k), cof[k]) for k in range(n + 1))
+        combination = alg.sum((kept[f"inversion n={k}"] * comb(n, k), cof[k]) for k in range(n + 1))
+        yield f"scaled-form n={n}", alg.d(n), scaled, combination
 
 
 def combined_recurrence_cases(alg, depth: int):
@@ -807,7 +871,7 @@ def reparameterized_meixner_cases(alg_at, depth: int):
 # id -> (route and top n the verifier reads at a depth, left-out cases)
 RESTATED = {
     "linearization": (Route.THREE_TERM, lambda depth: 2 * depth, swapped_linearization_cases),
-    "inversion": (Route.THREE_TERM, lambda depth: depth, odd_part_cases),
+    "inversion": (Route.THREE_TERM, lambda depth: depth, inversion_restated_cases),
     "recurrences": (Route.DIRECT, lambda depth: depth + 1, combined_recurrence_cases),
     "shift-identities": (Route.THREE_TERM, lambda depth: depth + 1, combined_shift_cases),
 }
@@ -828,6 +892,16 @@ def test_restated_statements_follow_symbolically(identity_id):
     route, n_high, cases = RESTATED[identity_id]
     depth = DEFAULT_DEPTHS[identity_id]
     _assert_restated_cases_hold(cases(_SymbolicAlg(d_sequence(route, n_high(depth)).polys), depth))
+
+
+def test_scaled_form_has_the_right_side_of_jacobis_form_at_3():
+    # The left-out scaled form's rhs is the NEWFORM sum, the same BiPoly as
+    # the rhs of Jacobi's form at 3, at the inversion default depth.
+    depth = DEFAULT_DEPTHS["inversion"]
+    alg = _SymbolicAlg(d_sequence(Route.THREE_TERM, depth).polys)
+    scaled = [rhs for label, _, rhs, _ in inversion_restated_cases(alg, depth) if label.startswith("scaled-form")]
+    jacobi = [rhs for label, _, _, rhs in _jacobi_instances(alg, depth) if label.startswith("alpha=x-r-n at 3")]
+    assert len(scaled) == depth + 1 and scaled == jacobi
 
 
 def test_reparameterized_meixner_follows_symbolically():
@@ -883,7 +957,10 @@ def test_restated_statements_are_combinations_of_kept_cases_for_any_d(identity_i
 
 def test_generators_leave_out_the_restated_kinds():
     # At depth 3 each affected family yields only its kept kinds, and
-    # linearization only m <= n.
+    # linearization only m <= n.  Left out: linearization's m > n,
+    # inversion's scaled-form and odd-part, Jacobi's swapped at -3, the
+    # combined recurrence and shift, Meixner's reparameterized form, and
+    # parametric-square's x=-1 specialization and squared-sum form.
     alg = _SymbolicAlg(d_sequence(Route.THREE_TERM, 7).polys)
     generators = {
         "inversion": _inversion_instances,
@@ -896,12 +973,14 @@ def test_generators_leave_out_the_restated_kinds():
         for identity_id, generate in generators.items()
     }
     kinds["meixner"] = {label.rsplit(" n=", 1)[0] for label, _, _, _ in _meixner_instances(3)}
+    kinds["parametric-square"] = {label.rsplit(" n=", 1)[0] for label, _, _, _ in _parametric_square_instances(3)}
     assert kinds == {
-        "inversion": {"scaled-form", "inversion", "even-part"},
+        "inversion": {"inversion", "even-part"},
         "jacobi": {"alpha=x-r-n at 3", "reflected at -3"},
         "recurrences": {"three-term", "two-term"},
         "shift-identities": {"difference-shift", "sum-shift", "reflection-swap"},
         "meixner": {"connection"},
+        "parametric-square": {"free-parameter square"},
     }
     pairs = [(params["m"], params["n"]) for _, params, _, _ in _linearization_instances(alg, 3)]
     assert pairs == [(m, n) for m in range(4) for n in range(m, 4)]
