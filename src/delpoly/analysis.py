@@ -121,21 +121,12 @@ def _turan_terms(at: EvalPoint, n_max: int):
 # bits, every _PREC from 46 up decided every n <= 2000 at every point of
 # the default conjecture grid but the two where T_n is 0 for every n, and
 # 44 did not; 160 keeps a wide margin for deeper scans.  _SLACK is how far
-# the state grows past _PREC before it is shifted back; a step adds about
-# 2 log2(n L^2) bits, so with 64 the state is shifted once in two to three
-# steps, and it stays within a few machine words.
+# P_n grows past _PREC before the state is shifted back; a step adds about
+# 2 log2(n L) bits, so with 64 the state is shifted once in two steps at
+# n L near 2^23 and once in three near 2^16, and it stays within a few
+# machine words.
 _PREC = 160
 _SLACK = 64
-
-
-def _round_out(lo: int, hi: int, s: int) -> tuple[int, int]:
-    """[lo, hi] / 2^s, rounded outward: floor for lo, ceiling for hi."""
-    return lo >> s, -(-hi >> s)
-
-
-def _flip(n: int, sign: int) -> int:
-    """(-1)^n sign."""
-    return -sign if n % 2 else sign
 
 
 def _turan_signs(at: EvalPoint, n_max: int):
@@ -143,14 +134,15 @@ def _turan_signs(at: EvalPoint, n_max: int):
 
     The step of ``_turan_terms`` runs on integer intervals [lo, hi] that
     contain P_{n-1}, Q_n and P_n over one common power of two, from the
-    exact P_0 = 1, Q_1 = |A|, P_1 = A^2 (lo = hi).  Once P_{n-1} or P_n
-    passes _PREC + _SLACK bits (|Q_n| is at most the larger of the two),
-    every end is shifted right so that they keep _PREC bits, lo rounded
-    down and hi up.  The step is linear and homogeneous, so the
-    common scale keeps every sign, and t is +1 or -1 while the interval of
-    (n+1) P_n - n E_n excludes 0: a sign given there is proved.  At the
-    first n whose interval holds 0 (an exact zero gives lo = hi = 0), the
-    rest comes from ``_turan_terms``, which is also used throughout for
+    exact P_0 = 1, Q_1 = |A|, P_1 = A^2 (lo = hi).  Once P_n passes
+    _PREC + _SLACK bits, all six ends are shifted right so that P_n keeps
+    _PREC bits, lo rounded down and hi up; P_{n-1}, which was P_n a step
+    before, never passes that limit, and |Q_n| is at most the larger of
+    the two.  The step is linear and homogeneous, so the common scale keeps
+    every sign, and t is +1 or -1 while the interval of (n+1) P_n - n E_n
+    lies above or below 0: a sign given there is proved.  At the first n
+    whose interval holds 0 (an exact zero gives lo = hi = 0), the rest
+    comes from ``_turan_terms``, which is also used throughout for
     r <= -1/2, where c_n can be <= 0.
 
     Only A and c_n multiply an interval.  For A < 0 the step runs at the
@@ -162,24 +154,28 @@ def _turan_signs(at: EvalPoint, n_max: int):
         return
     L, A = _scale(at)
     a, L2, K = abs(A), L * L, _twice_r(at, L)
-    round_out, flip, limit = _round_out, _flip, _PREC + _SLACK
+    limit = _PREC + _SLACK
     pp_lo = pp_hi = 1
     q_lo = q_hi = a
     p_lo = p_hi = a * a
+    parity = 1  # (-1)^n
     for n in range(1, n_max + 1):
-        top = max(pp_hi, p_hi).bit_length()
+        parity = -parity
+        top = p_hi.bit_length()
         if top > limit:
             s = top - _PREC
-            pp_lo, pp_hi = round_out(pp_lo, pp_hi, s)
-            q_lo, q_hi = round_out(q_lo, q_hi, s)
-            p_lo, p_hi = round_out(p_lo, p_hi, s)
+            pp_lo, q_lo, p_lo, pp_hi, q_hi, p_hi = (
+                pp_lo >> s, q_lo >> s, p_lo >> s, -(-pp_hi >> s), -(-q_hi >> s), -(-p_hi >> s)
+            )
         c = n * (L2 * n + K)
         e_lo, e_hi = a * q_lo + c * pp_lo, a * q_hi + c * pp_hi
-        sign = ((n + 1) * p_lo > n * e_hi) - ((n + 1) * p_hi < n * e_lo)
-        if not sign:
+        if (n + 1) * p_lo > n * e_hi:
+            yield n, parity
+        elif (n + 1) * p_hi < n * e_lo:
+            yield n, -parity
+        else:
             yield from islice(_turan_terms(at, n_max), n - 1, None)
             return
-        yield n, flip(n, sign)
         q_lo, q_hi = a * p_lo + c * q_lo, a * p_hi + c * q_hi
         pp_lo, pp_hi, p_lo, p_hi = p_lo, p_hi, a * q_lo + c * e_lo, a * q_hi + c * e_hi
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
 
 from .analysis import GridSpec, default_conjecture_grid, scan_conjecture
 from .dcore import EvalPoint, Route, d_eval, d_eval_sequence, d_sequence, delannoy_dp
 from .exactnum import check_natural, format_rational, int_to_decimal, parse_rational
-from .reports import _json_safe
+from .reports import json_line
 from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 
 EXIT_OK = 0
@@ -170,13 +169,12 @@ def _cmd_poly(args) -> int:
 def _cmd_table(args) -> int:
     columns = [d_eval_sequence(args.n_max, EvalPoint(args.r, x)) for x in args.x]
     rows = [{"n": n, "values": [column[n] for column in columns]} for n in range(args.n_max + 1)]
-    table = _json_safe({"r": args.r, "x": args.x, "rows": rows})
     if args.format == "json":
-        print(json.dumps(table, sort_keys=True))
+        print(json_line({"r": args.r, "x": args.x, "rows": rows}))
     else:
-        print(",".join(["n", *table["x"]]))
-        for row in table["rows"]:
-            print(",".join([str(row["n"]), *row["values"]]))
+        print(",".join(["n", *map(format_rational, args.x)]))
+        for row in rows:
+            print(",".join([str(row["n"]), *map(format_rational, row["values"])]))
     return EXIT_OK
 
 

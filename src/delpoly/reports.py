@@ -1,7 +1,8 @@
 """Structured verdict records shared by the verifier and analysis modules.
 
 Reports are data, not prose: each one serializes to a single JSON object
-(one per line in CLI output) with a stable schema, so runs can be diffed.
+(one per line in CLI output) with a stable schema, so runs can be diffed;
+``as_dict`` is that object read back.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ class Mode(enum.Enum):
     POINT_GRID = "PointGrid"
 
 
-def _json_safe(value):
+def _rational_text(value):
+    """``json.dumps`` hook: Fraction -> "p/q"."""
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_line(value) -> str:
+    """``value`` as one line of JSON with sorted keys and Fractions as "p/q"."""
+    return json.dumps(value, sort_keys=True, default=_rational_text)
 
 
 @dataclass(frozen=True)
@@ -61,23 +64,23 @@ class VerifyReport:
                 raise ValueError("interpolation needs more samples than the degree bound")
 
     def as_dict(self) -> dict:
+        return json.loads(self.to_json_line())
+
+    def to_json_line(self) -> str:
         out = {
             "id": self.identity_id,
             "mode": self.mode.value,
             "range": self.range,
             "passed": self.passed,
-            "skipped": _json_safe(list(self.skipped)),
+            "skipped": self.skipped,
         }
         if self.counterexample is not None:
-            out["counterexample"] = _json_safe(self.counterexample)
+            out["counterexample"] = self.counterexample
         if self.degree_bound is not None:
             out["degree_bound"] = self.degree_bound
         if self.sample_count is not None:
             out["samples"] = self.sample_count
-        return out
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json_line(out)
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,16 @@ class ScanReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "grid": _json_safe(self.grid),
-            "passed": self.passed,
-            "violations": _json_safe(list(self.violations)),
-            "zero_hits": _json_safe(list(self.zero_hits)),
-            "skipped": _json_safe(list(self.skipped)),
-        }
+        return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json_line(
+            {
+                "id": self.claim_id,
+                "grid": self.grid,
+                "passed": self.passed,
+                "violations": self.violations,
+                "zero_hits": self.zero_hits,
+                "skipped": self.skipped,
+            }
+        )

@@ -16,7 +16,11 @@ including the first and last a of the grid at n = 10;
 ``tests/golden/scan_default.jsonl`` and ``tests/golden/scan_deep.jsonl``
 hold what ``delpoly scan --format json`` printed on the default grid and on
 ``tests/golden/scan_deep.grid`` (a 3x4 grid at n_max 800) before the scans
-carried the squared recurrence state.
+carried the squared recurrence state;
+``tests/golden/scan_violations.jsonl`` holds the unrestricted Turán scan's
+line at (r, x) = (4, 16/25) with n_max 200, whose violations (from n = 149)
+carry negative Fraction values, as written before the JSON line went
+through the C encoder.
 These files are read, never written.
 """
 
@@ -24,10 +28,12 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from delpoly.analysis import GridSpec, _scan, _turan_margin, _turan_signs
 from delpoly.cli import main
 from delpoly.verify import SUITE_IDS, SuiteConfig, run_suite, verify_parametric_square
 
@@ -66,6 +72,13 @@ def test_scan_json_matches_golden_bytes(argv, golden):
         code = main(argv)
     assert code == 0
     assert out.getvalue().encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_scan_violation_line_matches_golden_bytes():
+    grid = GridSpec((Fraction(4),), (Fraction(16, 25),), 200)
+    report = _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin)
+    assert report.violations[0][0] == 149
+    assert (report.to_json_line() + "\n").encode() == (GOLDEN / "scan_violations.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("route", ROUTE_DEPTHS)

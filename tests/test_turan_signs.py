@@ -5,11 +5,12 @@ it is first shortened and rounded outward from there, and hands the rest
 of a point to the exact kernel ``_turan_terms`` at the first interval that
 holds 0.  Its signs are compared here with the exact kernel's, deep and on
 whole grids, with the intervals forced to fall back often, and with its
-outward rounding or its sign flip broken on purpose.  Only the two points
-where T_n is 0 for every n fall back on the default grid, and each runs
-the exact kernel once.
+outward rounding, its sign flip or its sign test broken on purpose.  Only
+the two points where T_n is 0 for every n fall back on the default grid,
+and each runs the exact kernel once.
 """
 
+import inspect
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -153,22 +154,28 @@ def test_violations_from_interval_signs_carry_exact_values():
 # -- broken kernels must disagree with the exact one ------------------------
 
 
-def _floor_both_ends(lo, hi, s):
-    return lo >> s, hi >> s
+def _mutant(old: str, new: str):
+    """``_turan_signs`` with its one ``old`` text replaced by ``new``,
+    compiled against the module's current globals."""
+    source = inspect.getsource(analysis._turan_signs)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(analysis))
+    exec(compile(source.replace(old, new), analysis.__file__, "exec"), namespace)
+    return namespace["_turan_signs"]
 
 
-def _no_flip(n, sign):
-    return sign
+MUTANTS = {
+    "inward-rounding": ("-(-pp_hi >> s), -(-q_hi >> s), -(-p_hi >> s)", "pp_hi >> s, q_hi >> s, p_hi >> s"),
+    "no-sign-flip": ("parity = -parity", "parity = 1"),
+    "wrong-ends": ("(n + 1) * p_lo > n * e_hi", "(n + 1) * p_lo > n * e_lo"),
+}
 
 
-@pytest.mark.parametrize(
-    "name, broken", [("_round_out", _floor_both_ends), ("_flip", _no_flip)], ids=["inward-rounding", "no-sign-flip"]
-)
-def test_a_broken_interval_kernel_disagrees_with_the_exact_one(monkeypatch, name, broken):
+@pytest.mark.parametrize("old, new", MUTANTS.values(), ids=MUTANTS.keys())
+def test_a_broken_interval_kernel_disagrees_with_the_exact_one(monkeypatch, old, new):
     monkeypatch.setattr(analysis, "_PREC", 8)
-    at = POINTS[0]
     # At this precision the sound kernel still decides some n on intervals.
-    _assert_signs_agree([at], 400)
-    assert _interval_decided(at, 400)
-    monkeypatch.setattr(analysis, name, broken)
-    assert _signs(_turan_signs, at, 400) != _signs(_turan_terms, at, 400)
+    _assert_signs_agree(POINTS, 400)
+    assert all(_interval_decided(at, 400) for at in POINTS)
+    broken = _mutant(old, new)
+    assert any(_signs(broken, at, 400) != _signs(_turan_terms, at, 400) for at in POINTS)
