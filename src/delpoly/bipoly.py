@@ -288,34 +288,48 @@ class BiPoly:
     def _subst(self, axis: int, sign: int, shift: int | Fraction) -> "BiPoly":
         """Substitute v -> sign*v + shift for the variable v on ``axis`` (0: x, 1: r).
 
-        With shift = p/q and D the top degree in v,
+        With shift = p/q and D the top degree in v, every output coefficient
+        is an integer over den * q^D.  Sign 0 pins v to the value p/q: each
+        term c * v^d adds c * p^d * q^(D-d) to its key.
 
-            (sign*v + p/q)^d = sum_j C(d, j) * sign^j * p^(d-j) * q^(D-d+j) * v^j / q^D,
-
-        so every output coefficient is an integer over den * q^D.  The
-        weights of each degree d are built once, the products accumulate on
-        plain ints, and the result is normalised once.  Sign 0 pins v to
-        the value p/q: only the j = 0 weight is left, one int per degree.
+        Sign +-1 is a Taylor shift on rows: row d packs the v^d coefficients
+        into one int, one ``_Slots`` slot per degree in the other variable.
+        Times sign^d * q^(D-d), the rows are the b_d of B(t) = sum b_d t^d
+        with q^D * P(sign*v + p/q) = B(q*v + sign*p).  Synthetic division
+        (``row[j] += sign*p * row[j+1]``, D(D+1)/2 multiply-adds) leaves
+        B(t + sign*p), whose row j times q^j is the v^j row.  A slot of it
+        sums c * C(d, j) * p^(d-j) * q^(D-d+j) over d, and C(d, j) <= C(D,
+        d-j), so it and every partial sum before it are at most max|c| *
+        (|p| + q)^D: slots of that size plus a sign bit decode exactly.
         """
         p, q = shift.numerator, shift.denominator
-        top = max((k[axis] for k in self._coeffs), default=0)
-        out: dict[Key, int] = {}
-        get = out.get
+        coeffs = self._coeffs
+        top = max((k[axis] for k in coeffs), default=0)
+        den = self._den * q**top
         if not sign:
             weights = [p**d * q ** (top - d) for d in range(top + 1)]
-            for key, c in self._coeffs.items():
+            out: dict[Key, int] = {}
+            get = out.get
+            for key, c in coeffs.items():
                 k = (0, key[1]) if axis == 0 else (key[0], 0)
                 out[k] = get(k, 0) + c * weights[key[axis]]
-            return BiPoly._raw(out, self._den * q**top)
-        weights = [
-            [comb(d, j) * sign**j * p ** (d - j) * q ** (top - d + j) for j in range(d + 1)] for d in range(top + 1)
-        ]
-        for key, c in self._coeffs.items():
-            other = key[1 - axis]
-            for j, w in enumerate(weights[key[axis]]):
-                k = (j, other) if axis == 0 else (other, j)
-                out[k] = get(k, 0) + c * w
-        return BiPoly._raw(out, self._den * q**top)
+            return BiPoly._raw(out, den)
+        slots = _Slots((max(map(abs, coeffs.values()), default=0) * (abs(p) + q) ** top).bit_length() // 8 + 1)
+        bits, rows, powers = 8 * slots.width, [0] * (top + 1), [q**d for d in range(top + 1)]
+        for key, c in coeffs.items():
+            rows[key[axis]] += c << bits * key[1 - axis]
+        rows = [(-row if sign < 0 and d & 1 else row) * powers[top - d] for d, row in enumerate(rows)]
+        p *= sign
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                rows[j] += p * rows[j + 1]
+        out = {}
+        for j, row in enumerate(rows):
+            if row:
+                slots.unpack(j, row * powers[j], out)
+        if axis:
+            out = {(w, j): c for (j, w), c in out.items()}
+        return BiPoly._exact(*_reduce(out, den)[:2])  # unpack writes no zeros
 
     # -- canonical text form -------------------------------------------------
 

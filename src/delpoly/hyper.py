@@ -65,8 +65,11 @@ def _hyper_sum(nums: list[tuple[int, int]], dens: list[tuple[int, int]], zn: int
     the current term's denominator (``total = total*fd + num``).
     """
     stop = _stop(nums, dens)
-    num_scale = zn * prod(v for _, v in dens)
-    den_scale = zd * prod(q for _, q in nums)
+    num_scale, den_scale = zn, zd
+    for _, v in dens:
+        num_scale *= v
+    for _, q in nums:
+        den_scale *= q
     term = total = den = 1
     for k in range(stop):
         fn = num_scale
@@ -122,23 +125,23 @@ def d_via_hyper(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     parameter degenerates.
     """
     check_natural(n, "n")
-    rv, xv = as_exact(r), as_exact(x)
-    return _bridge(n, rv, rv - xv, 1)
+    return _bridge(n, as_exact(r), as_exact(x), False)
 
 
 def d_via_hyper_companion(n: int, r: RationalLike, x: RationalLike) -> Fraction:
     """The mirror bridge (-1)^n (2r+1)_n / n! * 2F1(-n, r+1+x; 2r+1; 2)."""
     check_natural(n, "n")
-    rv, xv = as_exact(r), as_exact(x)
-    return _bridge(n, rv, rv + 1 + xv, -1 if n % 2 else 1)
+    return _bridge(n, as_exact(r), as_exact(x), True)
 
 
-def _bridge(n: int, r: int | Fraction, b: int | Fraction, sign: int) -> Fraction:
-    """sign * (2r+1)_n / n! * 2F1(-n, b; 2r+1; 2), as one ``Fraction``."""
-    c = reduced(2 * r.numerator + r.denominator, r.denominator)
+def _bridge(n: int, r: int | Fraction, x: int | Fraction, mirror: bool) -> Fraction:
+    """The (mirror) bridge as one ``Fraction``, b and 2r + 1 as reduced int pairs."""
+    rp, rq, xp, xq = r.numerator, r.denominator, x.numerator, x.denominator
+    b = reduced((rp + rq) * xq + xp * rq if mirror else rp * xq - xp * rq, rq * xq)
+    c = reduced(2 * rp + rq, rq)
     scale = pochhammer(Fraction(*c), n)
-    total, den = _hyper_sum([(-n, 1), (b.numerator, b.denominator)], [c], 2, 1)
-    return Fraction(sign * scale.numerator * total, scale.denominator * factorial(n) * den)
+    total, den = _hyper_sum([(-n, 1), b], [c], 2, 1)
+    return Fraction((-1 if mirror and n % 2 else 1) * scale.numerator * total, scale.denominator * factorial(n) * den)
 
 
 def clausen_product_sides(
@@ -152,7 +155,8 @@ def clausen_product_sides(
     evaluated exactly as finite sums.
     """
     check_natural(n, "n")
-    (bp, bq), (cp, cq), (zp, zq) = ((v.numerator, v.denominator) for v in map(as_exact, (b, c, z)))
+    b, c, z = as_exact(b), as_exact(c), as_exact(z)
+    bp, bq, cp, cq, zp, zq = b.numerator, b.denominator, c.numerator, c.denominator, z.numerator, z.denominator
     if zp == zq:
         raise ValueError("z = 1 is outside the identity's domain")
     c_minus_b = reduced(cp * bq - bp * cq, cq * bq)

@@ -32,8 +32,19 @@ def _rational_text(value):
 
 
 def json_line(value) -> str:
-    """``value`` as one line of JSON with sorted keys and Fractions as "p/q"."""
-    return json.dumps(value, sort_keys=True, default=_rational_text)
+    """``value`` as one line of JSON with sorted keys and Fractions as "p/q".
+
+    A scan's hits repeat a few points, so each Fraction object is formatted
+    once, memoized by identity: ``value`` keeps it alive for the call, and
+    hashing a Fraction costs more than formatting it."""
+    memo: dict[int, str] = {}
+
+    def text(v):
+        if (s := memo.get(id(v))) is None:
+            s = memo[id(v)] = _rational_text(v)
+        return s
+
+    return json.dumps(value, sort_keys=True, default=text)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from delpoly.bipoly import BiPoly, _Slots, binom_poly, sum_products
+from delpoly.dcore import Route, clear_caches, d_sequence
 from oracles import is_decoded
 
 X = BiPoly.x()
@@ -99,6 +100,68 @@ def test_substitution_evaluation_commute():
         assert p.subst_affine_x(shift, negate=True).eval(r0, x0) == p.eval(r0, -x0 + shift)
         assert p.subst_affine_r(shift).eval(r0, x0) == p.eval(r0 + shift, x0)
         assert p.subst_x_value(x0).eval(r0, 0) == p.eval(r0, x0)
+
+
+def weight_table_subst(p: BiPoly, axis: int, sign: int, shift: Fraction) -> BiPoly:
+    """v -> sign*v + shift on ``axis`` (0: x, 1: r) by the binomial
+    expansion, the reference for ``_subst``'s Taylor shift: each term c * v^d
+    spread over d + 1 keys, weighted C(d, j) * sign^j * a^(d-j) * b^(D-d+j)
+    over b^D for shift a/b."""
+    a, b = shift.numerator, shift.denominator
+    top = max((key[axis] for key, _ in p.terms()), default=0)
+    out = {}
+    for key, c in p.terms():
+        d, other = key[axis], key[1 - axis]
+        for j in range(d + 1):
+            k = (j, other) if axis == 0 else (other, j)
+            out[k] = out.get(k, 0) + c * comb(d, j) * sign**j * a ** (d - j) * b ** (top - d + j)
+    return BiPoly({k: c / b**top for k, c in out.items()})
+
+
+def test_taylor_shift_matches_the_weight_table():
+    # Both axes and both signs, through _subst itself, since the public
+    # methods shift r with sign +1 only.  Shifts run from zero to 40-digit
+    # numerators and denominators, whose (|p| + q)^D, not q^D, sizes the
+    # slots.  An undecoded sum is shifted as it is, and used afterwards as
+    # a sum_products operand, which must not see anything the shift left.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.integers(-(2**200), 2**200) | st.fractions(max_denominator=10**6)
+    poly = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), coefficient, max_size=16).map(BiPoly)
+    big = 10**40
+    shifts = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-big, big).map(Fraction),
+        st.fractions(max_denominator=15),
+        st.builds(Fraction, st.integers(-big, big), st.integers(1, big)),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(p=poly, step=poly, axis=st.sampled_from((0, 1)), sign=st.sampled_from((1, -1)), shift=shifts)
+    @hypothesis.example(p=BiPoly.zero(), step=X, axis=0, sign=-1, shift=Fraction(3))
+    @hypothesis.example(p=BiPoly.const(Fraction(-7, 3)), step=R, axis=1, sign=-1, shift=Fraction(-big, 7))
+    @hypothesis.example(p=(X - 2 * R + 1) ** 5, step=X - R, axis=1, sign=1, shift=Fraction(-(big - 1), big))
+    def check(p, step, axis, sign, shift):
+        assert p._subst(axis, sign, shift) == weight_table_subst(p, axis, sign, shift)
+        undecoded, want = sum_products([(p, step)]), schoolbook_sum([(p, step)])
+        assert undecoded._subst(axis, sign, shift) == weight_table_subst(want, axis, sign, shift)
+        assert sum_products([(undecoded, step)]) == schoolbook_sum([(want, step)])
+
+    check()
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 2), Fraction(-1, 2), Fraction(-(10**30), 7)])
+@pytest.mark.parametrize("n", [0, 1, 9, 24])
+def test_taylor_shift_of_a_cached_three_term_entry(n, shift):
+    # The route cache holds d_n undecoded; shifting it, and then feeding it
+    # to sum_products, both agree with a decoded copy.
+    clear_caches()
+    d = d_sequence(Route.THREE_TERM, n).polys[n]
+    assert n < 2 or not is_decoded(d)
+    copy = BiPoly({key: c for key, c in d.terms()})
+    for axis, sign in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        assert d._subst(axis, sign, shift) == weight_table_subst(copy, axis, sign, shift)
+    assert sum_products([(d, X - R)]) == copy * (X - R)
 
 
 def test_ring_axioms_on_random_triples():

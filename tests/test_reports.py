@@ -133,3 +133,16 @@ def test_an_unsupported_value_is_a_type_error(report):
         report.to_json_line()
     with pytest.raises(TypeError):
         json_line([Fraction(1), frozenset()])
+
+
+def test_repeated_and_equal_fractions_keep_their_text():
+    # One Fraction object repeated, as a scan's zero hits repeat a point,
+    # beside equal but distinct objects and unequal ones, each formatted as
+    # the recursive conversion does.
+    half, also_half, big = Fraction(1, 2), Fraction(2, 4), Fraction(-(3**5000), 7)
+    hits = tuple((n, half, big if n % 2 else also_half) for n in range(40)) + ((40, Fraction(1, 2), -big),)
+    report = ScanReport("claim", {"n_max": 40, "r": [half, also_half, Fraction(1, 3)]}, zero_hits=hits)
+    _assert_same_as_the_old_form(report, _old_scan_dict)
+    value = [half, also_half, half, [big, {"x": also_half, "y": -big}], Fraction(-1, 2)]
+    assert json_line(value) == json.dumps(_old_json_safe(value), sort_keys=True)
+    assert json.loads(json_line(value)) == ["1/2", "1/2", "1/2", [format_rational(big), {"x": "1/2", "y": format_rational(-big)}], "-1/2"]
