@@ -5,21 +5,14 @@ tolerance, and there is no floating point.  Grids are explicit lists of
 rationals (never float ranges) and scans are deterministic: identical grids
 yield identical reports.
 
-The three scans decide each sign on the gcd-free integer kernel of
-``dcore`` (D_n = n! L^n d_n(x), with A = L(1+2x) and L the common
-denominator of x and r): each scanned quantity is an integer numerator
-over a positive integer, and a verdict is the numerator's sign.  The Turán
-and product-lower-bound numerators are quadratic in D and are read off the
-kernel's block-divided squared state; positivity's is read off D.  A
-violation's value is the claim's exact quantity on ``d_eval_sequence``'s
-values, and it must be negative too, or the scan raises ArithmeticError.
-
-The Turán scan runs the kernel's linear step on integer intervals over one
-common power of two, from n = 1: they are exact until the state is first
-shortened, and rounded outward each time it is.  A sign is taken only from
-an interval that excludes 0: the interval contains the exact numerator, so
-the sign is proved.  At the first interval that holds 0 the point goes back
-to the exact kernel, so every zero hit is exact.
+Each scan writes its claim at (n, point) as an integer numerator over a
+positive integer, read off the integer kernel of ``dcore``, and a verdict
+is the numerator's sign: positivity reads D_n (``_scaled_d``), the Turán and
+product-lower-bound claims read the block-divided squared state
+(``_squared_d``), and the Turán scan takes its signs from that state's step
+run on outward-rounded integer intervals (``_turan_signs``).  A violation's
+value is the claim's exact quantity on ``d_eval_sequence``'s values, and it
+must be negative too, or the scan raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -60,6 +53,7 @@ class GridSpec:
                 yield EvalPoint(r, x)
 
     def as_dict(self) -> dict:
+        """The grid as a report records it: both axes and ``n_max``."""
         return {
             "r_values": list(self.r_values),
             "x_values": list(self.x_values),

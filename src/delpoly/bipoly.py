@@ -64,6 +64,8 @@ class BiPoly:
     __slots__ = ("_coeffs", "_den", "_packed")
 
     def __init__(self, terms: dict[Key, RationalLike] | None = None):
+        """The polynomial with {(deg_x, deg_r): coefficient} ``terms``; each
+        degree must be a natural number and each coefficient exact."""
         coeffs: dict[Key, int] = {}
         den = 1
         if terms:
@@ -92,48 +94,59 @@ class BiPoly:
 
     @classmethod
     def zero(cls) -> "BiPoly":
+        """The zero polynomial."""
         return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> "BiPoly":
+        """The constant 1."""
         return cls._raw({(0, 0): 1}, 1)
 
     @classmethod
     def const(cls, value: RationalLike) -> "BiPoly":
+        """The constant ``value``, an exact rational."""
         f = as_rational(value)
         return cls._raw({(0, 0): f.numerator}, f.denominator)
 
     @classmethod
     def x(cls) -> "BiPoly":
+        """The variable x."""
         return cls._raw({(1, 0): 1}, 1)
 
     @classmethod
     def r(cls) -> "BiPoly":
+        """The parameter r."""
         return cls._raw({(0, 1): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
+        """True for the zero polynomial."""
         return not self._coeffs
 
     @property
     def deg_x(self) -> int:
+        """The degree in x (0 for a constant)."""
         return max((k[0] for k in self._coeffs), default=0)
 
     @property
     def deg_r(self) -> int:
+        """The degree in r (0 for a constant)."""
         return max((k[1] for k in self._coeffs), default=0)
 
     @property
     def total_degree(self) -> int:
+        """The largest deg_x + deg_r of a term (0 for a constant)."""
         return max((k[0] + k[1] for k in self._coeffs), default=0)
 
     @property
     def is_affine(self) -> bool:
+        """True when the total degree is at most 1."""
         return self.total_degree <= 1
 
     def coefficient(self, deg_x: int, deg_r: int) -> Fraction:
+        """The coefficient of x^deg_x r^deg_r, 0 if there is no such term."""
         return Fraction(self._coeffs.get((deg_x, deg_r), 0), self._den)
 
     def terms(self):
@@ -215,7 +228,8 @@ class BiPoly:
     def _scale(self, p: int, q: int) -> "BiPoly":
         """self * p/q, p/q in lowest terms, q > 0: (c/h) * (p/g) over (den/g) *
         (q/h) with g = gcd(den, p) and h = gcd(q, c...), canonical as it is,
-        since den is coprime to the numerators c and q to p."""
+        since den is coprime to the numerators c and q to p.  So an int
+        scalar costs one gcd and builds no Fraction; division runs here too."""
         if not p:
             return BiPoly._exact({}, 1)
         coeffs, den = self._coeffs, self._den

@@ -253,6 +253,8 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``delpoly`` command and return its exit code.  The parser is
+    built once, at import, so in-process callers build none per command."""
     if argv is None:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(_join_negative_values(argv))

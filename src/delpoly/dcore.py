@@ -16,23 +16,12 @@ The scalar evaluator and the exact-sign scans share one gcd-free integer
 kernel.  At a point x = p/q, r = a/b, with L = lcm(q, b), the scaled values
 D_n = n! L^n d_n(x) are plain integers obeying
 
-    D_0 = 1,  D_1 = A,  D_{n+1} = A D_n + n L^2 (n+2r) D_{n-1},  A = L(1+2x),
+    D_0 = 1,  D_1 = A,  D_{n+1} = A D_n + c_n D_{n-1},
+    A = L(1+2x),  c_n = n L^2 (n+2r),
 
 so d_n is the integer D_n over the known positive scale n! L^n, and a
-``Fraction`` is built (and reduced) only where a value is read.
-
-The Turán and product-lower-bound numerators are quadratic in D, so those
-two scans carry the symmetric square of the recurrence instead of D itself:
-with c_n = n L^2 (n+2r), P_m = D_m^2, Q_n = D_n D_{n-1} and
-E_n = D_{n+1} D_{n-1},
-
-    E_n = A Q_n + c_n P_{n-1},  Q_{n+1} = A P_n + c_n Q_n,
-    P_{n+1} = A Q_{n+1} + c_n E_n,
-
-from P_0 = 1, Q_1 = A, P_1 = A^2.  Every product there has one factor of
-O(log n) bits (A or c_n), so no step multiplies two values of D's size.
-Every _BLOCK steps the state is also divided exactly by the square of the
-prime-to-L part of the block's indices (see ``_squared_d``).
+``Fraction`` is built (and reduced) only where a value is read.  The
+kernel's squared state, for numerators quadratic in D, is ``_squared_d``.
 """
 
 from __future__ import annotations
@@ -45,7 +34,7 @@ from itertools import count, islice
 from math import comb, factorial, gcd, lcm, perm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _Slots, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _reduce, _Slots, binom_row, sum_products
 from .exactnum import RationalLike, as_exact, as_rational, check_natural, reduced
 from .hyper import hyper2f1
 
@@ -217,18 +206,16 @@ def _forms_to_xr(m: list[list[int]], f: tuple[int, int], g: tuple[int, int], den
     powers = [1]  # g(x, 1)^t at x = 2^shift
     for _ in range(top):
         powers.append(powers[-1] * (gb + (ga << shift)))
-    slots, from_bytes = _Slots(width), int.from_bytes
-    coeffs: dict[tuple[int, int], int] = {}
+    slots = _Slots(width)
+    by_degree: dict[tuple[int, int], int] = {}  # (s, e): the x^e r^(s-e) coefficient
     for s in range(top + 1):
         h = 0
         for t in range(s + 1):
             h = (h * fa << shift) + h * fb + m[s - t][t] * powers[t]
-        data = slots._to_bytes(h)
-        for e, start in enumerate(range(0, len(data), width)):
-            c = from_bytes(data[start : start + width], "little", signed=True)
-            if c:
-                coeffs[(e, s - e)] = c
-    return BiPoly._raw(coeffs, den)
+        if h:
+            slots.unpack(s, h, by_degree)
+    coeffs = {(e, s - e): c for (s, e), c in by_degree.items()}
+    return BiPoly._exact(*_reduce(coeffs, den)[:2])  # unpack writes no zeros
 
 
 def _three_term() -> Iterator[BiPoly]:
@@ -360,12 +347,18 @@ def _squared_d(at: EvalPoint, L: int, A: int):
     every block factor so far, and g is what the state was divided by since
     the previous yield: 1, or f^2 right after a block.
 
-    Each step multiplies the state only by A or c_n = n L^2 (n+2r), never
-    one big value by another; the state is three plain ``int``s.  After
-    every _BLOCK steps it is divided by f^2, f = _block_factor(n, L).  d_n
-    is a sum of products of binomials with tops in x and r, so it is
-    p-integral for every prime p not dividing L: n!' divides D_n, and
-    (n!')^2 divides P_n, Q_{n+1} and P_{n+1}.
+    The symmetric square of the D recurrence, from P_0 = 1, Q_1 = A, P_1 = A^2:
+
+        E_n = A Q_n + c_n P_{n-1},  Q_{n+1} = A P_n + c_n Q_n,
+        P_{n+1} = A Q_{n+1} + c_n E_n.
+
+    Each step multiplies the state only by A or c_n, of O(log n) bits,
+    never one big value by another; the state is three plain ``int``s.
+    After every _BLOCK steps it is divided by f^2, f = _block_factor(n, L),
+    the prime-to-L part of the block's indices.  d_n is a sum of products
+    of binomials with tops in x and r, so it is p-integral for every prime
+    p not dividing L: n!' divides D_n, and (n!')^2 divides P_n, Q_{n+1}
+    and P_{n+1}.
     """
     L2, K = L * L, _twice_r(at, L)
     p_prev, q, p = 1, A, A * A

@@ -75,9 +75,11 @@ class VerifyReport:
                 raise ValueError("interpolation needs more samples than the degree bound")
 
     def as_dict(self) -> dict:
+        """The report's JSON object, read back."""
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
+        """The report as one JSON line; optional keys appear only when set."""
         out = {
             "id": self.identity_id,
             "mode": self.mode.value,
@@ -112,12 +114,15 @@ class ScanReport:
 
     @property
     def passed(self) -> bool:
+        """True when the scan found no violation; zero hits do not fail it."""
         return not self.violations
 
     def as_dict(self) -> dict:
+        """The report's JSON object, read back."""
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
+        """The report as one JSON line."""
         return json_line(
             {
                 "id": self.claim_id,

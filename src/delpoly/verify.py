@@ -7,17 +7,18 @@ Two modes prove the identity for every n up to the depth:
   into polynomial cofactors (the quotients are exact polynomials), then the
   cleared sides are compared as BiPoly.
 
-The other two are not shown to be proofs (ROADMAP item 2 makes them so):
+The other two are not shown to be proofs (ROADMAP item 2 makes them so);
+each sampled verifier's docstring says how far its grid proves:
 
 * InterpolationGrid (meixner, parametric-square) -- per n the identity is
   checked on a grid of parameter values, against a degree bound and sample
-  count written into the verifier.  The report's check that the samples
-  exceed the bound compares, for meixner, (n+1)^2 grid points with n, a
-  bound on one axis, so it would pass a grid too small to prove anything;
+  count written into the verifier;
 * PointGrid (hyper-bridge, clausen-product) -- scalar sides at fixed
-  points.  hyper-bridge's first 45 points, a triangular lattice, prove its
-  identity only for n <= 8; clausen-product's 83 (b, c, z) triples per n
-  cover its sides, of degree 2n in each of b, c and z, only for n <= 1.
+  points.
+
+Scalar sides (meixner's and these points') are built in int and
+``Fraction`` arithmetic alone, with ``math.comb`` wherever a binomial's top
+is a natural number by construction.
 
 Every identity is an instance generator yielding (label, params, lhs, rhs)
 cases, and all of them run through one compare loop.  The SymbolicPoly and
@@ -637,9 +638,11 @@ def verify_meixner(n_max: int, *, fault_index: int | None = None) -> VerifyRepor
     """Meixner connection d_n = (2r+1)_n / n! * M_n(x-r; 2r+1, -1).
 
     Both sides have degree <= n in x and in r, so exact agreement on an
-    (n+1) x (n+1) product grid proves the identity for each n.  The
-    re-parameterized form d_n(x+r) = (b)_n / n! * M_n(x; b, -1) with
-    b = 2r+1 is this identity at x+r, so it is not checked apart.
+    (n+1) x (n+1) product grid proves the identity for each n.  The report's
+    check, (n+1)^2 samples > degree bound n, reads a bound on one axis, so
+    it would pass a grid too small to prove anything.  The re-parameterized
+    form d_n(x+r) = (b)_n / n! * M_n(x; b, -1) with b = 2r+1 is this
+    identity at x+r, so it is not checked apart.
     """
     return _run_identity(
         "meixner",
@@ -688,7 +691,8 @@ def verify_hyper_bridge(
     fault_index: int | None = None,
 ) -> VerifyReport:
     """Terminating-2F1 bridge and its mirror match the scalar evaluator at
-    the 50 ``deterministic_points``; the range counts the points reached."""
+    the 50 ``deterministic_points``; the range counts the points reached.
+    Their first 45, a triangular lattice, prove the identity for n <= 8 only."""
     reached: list[EvalPoint] = []
     report = _run_identity(
         "hyper-bridge",
@@ -706,7 +710,9 @@ def verify_clausen_product(n_max: int, *, fault_index: int | None = None) -> Ver
 
     The grid keeps c positive so no denominator parameter of the 4F3 hits a
     pole before termination; the parameterization (b, c) = (r+1+x, 2r+1)
-    used by the square-formula derivation is also sampled.
+    used by the square-formula derivation is also sampled.  Its 83 (b, c, z)
+    triples per n cover the sides, of degree 2n in each of b, c and z, only
+    for n <= 1.
     """
     return _run_identity(
         "clausen-product",
@@ -789,4 +795,5 @@ def run_suite(config: SuiteConfig | None = None) -> list[VerifyReport]:
 
 
 def suite_passed(reports: Iterable[VerifyReport]) -> bool:
+    """True when every report passed."""
     return all(r.passed for r in reports)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Check that a delpoly command reproduces the committed reference outputs:
-# the verifier suite, the five route hashes, the two golden scans and the
-# golden table.  The arguments are the command to run, for example
+# the verifier suite, the five route hashes, the two golden scans, the
+# golden table, and the README's verify and scan blocks.  The arguments are
+# the command to run, for example
 #
 #     sh tests/reference_outputs.sh delpoly
 #     sh tests/reference_outputs.sh python -W error -m delpoly.cli
@@ -38,4 +39,21 @@ echo "deep scan against tests/golden/scan_deep.jsonl"
 for fmt in csv json; do
   echo "table against tests/golden/table_r7_3.$fmt"
   "$@" table --n-max 30 -r 7/3 -x -1,1/2,-5/7 --format "$fmt" | cmp - "tests/golden/table_r7_3.$fmt"
+done
+
+block=$(mktemp)
+trap 'rm -f "$block"' EXIT
+for command in verify scan; do
+  echo "$command text output against its block in README.md"
+  # The fenced block after the line <!-- delpoly COMMAND -->.
+  awk -v tag="<!-- delpoly $command -->" '
+    inside && /^```/ { exit }
+    found && /^```/ { inside = 1; next }
+    inside { print }
+    $0 == tag { found = 1 }' README.md > "$block"
+  if [ ! -s "$block" ]; then
+    echo "README.md has no <!-- delpoly $command --> block" >&2
+    exit 1
+  fi
+  "$@" "$command" | cmp - "$block"
 done
