@@ -9,10 +9,11 @@ Each scan writes its claim at (n, point) as an integer numerator over a
 positive integer, read off the integer kernel of ``dcore``, and a verdict
 is the numerator's sign: positivity reads D_n (``_scaled_d``), the Turán and
 product-lower-bound claims read the block-divided squared state
-(``_squared_d``), and the Turán scan takes its signs from that state's step
-run on outward-rounded integer intervals (``_turan_signs``).  A violation's
-value is the claim's exact quantity on ``d_eval_sequence``'s values, and it
-must be negative too, or the scan raises ArithmeticError.
+(``_squared_d``), and the Turán scan takes its signs from outward-rounded
+integer intervals of the ratio D_n / D_{n-1} (``_turan_signs``).  A
+violation's value is the claim's exact quantity on the exact values d_m,
+built only up to the m that the point's violations read, and it must be
+negative too, or the scan raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial
 
-from .dcore import EvalPoint, _divide_exactly, _scale, _scaled_d, _squared_d, _twice_r, d_eval_sequence
+from .dcore import EvalPoint, _d_values, _divide_exactly, _scale, _scaled_d, _squared_d, _twice_r, d_eval_sequence
 from .exactnum import as_rational, binom_gen, check_natural
 from .reports import ScanReport
 
@@ -108,70 +109,66 @@ def _turan_terms(at: EvalPoint, n_max: int):
         yield n, (-t if n % 2 else t)
 
 
-# The Turán scan's intervals (``_turan_signs``), timed and measured with
-# Python 3.11 on a 2-vCPU VM.  _PREC is the bits each end keeps after a
-# shift: the interval of T_n must exclude 0 although T_n is the difference
-# of two values of P_n's size.  With shifts from the first step past 224
-# bits, every _PREC from 46 up decided every n <= 2000 at every point of
-# the default conjecture grid but the two where T_n is 0 for every n, and
-# 44 did not; 160 keeps a wide margin for deeper scans.  _SLACK is how far
-# P_n grows past _PREC before the state is shifted back; a step adds about
-# 2 log2(n L) bits, so with 64 the state is shifted once in two steps at
-# n L near 2^23 and once in three near 2^16, and it stays within a few
-# machine words.
-_PREC = 160
-_SLACK = 64
+# The bits below the binary point of the Turán scan's ratio intervals
+# (``_turan_signs``).  Too few bits send a point to the exact kernel early
+# and never change a sign.  Counted with Python 3.11: on the default
+# conjecture grid, at the 134 points off x = -1/2 whose T_n are not all 0,
+# every k from 0 up decided every n <= 2000, and k = 24, 32 and 64 every
+# n <= 200,000.  At 200 random points (r in (-1/2, 5], x in [-3, 2],
+# denominators up to 1000) and 396 in steps of 1/8 (r in [-3/8, 1],
+# x in [-5/2, 3/2]), k = 0, 4, 8, 16 and 24 fell back before n = 2000 at
+# points with no exact zero, and 32, 48, 64 and 128 did not; to n = 20,000
+# k = 32 fell back once, at (r, x) = (1105/674, 81/160) near n = 18,400,
+# which k = 36 decides to n = 200,000.  k = 64 keeps that margin twice
+# over; on the default grid a step took 18% longer at k = 128.
+_RATIO_BITS = 64
 
 
 def _turan_signs(at: EvalPoint, n_max: int):
     """(n, t) for n = 1..n_max with t of the sign of ``_turan_margin``.
 
-    The step of ``_turan_terms`` runs on integer intervals [lo, hi] that
-    contain P_{n-1}, Q_n and P_n over one common power of two, from the
-    exact P_0 = 1, Q_1 = |A|, P_1 = A^2 (lo = hi).  Once P_n passes
-    _PREC + _SLACK bits, all six ends are shifted right so that P_n keeps
-    _PREC bits, lo rounded down and hi up; P_{n-1}, which was P_n a step
-    before, never passes that limit, and |Q_n| is at most the larger of
-    the two.  The step is linear and homogeneous, so the common scale keeps
-    every sign, and t is +1 or -1 while the interval of (n+1) P_n - n E_n
-    lies above or below 0: a sign given there is proved.  At the first n
-    whose interval holds 0 (an exact zero gives lo = hi = 0), the rest
-    comes from ``_turan_terms``, which is also used throughout for
-    r <= -1/2, where c_n can be <= 0.
+    For A > 0 every D_n is positive (c_n > 0 for r > -1/2), and with
+    rho_n = D_n / D_{n-1}, rho_1 = A and rho_{n+1} = A + c_n / rho_n,
+    (n+1) D_n^2 - n D_{n+1} D_{n-1} = D_n D_{n-1} ((n+1) rho_n - n rho_{n+1}).
+    So rho_n is held as an integer interval [lo, hi] that contains
+    2^k rho_n (k = _RATIO_BITS), exact at n = 1; as rho -> A + c_n / rho
+    is decreasing, lo' = 2^k A + floor(2^2k c_n / hi) and
+    hi' = 2^k A + ceil(2^2k c_n / lo) contain 2^k rho_{n+1}.  t is (-1)^n
+    when (n+1) lo > n hi', and -(-1)^n when (n+1) hi < n lo': a sign given
+    there is proved.  At the first n that neither test decides (an exact
+    zero fails both), the rest comes from ``_turan_terms``, which is also
+    used throughout for r <= -1/2, where c_n can be <= 0.
 
-    Only A and c_n multiply an interval.  For A < 0 the step runs at the
-    mirror point -1-x, which has -A, the same P and E, and Q negated, so
-    both scalars are >= 0 and each end maps to the same end.
+    For A < 0 the ratio runs at the mirror point -1-x, which has -A and
+    D_n times (-1)^n, so the same P_n and E_n.  For A = 0 (x = -1/2),
+    D_{n+1} = c_n D_{n-1} from D_1 = 0 makes D_n 0 at every odd n and
+    positive at every even n; so t = (n+1) P_n > 0 at even n and
+    t = n E_n > 0 at odd n, and t is +1 for every n.
     """
     if at.r <= _MINUS_HALF:
         yield from _turan_terms(at, n_max)
         return
     L, A = _scale(at)
-    a, L2, K = abs(A), L * L, _twice_r(at, L)
-    limit = _PREC + _SLACK
-    pp_lo = pp_hi = 1
-    q_lo = q_hi = a
-    p_lo = p_hi = a * a
+    if not A:
+        yield from ((n, 1) for n in range(1, n_max + 1))
+        return
+    shift = 2 * _RATIO_BITS
+    base = abs(A) << _RATIO_BITS
+    L2, K = L * L << shift, _twice_r(at, L) << shift
+    lo = hi = base
     parity = 1  # (-1)^n
     for n in range(1, n_max + 1):
         parity = -parity
-        top = p_hi.bit_length()
-        if top > limit:
-            s = top - _PREC
-            pp_lo, q_lo, p_lo, pp_hi, q_hi, p_hi = (
-                pp_lo >> s, q_lo >> s, p_lo >> s, -(-pp_hi >> s), -(-q_hi >> s), -(-p_hi >> s)
-            )
         c = n * (L2 * n + K)
-        e_lo, e_hi = a * q_lo + c * pp_lo, a * q_hi + c * pp_hi
-        if (n + 1) * p_lo > n * e_hi:
+        lo_next, hi_next = base + c // hi, base - (-c // lo)
+        if lo > n * (hi_next - lo):
             yield n, parity
-        elif (n + 1) * p_hi < n * e_lo:
+        elif hi < n * (lo_next - hi):
             yield n, -parity
         else:
             yield from islice(_turan_terms(at, n_max), n - 1, None)
             return
-        q_lo, q_hi = a * p_lo + c * q_lo, a * p_hi + c * q_hi
-        pp_lo, pp_hi, p_lo, p_hi = p_lo, p_hi, a * q_lo + c * e_lo, a * q_hi + c * e_hi
+        lo, hi = lo_next, hi_next
 
 
 def _turan_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
@@ -238,10 +235,11 @@ def _lower_bound_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
 def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin) -> ScanReport:
     """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
     does not exclude; a negative t is a violation, and a zero one a zero
-    hit.  A violation's value is ``margin(d, n, point)`` on the values d of
-    ``d_eval_sequence``, which must be negative too, or the scan raises
-    ArithmeticError.  A scan that checks no (n, point) pair is a
-    ValueError, not a vacuous pass."""
+    hit.  A violation's value is ``margin(d, n, point)`` on the values
+    d = d_0 .. d_{n+1}, built only as far as the point's violations so far
+    need; it must be negative too, or the scan raises ArithmeticError.  A
+    scan that checks no (n, point) pair is a ValueError, not a vacuous
+    pass."""
     violations = []
     zero_hits = []
     skipped = []
@@ -251,11 +249,10 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin) -> ScanRepo
         if reason is not None:
             skipped.append({"r": point.r, "x": point.x, "reason": reason})
             continue
-        d = None
+        d, values = [], _d_values(point)
         for checked, (n, t) in enumerate(terms(point, grid.n_max), checked + 1):
             if t < 0:
-                if d is None:
-                    d = d_eval_sequence(grid.n_max + 1, point)
+                d.extend(islice(values, n + 2 - len(d)))
                 value = margin(d, n, point)
                 if value >= 0:
                     raise ArithmeticError(

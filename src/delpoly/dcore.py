@@ -278,13 +278,16 @@ def d_eval(n: int, at: EvalPoint) -> Fraction:
 def d_eval_sequence(n_max: int, at: EvalPoint) -> list[Fraction]:
     """Exact scalar values d_0 .. d_n_max at one point, each D_n / (n! L^n)."""
     check_natural(n_max, "n_max")
+    return list(islice(_d_values(at), n_max + 1))
+
+
+def _d_values(at: EvalPoint):
+    """Yield d_0, d_1, d_2, ... at ``at``, forever, each D_n / (n! L^n)."""
     L, A = _scale(at)
-    out = []
     scale = 1
-    for n, D in zip(range(n_max + 1), _scaled_d(at, L, A)):
-        out.append(Fraction(D, scale))
+    for n, D in enumerate(_scaled_d(at, L, A)):
+        yield Fraction(D, scale)
         scale *= (n + 1) * L
-    return out
 
 
 def _scale(at: EvalPoint) -> tuple[int, int]:

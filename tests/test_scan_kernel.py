@@ -20,6 +20,7 @@ from delpoly.analysis import (
     _positivity_terms,
     _scan,
     _turan_margin,
+    _turan_signs,
     _turan_terms,
     check_positivity,
     check_product_lower_bound,
@@ -269,14 +270,14 @@ def test_a_block_divisor_that_does_not_divide_raises(monkeypatch, patch, turan_r
     "claim_id, terms, margin, wrong",
     [
         # (-1)^n d_n changes sign with d; the quadratic Turán value is 0 at d = 0.
-        ("positivity", _positivity_terms, _positivity_margin, lambda d: [-v for v in d]),
-        ("turan-conjecture", _turan_terms, _turan_margin, lambda d: [Fraction(0)] * len(d)),
+        ("positivity", _positivity_terms, _positivity_margin, lambda d: (-v for v in d)),
+        ("turan-conjecture", _turan_terms, _turan_margin, lambda d: (Fraction(0) for _ in d)),
     ],
     ids=["positive", "zero"],
 )
 def test_a_violation_whose_value_is_not_negative_raises(monkeypatch, claim_id, terms, margin, wrong):
-    d_eval_sequence = analysis.d_eval_sequence
-    monkeypatch.setattr(analysis, "d_eval_sequence", lambda n_max, at: wrong(d_eval_sequence(n_max, at)))
+    d_values = analysis._d_values
+    monkeypatch.setattr(analysis, "_d_values", lambda at: wrong(d_values(at)))
     grid = GridSpec((Fraction(-5, 2),), (Fraction(-2),), 6)
     with pytest.raises(ArithmeticError, match=rf"^{claim_id}: .* n=\d+, r=-5/2, x=-2 "):
         _scan(claim_id, grid, lambda point: None, terms, margin)
@@ -419,3 +420,30 @@ def test_violations_past_block_boundaries_match_fraction_reference():
     # divided twice, and reported over the reduced scales.
     reports = _unrestricted_reports(150)
     assert max(n for n, *_ in reports["turan-conjecture"].violations) > 2 * _BLOCK
+
+
+def test_violation_values_extend_d_only_to_the_last_violation(monkeypatch):
+    # At (-3/8, -39/64) T_n is negative at n = 2 alone, so the values stop
+    # at d_3 however deep the scan; at (4, 16/25) they stop at d_{n+1} for
+    # the last odd n <= 400.  Every value is still the reference's.
+    drawn = {}
+
+    def spy(at):
+        for n, value in enumerate(d_values(at)):
+            drawn[at] = n
+            yield value
+
+    def violations(at, n_max):
+        grid = GridSpec((at.r,), (at.x,), n_max)
+        return _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin).violations
+
+    d_values = analysis._d_values
+    monkeypatch.setattr(analysis, "_d_values", spy)
+    at = EvalPoint(Fraction(-3, 8), Fraction(-39, 64))
+    assert [n for n, *_ in violations(at, 3000)] == [2] and drawn[at] == 3
+    at = EvalPoint(4, Fraction(16, 25))
+    found = violations(at, 400)
+    last = found[-1][0]
+    assert found[0][0] == 149 and drawn[at] == last + 1
+    seq = d_eval_sequence(last + 1, at)
+    assert [value for *_, value in found] == [_turan_margin(seq, n, at) for n, *_ in found]

@@ -1,13 +1,15 @@
 """Tests of the Turán scan's interval kernel, ``analysis._turan_signs``.
 
-From n = 1 the kernel gives each sign from an integer interval, exact until
-it is first shortened and rounded outward from there, and hands the rest
-of a point to the exact kernel ``_turan_terms`` at the first interval that
-holds 0.  Its signs are compared here with the exact kernel's, deep and on
-whole grids, with the intervals forced to fall back often, and with its
-outward rounding, its sign flip or its sign test broken on purpose.  Only
-the two points where T_n is 0 for every n fall back on the default grid,
-and each runs the exact kernel once.
+From n = 1 the kernel holds the ratio rho_n = D_n / D_{n-1} in an integer
+interval, exact at n = 1 and rounded outward from there, reads each sign
+off the interval's ends, and hands the rest of a point to the exact kernel
+``_turan_terms`` at the first n that it cannot decide; at x = -1/2 (A = 0)
+it yields +1 for every n without either.  Its signs are compared here with
+the exact kernel's, deep and on whole grids, with the intervals forced to
+fall back often, and with its outward rounding, its sign flip, its sign
+test, its A = 0 sign or its c_n broken on purpose.  Only the two points
+where T_n is 0 for every n fall back on the default grid, and each runs
+the exact kernel once.
 """
 
 import inspect
@@ -104,11 +106,14 @@ def test_points_with_r_at_most_minus_half_stay_exact(at):
     assert list(_turan_signs(at, 300)) == list(_turan_terms(at, 300))
 
 
-def test_x_minus_half_where_A_is_zero():
+def test_x_minus_half_where_A_is_zero(monkeypatch):
     # A = 0: D_n vanishes at every odd n, so P_n and T_n do at every other n.
-    at = EvalPoint(Fraction(3, 4), Fraction(-1, 2))
-    _assert_signs_agree([at], 600)
-    assert _interval_decided(at, 600)
+    points = [EvalPoint(r, Fraction(-1, 2)) for r in (0, Fraction(3, 4), Fraction(37, 61), 4)]
+    _assert_signs_agree(points, 600)
+    assert all(_interval_decided(at, 600) for at in points)
+    # The kernel never runs the exact one there.
+    monkeypatch.setattr(analysis, "_turan_terms", None)
+    assert all(list(_turan_signs(at, 600)) == [(n, 1) for n in range(1, 601)] for at in points)
 
 
 def _line(grid: GridSpec, skip, terms=_turan_terms) -> str:
@@ -120,9 +125,16 @@ def test_small_precision_falls_back_to_identical_reports(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    # A few bits: intervals decide some steps and then hold 0, so most
-    # points fall back to the exact kernel part way.
-    monkeypatch.setattr(analysis, "_PREC", 6)
+    # No bits below the binary point: intervals decide some steps and then
+    # cannot, so many points fall back to the exact kernel part way.
+    monkeypatch.setattr(analysis, "_RATIO_BITS", 0)
+    fell_back = []
+
+    def spy(at, n_max):
+        fell_back.append(at)
+        return _turan_terms(at, n_max)
+
+    monkeypatch.setattr(analysis, "_turan_terms", spy)
 
     def values(low, high):
         return st.lists(st.fractions(min_value=low, max_value=high, max_denominator=24), min_size=1, max_size=3, unique=True)
@@ -142,6 +154,7 @@ def test_small_precision_falls_back_to_identical_reports(monkeypatch):
         assert _line(grid, no_skip, _turan_signs) == _line(grid, no_skip)
 
     check()
+    assert any(at.r > Fraction(-1, 2) and at.x != Fraction(-1, 2) for at in fell_back)
 
 
 def test_violations_from_interval_signs_carry_exact_values():
@@ -165,17 +178,20 @@ def _mutant(old: str, new: str):
 
 
 MUTANTS = {
-    "inward-rounding": ("-(-pp_hi >> s), -(-q_hi >> s), -(-p_hi >> s)", "pp_hi >> s, q_hi >> s, p_hi >> s"),
+    "inward-rounding": ("base - (-c // lo)", "base + c // lo"),
     "no-sign-flip": ("parity = -parity", "parity = 1"),
-    "wrong-ends": ("(n + 1) * p_lo > n * e_hi", "(n + 1) * p_lo > n * e_lo"),
+    "wrong-ends": ("lo > n * (hi_next - lo)", "hi > n * (lo_next - hi)"),
+    "A-zero-sign-negated": ("((n, 1) for n in", "((n, -1) for n in"),
+    "c-at-n-plus-1": ("c = n * (L2 * n + K)", "c = (n + 1) * (L2 * (n + 1) + K)"),
 }
-
 
 @pytest.mark.parametrize("old, new", MUTANTS.values(), ids=MUTANTS.keys())
 def test_a_broken_interval_kernel_disagrees_with_the_exact_one(monkeypatch, old, new):
-    monkeypatch.setattr(analysis, "_PREC", 8)
-    # At this precision the sound kernel still decides some n on intervals.
-    _assert_signs_agree(POINTS, 400)
+    monkeypatch.setattr(analysis, "_RATIO_BITS", 8)
+    # At this precision the sound kernel still decides some n on intervals;
+    # the A = 0 point at x = -1/2 needs no interval.
+    points = POINTS + [EvalPoint(Fraction(3, 4), Fraction(-1, 2))]
+    _assert_signs_agree(points, 400)
     assert all(_interval_decided(at, 400) for at in POINTS)
     broken = _mutant(old, new)
-    assert any(_signs(broken, at, 400) != _signs(_turan_terms, at, 400) for at in POINTS)
+    assert any(_signs(broken, at, 400) != _signs(_turan_terms, at, 400) for at in points)
