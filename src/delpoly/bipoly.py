@@ -543,6 +543,28 @@ def _factor(p: BiPoly):
     return p, p._den, None, max(sizes), sum(sizes), coeffs if len(coeffs) <= 3 else None
 
 
+def _parity_parts(p: BiPoly, parity: int) -> tuple[BiPoly, BiPoly]:
+    """(S, O): the terms of ``p`` whose degree in x is = ``parity`` (mod 2),
+    and the rest, so S + O = p and S - O = (-1)^parity p(-x).
+
+    An undecoded ``p`` is read from one snapshot of its packed form, as
+    ``_factor`` reads it, and is not decoded: each part is undecoded, its
+    rows those of ``p`` at ``p``'s width over ``p``'s denominator, with
+    ``p``'s bounds, which bound any subset of its terms.  A decoded ``p``
+    has its coefficient dict split.
+    """
+    packed = p._packed
+    if packed is not None and packed[3] is not None:
+        width, rows, den, bounds = packed
+        same = {x: row for x, row in rows.items() if (x ^ parity) & 1 == 0}
+        rest = {x: row for x, row in rows.items() if (x ^ parity) & 1}
+        return _Lazy((width, same, den, bounds)), _Lazy((width, rest, den, bounds))
+    coeffs, den = p._coeffs, p._den
+    same = {k: c for k, c in coeffs.items() if (k[0] ^ parity) & 1 == 0}
+    rest = {k: c for k, c in coeffs.items() if (k[0] ^ parity) & 1}
+    return BiPoly._raw(same, den), BiPoly._raw(rest, den)
+
+
 class _Slots:
     """Signed integers in ``width``-byte slots of one int, slot j at bit 8*width*j.
 

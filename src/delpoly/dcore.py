@@ -6,7 +6,10 @@ three-term recurrence, a two-term recurrence coupling d_n(x) with d_n(-x),
 and coefficient extraction from the generating function
 G = (1+t)^(x-r) / (1-t)^(x+r+1) through the recurrence its logarithmic
 derivative gives (G' = G * (log G)').  Cross-route equality of the
-resulting exact polynomials is the package's strongest self-check.
+resulting exact polynomials is the package's strongest self-check.  The
+two-term route steps on the x-parity parts of d_n: with S the terms of d_n
+whose degree in x has the parity of n and O the rest, (-1)^n d_n(-x) is
+S - O, so no mirror d_n(-x) is built.
 
 Also provided: a fast scalar evaluator, the classical Delannoy number DP
 (the r=0, integer-x specialization), and exact Jacobi/Meixner evaluators
@@ -34,7 +37,7 @@ from itertools import count, islice
 from math import comb, factorial, gcd, lcm, perm
 from typing import Iterator
 
-from .bipoly import R, X, BiPoly, _affine, _Lazy, _product_rows, _reduce, _Slots, binom_row, sum_products
+from .bipoly import R, X, BiPoly, _affine, _Lazy, _parity_parts, _product_rows, _reduce, _Slots, binom_row, sum_products
 from .exactnum import RationalLike, as_exact, as_rational, check_natural, reduced
 from .hyper import hyper2f1
 
@@ -94,7 +97,9 @@ def d_threeterm(n_max: int) -> DSequence:
 
 def d_twoterm(n_max: int) -> DSequence:
     """Sequence from the two-term recurrence
-    (n+1) d_{n+1}(x) = (x+r+n+1) d_n(x) + (-1)^n (x-r) d_n(-x)."""
+    (n+1) d_{n+1}(x) = (x+r+n+1) d_n(x) + (-1)^n (x-r) d_n(-x), run as
+    (n+1) d_{n+1} = (n+1) d_n + 2x S_n + 2r O_n, where S_n holds the terms
+    of d_n whose degree in x has the parity of n and O_n the others."""
     return DSequence(Route.TWO_TERM, tuple(_cached_prefix(Route.TWO_TERM, n_max)[: n_max + 1]))
 
 
@@ -228,16 +233,24 @@ def _three_term() -> Iterator[BiPoly]:
 
 
 def _two_term() -> Iterator[BiPoly]:
-    # d_n(x) and its mirror d_n(-x) advance together: d_{m+1} is the
-    # packed rows of the step that built it, and its mirror is the
-    # one-pass sign flip of its odd-in-x rows, so neither is decoded, and
-    # neither is re-slotted until the slot width grows.
-    plain = mirror = BiPoly.one()
+    d = BiPoly.one()
     for n in count(1):
-        yield plain
-        sign = 1 if n % 2 else -1
-        plain = sum_products((((X + R + n) / n, plain), (sign * (X - R) / n, mirror)))
-        mirror = plain.subst_neg_x()
+        yield d
+        d = _two_term_step(d, n)
+
+
+def _two_term_step(p: BiPoly, n: int) -> BiPoly:
+    """d_n from p = d_{n-1}, undecoded, by the two-term recurrence.
+
+    With p = S + O, S its terms of degree in x = n-1 (mod 2) and O the
+    others, (-1)^(n-1) p(-x) = S - O, so the step
+    n d_n = (x+r+n) p + (-1)^(n-1) (x-r) p(-x) is n p + 2x S + 2r O: the
+    products that the mirror form cancels are never made.  S and O are
+    views of p's packed rows (``_parity_parts``), so no d_n is decoded or
+    mirrored.
+    """
+    same, rest = _parity_parts(p, n - 1)
+    return sum_products(((BiPoly.one(), p), (2 * X / n, same), (2 * R / n, rest)))
 
 
 def _series() -> Iterator[BiPoly]:
@@ -271,6 +284,7 @@ def d_eval(n: int, at: EvalPoint) -> Fraction:
     built.
     """
     check_natural(n, "n")
+    _check_point(at)
     L, A = _scale(at)
     return Fraction(next(islice(_scaled_d(at, L, A), n, None)), factorial(n) * L**n)
 
@@ -278,7 +292,14 @@ def d_eval(n: int, at: EvalPoint) -> Fraction:
 def d_eval_sequence(n_max: int, at: EvalPoint) -> list[Fraction]:
     """Exact scalar values d_0 .. d_n_max at one point, each D_n / (n! L^n)."""
     check_natural(n_max, "n_max")
+    _check_point(at)
     return list(islice(_d_values(at), n_max + 1))
+
+
+def _check_point(at) -> None:
+    """A ValueError unless ``at`` is an ``EvalPoint``."""
+    if not isinstance(at, EvalPoint):
+        raise ValueError(f"the point must be an EvalPoint(r, x), got {type(at).__name__} {at!r}")
 
 
 def _d_values(at: EvalPoint):

@@ -162,6 +162,12 @@ def test_turan_value_rejects_non_natural_n(bad):
         turan_value(bad, EvalPoint(0, 0))
 
 
+def test_turan_value_rejects_a_point_that_is_not_an_evalpoint():
+    # turan_value(2, (1, 2)) used to raise a bare AttributeError on tuple.x
+    with pytest.raises(ValueError, match="EvalPoint"):
+        turan_value(2, (1, 2))
+
+
 def test_turan_value_against_direct_formula():
     for n, r, x in [(3, Fraction(1, 3), Fraction(-1, 4)), (5, Fraction(2), Fraction(-7, 8))]:
         seq = d_eval_sequence(n + 1, EvalPoint(r, x))

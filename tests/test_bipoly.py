@@ -9,8 +9,8 @@ from math import comb, gcd
 
 import pytest
 
-from delpoly.bipoly import BiPoly, _Slots, binom_poly, sum_products
-from delpoly.dcore import Route, clear_caches, d_sequence
+from delpoly.bipoly import BiPoly, _parity_parts, _Slots, binom_poly, sum_products
+from delpoly.dcore import Route, _two_term_step, clear_caches, d_sequence
 from oracles import is_decoded
 
 X = BiPoly.x()
@@ -560,9 +560,9 @@ def test_slot_count_is_read_off_the_bit_length(width):
 def test_chained_recurrence_steps_match_plain_ring_ops():
     # 40 three-term and 40 two-term steps, each result fed back as an
     # operand, so later calls reuse the rows earlier calls left on their
-    # results (or on the mirror of one) while the slot width grows by whole
-    # words.  The reference is the same chain on __mul__ and __add__, with
-    # the mirror from the generic substitution kernel.
+    # results (or on the parity parts of one) while the slot width grows by
+    # whole words.  The reference is the literal recurrence on __mul__ and
+    # __add__, with the mirror from the generic substitution kernel.
     prev, cur = BiPoly.one(), 1 + 2 * X
     want_prev, want_cur = prev, cur
     for m in range(1, 41):
@@ -573,16 +573,60 @@ def test_chained_recurrence_steps_match_plain_ring_ops():
         assert rows_decode_to_coefficients(cur)
     assert cur._packed[0] >= 24  # three words or more by d_41
 
-    plain = mirror = want = BiPoly.one()
+    d = want = BiPoly.one()
     for n in range(1, 41):
         sign = 1 if n % 2 else -1
-        plain = sum_products((((X + R + n) / n, plain), (sign * (X - R) / n, mirror)))
-        mirror = plain.subst_neg_x()
+        d = _two_term_step(d, n)
         want = (X + R + n) / n * want + sign * (X - R) / n * want.subst_affine_x(0, negate=True)
-        assert plain == want, n
-        assert mirror == want.subst_affine_x(0, negate=True), n
-        assert rows_decode_to_coefficients(plain) and rows_decode_to_coefficients(mirror)
-    assert plain == prev  # both are d_40
+        assert d == want, n
+        assert rows_decode_to_coefficients(d)
+    assert d == prev  # both are d_40
+    # The parity step with S and O swapped is caught at once: from d_0 = 1
+    # (S = 1, O = 0) it gives 1 + 2r, not d_1 = 1 + 2x.
+    one = BiPoly.one()
+    same, rest = _parity_parts(one, 0)
+    assert sum_products(((one, one), (2 * X, rest), (2 * R, same))) == 1 + 2 * R != _two_term_step(one, 1)
+
+
+def test_parity_step_matches_the_mirror_form():
+    # The parts S (degree in x = parity mod 2) and O of decoded, undecoded,
+    # zero, constant and rational operands add back to the operand, and an
+    # undecoded operand stays undecoded; the two-term step on them equals
+    # (x+r+n) P + (-1)^(n-1) (x-r) P(-x), over n, on plain ring ops.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.one_of(
+        st.integers(min_value=-(2**130), max_value=2**130),
+        st.fractions(max_denominator=10**5),
+    )
+    decoded = st.one_of(
+        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 5)), coefficient, max_size=12).map(BiPoly),
+        st.builds(BiPoly.const, coefficient),
+        st.just(BiPoly.zero()),
+    )
+    undecoded = st.tuples(decoded, decoded).map(lambda pair: sum_products([pair]))
+    operand = st.one_of(decoded, undecoded)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(p=operand, parity=st.integers(0, 3))
+    @hypothesis.example(p=sum_products([(X + R - 3, (X - R) ** 3)]), parity=1)
+    @hypothesis.example(p=sum_products([(X, X)]), parity=1)  # O is every row, S none
+    def check(p, parity):
+        was_decoded = is_decoded(p)
+        same, rest = _parity_parts(p, parity)
+        for part, kept in ((same, 0), (rest, 1)):
+            if not was_decoded:
+                assert not is_decoded(part)
+                packed_value(part)  # asserts that the parent's bounds hold the part
+            assert all((key[0] - parity) % 2 == kept for key, _ in part.terms())
+        steps = {n: _two_term_step(p, n) for n in range(1, 5)}
+        assert is_decoded(p) == was_decoded
+        assert same + rest == p
+        mirror = p.subst_affine_x(0, negate=True)
+        for n, got in steps.items():
+            assert got * n == (X + R + n) * p + (-1) ** (n - 1) * (X - R) * mirror, n
+
+    check()
 
 
 def test_sum_products_over_a_shared_operand_pool():

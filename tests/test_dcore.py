@@ -101,6 +101,17 @@ def test_recurrence_routes_agree_where_the_slot_width_crosses_words():
     clear_caches()
 
 
+def test_two_term_slot_width_stays_within_the_mirror_steps():
+    # The parity step n d_n = n d_{n-1} + 2x S + 2r O carries the bound
+    # (n+4) b_inf, as the mirror step did, so d_n's slots are no wider than
+    # the mirror step's 48 bytes at n = 72 and 88 at n = 120.  Each width is
+    # read before the next step re-slots d_n's rows.
+    clear_caches()
+    for n, width in ((72, 48), (120, 88)):
+        assert d_sequence(Route.TWO_TERM, n).polys[n]._packed[0] <= width, n
+    clear_caches()
+
+
 def test_series_route_is_the_truncated_product():
     """Every route's d_n is the t^n coefficient of (1+t)^(x-r) (1-t)^(-(x+r+1)),
     expanded by sympy, for n <= 7."""
@@ -171,6 +182,23 @@ def test_d_eval_examples():
     # at x = -1/2 every odd-index value vanishes identically in r
     for r in (Fraction(7, 3), Fraction(-2, 5), Fraction(4)):
         assert d_eval(3, EvalPoint(r, Fraction(-1, 2))) == 0
+
+
+@pytest.mark.parametrize("bad", [(1, 2), None, Fraction(1, 2), "1,2"], ids=["tuple", "none", "fraction", "str"])
+def test_scalar_evaluators_reject_a_point_that_is_not_an_evalpoint(bad):
+    # d_eval(3, (1, 2)) used to raise a bare AttributeError on tuple.x
+    for call in (lambda: d_eval(3, bad), lambda: d_eval_sequence(3, bad), lambda: d_eval_sequence(0, bad)):
+        with pytest.raises(ValueError, match="EvalPoint"):
+            call()
+
+
+def test_the_point_is_checked_once_per_call(monkeypatch):
+    checked = []
+    monkeypatch.setattr(dcore, "_check_point", checked.append)
+    at = EvalPoint(Fraction(1, 3), Fraction(-2, 5))
+    d_eval(40, at)
+    d_eval_sequence(40, at)
+    assert checked == [at, at]
 
 
 def test_d_eval_matches_symbolic():
