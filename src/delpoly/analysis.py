@@ -25,7 +25,7 @@ from math import factorial
 
 from .dcore import EvalPoint, _d_values, _divide_exactly, _scale, _scaled_d, _squared_d, _twice_r, d_eval_sequence
 from .exactnum import as_rational, binom_gen, check_natural
-from .reports import ScanReport
+from .reports import ScanReport, ZeroHits
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ _RATIO_BITS = 64
 
 
 def _turan_signs(at: EvalPoint, n_max: int):
-    """(n, t) for n = 1..n_max with t of the sign of ``_turan_margin``.
+    """(n, t) for the n = 1..n_max where ``_turan_margin`` is not positive,
+    t of its sign; a positive one is omitted, as ``_scan`` allows.
 
     For A > 0 every D_n is positive (c_n > 0 for r > -1/2), and with
     rho_n = D_n / D_{n-1}, rho_1 = A and rho_{n+1} = A + c_n / rho_n,
@@ -135,40 +136,49 @@ def _turan_signs(at: EvalPoint, n_max: int):
     is decreasing, lo' = 2^k A + floor(2^2k c_n / hi) and
     hi' = 2^k A + ceil(2^2k c_n / lo) contain 2^k rho_{n+1}.  t is (-1)^n
     when (n+1) lo > n hi', and -(-1)^n when (n+1) hi < n lo': a sign given
-    there is proved.  At the first n that neither test decides (an exact
-    zero fails both), the rest comes from ``_turan_terms``, which is also
-    used throughout for r <= -1/2, where c_n can be <= 0.
+    there is proved.  When neither test decides and lo = hi and lo' = hi',
+    both intervals are points, so they are 2^k rho_n and 2^k rho_{n+1}
+    themselves; the tests then compared (n+1) rho_n with n rho_{n+1}
+    exactly, and as neither is larger they are equal: T_n = 0.  At
+    (r, x) = (0, 0) and (0, -1), rho_n = n for every n, so neither point
+    leaves the intervals.  At the first n that no test decides, the rest
+    comes from ``_turan_terms``, which is also used throughout for
+    r <= -1/2, where c_n can be <= 0.
 
     For A < 0 the ratio runs at the mirror point -1-x, which has -A and
     D_n times (-1)^n, so the same P_n and E_n.  For A = 0 (x = -1/2),
     D_{n+1} = c_n D_{n-1} from D_1 = 0 makes D_n 0 at every odd n and
     positive at every even n; so t = (n+1) P_n > 0 at even n and
-    t = n E_n > 0 at odd n, and t is +1 for every n.
+    t = n E_n > 0 at odd n, and nothing is yielded.
     """
-    if at.r <= _MINUS_HALF:
-        yield from _turan_terms(at, n_max)
-        return
-    L, A = _scale(at)
-    if not A:
-        yield from ((n, 1) for n in range(1, n_max + 1))
-        return
-    shift = 2 * _RATIO_BITS
-    base = abs(A) << _RATIO_BITS
-    L2, K = L * L << shift, _twice_r(at, L) << shift
-    lo = hi = base
-    parity = 1  # (-1)^n
-    for n in range(1, n_max + 1):
-        parity = -parity
-        c = n * (L2 * n + K)
-        lo_next, hi_next = base + c // hi, base - (-c // lo)
-        if lo > n * (hi_next - lo):
-            yield n, parity
-        elif hi < n * (lo_next - hi):
-            yield n, -parity
-        else:
-            yield from islice(_turan_terms(at, n_max), n - 1, None)
+    n = 1  # where the exact kernel takes over
+    if at.r > _MINUS_HALF:
+        L, A = _scale(at)
+        if not A:
             return
-        lo, hi = lo_next, hi_next
+        shift = 2 * _RATIO_BITS
+        base = abs(A) << _RATIO_BITS
+        L2, K = L * L << shift, _twice_r(at, L) << shift
+        lo = hi = base
+        parity = 1  # (-1)^n
+        for n in range(1, n_max + 1):
+            parity = -parity
+            c = n * (L2 * n + K)
+            lo_next, hi_next = base + c // hi, base - (-c // lo)
+            if lo > n * (hi_next - lo):
+                t = parity
+            elif hi < n * (lo_next - hi):
+                t = -parity
+            elif lo == hi and lo_next == hi_next:
+                t = 0
+            else:
+                break
+            if t <= 0:
+                yield n, t
+            lo, hi = lo_next, hi_next
+        else:
+            return
+    yield from ((m, t) for m, t in islice(_turan_terms(at, n_max), n - 1, None) if t <= 0)
 
 
 def _turan_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
@@ -232,25 +242,30 @@ def _lower_bound_margin(d: list[Fraction], n: int, at: EvalPoint) -> Fraction:
     return d[n] * d[n - 1] / (1 + 2 * at.x) - (binom_gen(2 * at.r + n - 1, n - 1) + d[n - 1] ** 2) / n
 
 
-def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin) -> ScanReport:
+def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin, first_n) -> ScanReport:
     """Run ``terms(point, n_max)`` at every grid point that ``skip_reason``
-    does not exclude; a negative t is a violation, and a zero one a zero
-    hit.  A violation's value is ``margin(d, n, point)`` on the values
-    d = d_0 .. d_{n+1}, built only as far as the point's violations so far
-    need; it must be negative too, or the scan raises ArithmeticError.  A
-    scan that checks no (n, point) pair is a ValueError, not a vacuous
-    pass."""
+    does not exclude; a negative t is a violation, a zero one a zero hit,
+    and a positive one checks out, so a kernel may omit it.  Consecutive
+    zero hits at a point are held as one run.  A violation's value is
+    ``margin(d, n, point)`` on the values d = d_0 .. d_{n+1}, built only as
+    far as the point's violations so far need; it must be negative too, or
+    the scan raises ArithmeticError.  The claim covers n = first_n(point)
+    .. n_max at a point, and a scan that checks no (n, point) pair is a
+    ValueError, not a vacuous pass."""
+    if not isinstance(grid, GridSpec):
+        raise ValueError(f"{claim_id}: the grid must be a GridSpec, got {type(grid).__name__} {grid!r}")
     violations = []
-    zero_hits = []
+    runs = []
     skipped = []
-    checked = 0
+    checked = False
     for point in grid.points():
         reason = skip_reason(point)
         if reason is not None:
             skipped.append({"r": point.r, "x": point.x, "reason": reason})
             continue
-        d, values = [], _d_values(point)
-        for checked, (n, t) in enumerate(terms(point, grid.n_max), checked + 1):
+        checked = checked or first_n(point) <= grid.n_max
+        d, values, run = [], _d_values(point), None
+        for n, t in terms(point, grid.n_max):
             if t < 0:
                 d.extend(islice(values, n + 2 - len(d)))
                 value = margin(d, n, point)
@@ -261,14 +276,18 @@ def _scan(claim_id: str, grid: GridSpec, skip_reason, terms, margin) -> ScanRepo
                     )
                 violations.append((n, point.r, point.x, value))
             elif t == 0:
-                zero_hits.append((n, point.r, point.x))
+                if run and run[1] == n - 1:
+                    run[1] = n
+                else:
+                    run = [n, n, (point.r, point.x)]
+                    runs.append(run)
     if not checked:
         raise ValueError(f"{claim_id}: no (n, point) pair checked at n_max={grid.n_max}")
     return ScanReport(
         claim_id=claim_id,
         grid=grid.as_dict(),
         violations=tuple(violations),
-        zero_hits=tuple(zero_hits),
+        zero_hits=ZeroHits(map(tuple, runs)),
         skipped=tuple(skipped),
     )
 
@@ -299,9 +318,8 @@ def check_product_lower_bound(grid: GridSpec) -> ScanReport:
     (both sides are ((1+2x)^2 + 2r + 1) / 2), so every checked point has a
     zero hit at n = 2.
     """
-    return _scan(
-        "product-lower-bound", grid, _off_half_skip("requires x != -1/2"), _lower_bound_terms, _lower_bound_margin
-    )
+    skip = _off_half_skip("requires x != -1/2")
+    return _scan("product-lower-bound", grid, skip, _lower_bound_terms, _lower_bound_margin, lambda point: 2)
 
 
 def check_positivity(grid: GridSpec) -> ScanReport:
@@ -311,7 +329,10 @@ def check_positivity(grid: GridSpec) -> ScanReport:
     d_n > (2x+1)^n / n! > 0.  Strict-inequality boundary hits are recorded
     separately from violations.
     """
-    return _scan("positivity", grid, _off_half_skip("claims apply only off x = -1/2"), _positivity_terms, _positivity_margin)
+    skip = _off_half_skip("claims apply only off x = -1/2")
+    return _scan(
+        "positivity", grid, skip, _positivity_terms, _positivity_margin, lambda point: 0 if point.x < _MINUS_HALF else 2
+    )
 
 
 def turan_value(n: int, at: EvalPoint) -> Fraction:
@@ -330,4 +351,4 @@ def scan_conjecture(grid: GridSpec) -> ScanReport:
     degenerates to equality at some boundary points, and this scanner
     records rather than resolves that.
     """
-    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_signs, _turan_margin)
+    return _scan("turan-conjecture", grid, _conjecture_skip, _turan_signs, _turan_margin, lambda point: 1)

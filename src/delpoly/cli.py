@@ -2,13 +2,15 @@
 suites, and conjecture scans.
 
 Rationals cross this boundary as exact "p/q" strings, never decimals.
-Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage error,
+141 stdout closed before the output was written (as by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from .verify import DEFAULT_DEPTHS, SuiteConfig, run_suite, suite_passed
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a program SIGPIPE ends
 
 
 def _argument(convert):
@@ -258,7 +261,15 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(_join_negative_values(argv))
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device, so that the
+        # interpreter's last flush of what is left raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

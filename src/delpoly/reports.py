@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,21 +97,87 @@ class VerifyReport:
         return json_line(out)
 
 
+class ZeroHits(Sequence):
+    """A scan's zero hits, held as runs of consecutive n at one point.
+
+    The run (first, last, point) stands for the hits (n, *point) for n from
+    first to last; (None, None, hit) stands for ``hit`` alone, as each hit of
+    a tuple passed to ``ScanReport`` is held.  ``len`` and ``in`` read the
+    runs without expanding them; iteration, indexing and ``==`` (with a
+    tuple or another ``ZeroHits``) see the hits one by one."""
+
+    def __init__(self, runs=()):
+        self.runs = tuple(runs)
+        self._len = sum(1 if first is None else last - first + 1 for first, last, _ in self.runs)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for first, last, point in self.runs:
+            if first is None:
+                yield point
+            else:
+                yield from ((n, *point) for n in range(first, last + 1))
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __contains__(self, hit):
+        return any(
+            hit == point
+            if first is None
+            else isinstance(hit, tuple) and hit[1:] == point and hit[0] in range(first, last + 1)
+            for first, last, point in self.runs
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ZeroHits)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ZeroHits({self.runs!r})"
+
+    def json_items(self) -> str:
+        """The hits as ``json_line`` writes a tuple of them, without the
+        brackets.  Each run's point is encoded once, and its n are joined
+        in blocks of 4096, so that at most 4096 strings of single n exist
+        at once."""
+        parts = []
+        for first, last, point in self.runs:
+            if first is None:
+                parts.append(json_line(point))
+                continue
+            tail = ", " + json_line(point)[1:]  # ', "r", "x"]'
+            for start in range(first, last + 1, 4096):
+                parts.append("[" + f"{tail}, [".join(map(str, range(start, min(start + 4096, last + 1)))) + tail)
+        return ", ".join(parts)
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of an exact sign scan over a rational parameter grid.
 
     ``violations`` are points where the claimed-positive quantity came out
     strictly negative; ``zero_hits`` are points where a strict inequality
-    degenerated to exact equality.  The two lists are disjoint by
+    degenerated to exact equality, each (n, r, x), held as ``ZeroHits``
+    (a tuple passed in is held hit by hit).  The two lists are disjoint by
     construction.
     """
 
     claim_id: str
     grid: dict
     violations: tuple = ()
-    zero_hits: tuple = ()
+    zero_hits: ZeroHits = ZeroHits()
     skipped: tuple = ()
+
+    def __post_init__(self):
+        if not isinstance(self.zero_hits, ZeroHits):
+            object.__setattr__(self, "zero_hits", ZeroHits((None, None, hit) for hit in self.zero_hits))
 
     @property
     def passed(self) -> bool:
@@ -122,14 +189,15 @@ class ScanReport:
         return json.loads(self.to_json_line())
 
     def to_json_line(self) -> str:
-        """The report as one JSON line."""
-        return json_line(
+        """The report as one JSON line.  ``zero_hits`` sorts after every
+        other key, so its array, written from the runs, ends the line."""
+        head = json_line(
             {
                 "id": self.claim_id,
                 "grid": self.grid,
                 "passed": self.passed,
                 "violations": self.violations,
-                "zero_hits": self.zero_hits,
                 "skipped": self.skipped,
             }
         )
+        return f'{head[:-1]}, "zero_hits": [{self.zero_hits.json_items()}]}}'

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from delpoly import analysis
 from delpoly.analysis import (
     GridSpec,
     check_positivity,
@@ -128,6 +129,44 @@ def test_product_lower_bound_skips_out_of_domain_points():
 def test_scan_that_checks_nothing_is_an_error(scan, grid):
     with pytest.raises(ValueError, match=r"no \(n, point\) pair checked"):
         scan(grid)
+
+
+@pytest.mark.parametrize("scan", [scan_conjecture, check_positivity, check_product_lower_bound])
+@pytest.mark.parametrize("grid", [((0,), (0,), 3), None], ids=["tuple", "None"])
+def test_scans_reject_a_grid_that_is_not_a_gridspec(scan, grid):
+    # These used to raise a bare AttributeError on grid.points.
+    with pytest.raises(ValueError, match="GridSpec"):
+        scan(grid)
+
+
+def test_no_pair_checked_exactly_where_the_dense_kernels_yield_nothing():
+    # The scans count pairs from each claim's n range; the dense kernels
+    # yield one (n, t) per pair, so the two must agree on when none is checked.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def values(low, high):
+        return st.lists(st.fractions(min_value=low, max_value=high, max_denominator=4), min_size=1, max_size=3, unique=True)
+
+    scans = [
+        (scan_conjecture, analysis._turan_terms, analysis._conjecture_skip),
+        (check_positivity, analysis._positivity_terms, analysis._off_half_skip("")),
+        (check_product_lower_bound, analysis._lower_bound_terms, analysis._off_half_skip("")),
+    ]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(r=values(-1, 2), x=values(-2, 1), n_max=st.integers(min_value=0, max_value=3))
+    def check(r, x, n_max):
+        grid = GridSpec(tuple(r), tuple(x), n_max)
+        for scan, terms, skip in scans:
+            dense = sum(len(list(terms(at, n_max))) for at in grid.points() if skip(at) is None)
+            if dense:
+                scan(grid)
+            else:
+                with pytest.raises(ValueError, match=r"no \(n, point\) pair checked"):
+                    scan(grid)
+
+    check()
 
 
 def test_positivity_examples():

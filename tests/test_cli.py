@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from delpoly.analysis import GridSpec
+import delpoly
 from delpoly.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CLAIM_FAILED,
     EXIT_OK,
     EXIT_USAGE,
@@ -350,6 +354,26 @@ def test_scan_violation_exits_one(capsys, monkeypatch):
     assert code == EXIT_CLAIM_FAILED
     assert out.startswith("FAIL")
     assert "violation at n=1" in out
+
+
+def test_scan_into_a_closed_pipe_exits_quietly():
+    # As `delpoly scan --format json | head -c 40` does once head is gone.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(delpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "delpoly.cli", "scan", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_BROKEN_PIPE
 
 
 def test_scan_malformed_grid_file(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_scan_json_matches_golden_bytes(argv, golden):
 
 def test_scan_violation_line_matches_golden_bytes():
     grid = GridSpec((Fraction(4),), (Fraction(16, 25),), 200)
-    report = _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin)
+    report = _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin, lambda point: 1)
     assert report.violations[0][0] == 149
     assert (report.to_json_line() + "\n").encode() == (GOLDEN / "scan_violations.jsonl").read_bytes()
 

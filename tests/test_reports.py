@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 
 from delpoly.exactnum import format_rational
-from delpoly.reports import Mode, ScanReport, VerifyReport, json_line
+from delpoly.analysis import GridSpec, _scan
+from delpoly.dcore import EvalPoint
+from delpoly.reports import Mode, ScanReport, VerifyReport, ZeroHits, json_line
 
 
 def _old_json_safe(value):
@@ -146,3 +148,67 @@ def test_repeated_and_equal_fractions_keep_their_text():
     value = [half, also_half, half, [big, {"x": also_half, "y": -big}], Fraction(-1, 2)]
     assert json_line(value) == json.dumps(_old_json_safe(value), sort_keys=True)
     assert json.loads(json_line(value)) == ["1/2", "1/2", "1/2", [format_rational(big), {"x": "1/2", "y": format_rational(-big)}], "-1/2"]
+
+
+def test_runs_match_the_expanded_hits():
+    # A scan's zero hits are held as runs; a report given them as one tuple,
+    # hit by hit, must be equal to it and write the same bytes.  Each point's
+    # signs are drawn per n: a negative one breaks a run.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    points = st.lists(st.tuples(st.fractions(max_denominator=9), st.fractions(max_denominator=9)), max_size=4, unique=True)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        points=points,
+        n_max=st.integers(min_value=1, max_value=12),
+        signs=st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=48, max_size=48),
+    )
+    def check(points, n_max, signs):
+        r_values = tuple(dict.fromkeys(r for r, _ in points)) or (Fraction(0),)
+        x_values = tuple(dict.fromkeys(x for _, x in points)) or (Fraction(0),)
+        grid = GridSpec(r_values, x_values, n_max)
+        chosen = {EvalPoint(r, x) for r, x in points}
+        drawn = {at: signs[(i * n_max) % 48 :][:n_max] for i, at in enumerate(grid.points())}
+
+        def terms(at, n_max):
+            return ((n, t) for n, t in enumerate(drawn[at], 1) if t <= 0)
+
+        def skip(at):
+            return None if at in chosen else "not drawn"
+
+        def margin(d, n, at):
+            return Fraction(-1)
+
+        first_n = lambda at: 1  # noqa: E731
+        if not chosen:
+            with pytest.raises(ValueError):
+                _scan("claim", grid, skip, terms, margin, first_n)
+            return
+        report = _scan("claim", grid, skip, terms, margin, first_n)
+        hits = tuple((n, at.r, at.x) for at in grid.points() if at in chosen for n, t in terms(at, n_max) if t == 0)
+        expanded = ScanReport(report.claim_id, report.grid, report.violations, hits, report.skipped)
+        assert report == expanded and report.zero_hits == hits and tuple(report.zero_hits) == hits
+        assert report.to_json_line() == expanded.to_json_line()
+        assert len(report.zero_hits) == len(hits)
+        assert all(hit in report.zero_hits for hit in hits)
+        assert (n_max + 1, Fraction(0), Fraction(0)) not in report.zero_hits
+        runs = report.zero_hits.runs
+        assert all(a[1] + 1 < b[0] or a[2] != b[2] for a, b in zip(runs, runs[1:]))
+
+    check()
+
+
+def test_runs_with_no_hits_and_across_points():
+    assert ZeroHits() == () and len(ZeroHits()) == 0 and ZeroHits().json_items() == ""
+    half, zero = Fraction(1, 2), Fraction(0)
+    hits = ZeroHits([(1, 3, (half, zero)), (2, 2, (zero, -half)), (None, None, (5, half, half))])
+    want = ((1, half, zero), (2, half, zero), (3, half, zero), (2, zero, -half), (5, half, half))
+    assert hits == want and len(hits) == 5 and hits[3] == want[3] and hits[-1] == want[-1]
+    assert f"[{hits.json_items()}]" == json_line(want)
+    assert (2, half, 0) in hits and (4, half, 0) not in hits and (2.0, half, 0) in hits and [2, half, 0] not in hits
+    assert hits != list(want) and hits != want[:-1]
+    # n is joined in blocks of 4096; a run of 9000 spans three.
+    long = ZeroHits([(1, 9000, (half, zero)), (9002, 9002, (half, zero))])
+    assert f"[{long.json_items()}]" == json_line(tuple(long)) and len(long) == 9001

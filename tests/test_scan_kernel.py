@@ -255,32 +255,41 @@ def _wrong_divisor_for_T(monkeypatch):
 def test_a_block_divisor_that_does_not_divide_raises(monkeypatch, patch, turan_raises):
     # A divisor with one prime too many must stop the scan, not floor the
     # value: 1009 divides no value divided at n = 64 at the first point.
-    patch(monkeypatch)
+    # The Turán scan runs the squared state only at r <= -1/2, outside its
+    # region, so it is run there unrestricted.
     grid = GridSpec((Fraction(0), Fraction(1, 4)), (Fraction(-1), Fraction(-3, 8)), 70)
+    exact_grid = GridSpec((Fraction(-3, 4),), (Fraction(-3, 8),), 70)
+
+    def exact_scan():
+        return _scan("turan-conjecture", exact_grid, lambda point: None, _turan_signs, _turan_margin, lambda point: 1)
+
+    want = exact_scan().to_json_line()
+    patch(monkeypatch)
     with pytest.raises(ArithmeticError):
         check_product_lower_bound(grid)
     if turan_raises:
         with pytest.raises(ArithmeticError):
-            scan_conjecture(grid)
+            exact_scan()
     else:
-        assert scan_conjecture(grid).passed
+        assert exact_scan().to_json_line() == want
+    assert scan_conjecture(grid).passed
 
 
 @pytest.mark.parametrize(
-    "claim_id, terms, margin, wrong",
+    "claim_id, terms, margin, first_n, wrong",
     [
         # (-1)^n d_n changes sign with d; the quadratic Turán value is 0 at d = 0.
-        ("positivity", _positivity_terms, _positivity_margin, lambda d: (-v for v in d)),
-        ("turan-conjecture", _turan_terms, _turan_margin, lambda d: (Fraction(0) for _ in d)),
+        ("positivity", _positivity_terms, _positivity_margin, lambda point: 0, lambda d: (-v for v in d)),
+        ("turan-conjecture", _turan_terms, _turan_margin, lambda point: 1, lambda d: (Fraction(0) for _ in d)),
     ],
     ids=["positive", "zero"],
 )
-def test_a_violation_whose_value_is_not_negative_raises(monkeypatch, claim_id, terms, margin, wrong):
+def test_a_violation_whose_value_is_not_negative_raises(monkeypatch, claim_id, terms, margin, first_n, wrong):
     d_values = analysis._d_values
     monkeypatch.setattr(analysis, "_d_values", lambda at: wrong(d_values(at)))
     grid = GridSpec((Fraction(-5, 2),), (Fraction(-2),), 6)
     with pytest.raises(ArithmeticError, match=rf"^{claim_id}: .* n=\d+, r=-5/2, x=-2 "):
-        _scan(claim_id, grid, lambda point: None, terms, margin)
+        _scan(claim_id, grid, lambda point: None, terms, margin, first_n)
 
 
 # -- a plain Fraction reference scan ----------------------------------------
@@ -387,6 +396,10 @@ def test_mixed_grid_hits_every_skip_reason():
     }
 
 
+def _positivity_first_n(point):
+    return 0 if point.x < MINUS_HALF else 2
+
+
 def _unrestricted_reports(n_max: int) -> dict[str, ScanReport]:
     # Scanning the mixed grid without the claims' domain restrictions makes
     # the scan driver itself build and report violations; the product lower
@@ -398,13 +411,13 @@ def _unrestricted_reports(n_max: int) -> dict[str, ScanReport]:
         return None
 
     cases = [
-        ("turan-conjecture", _turan_terms, _turan_margin, _turan_reference),
-        ("positivity", _positivity_terms, _positivity_margin, _positivity_reference),
-        ("product-lower-bound", _lower_bound_terms, _lower_bound_margin, _lower_bound_reference),
+        ("turan-conjecture", _turan_terms, _turan_margin, _turan_reference, lambda point: 1),
+        ("positivity", _positivity_terms, _positivity_margin, _positivity_reference, _positivity_first_n),
+        ("product-lower-bound", _lower_bound_terms, _lower_bound_margin, _lower_bound_reference, lambda point: 2),
     ]
     reports = {}
-    for claim_id, terms, margin, reference in cases:
-        report = _scan(claim_id, grid, no_skip, terms, margin)
+    for claim_id, terms, margin, reference, first_n in cases:
+        report = _scan(claim_id, grid, no_skip, terms, margin, first_n)
         _assert_same_line(report.to_json_line(), _reference_scan(claim_id, grid, no_skip, reference))
         assert report.violations
         reports[claim_id] = report
@@ -435,7 +448,7 @@ def test_violation_values_extend_d_only_to_the_last_violation(monkeypatch):
 
     def violations(at, n_max):
         grid = GridSpec((at.r,), (at.x,), n_max)
-        return _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin).violations
+        return _scan("turan-conjecture", grid, lambda point: None, _turan_signs, _turan_margin, lambda point: 1).violations
 
     d_values = analysis._d_values
     monkeypatch.setattr(analysis, "_d_values", spy)
