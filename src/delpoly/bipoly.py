@@ -475,15 +475,15 @@ def sum_products(pairs) -> BiPoly:
     decoded operand brings its exact max and sum of |c| (see ``_factor``);
     an undecoded one brings the bounds of the call that made it.  The sum
     over the pairs of scale times that minimum, plus a sign bit, rounded
-    up to whole 8-byte words, holds every signed coefficient, so
+    up to whole 16-byte words, holds every signed coefficient, so
     decoding is exact.  That sum and the sum of scale * ||a||_1 *
     ||b||_1 (which bounds ||a*b||_1) are the result's own bounds.
 
     Each polynomial is packed once per width: an operand keeps the rows it
     was packed to (see ``_Slots.pack``), and the result keeps this call's
-    output rows.  The rounding to words is what lets a recurrence reuse
-    them: the width of a recurrence step grows by a byte or so per step,
-    the rounded width only once per eight bytes.
+    output rows, and a row that several operands hold is re-slotted once.
+    The rounding is what lets a recurrence reuse rows: its bound grows ~5
+    bits a step, so the width moves about once in 20 steps.
     """
     factors = []
     for a, b in pairs:
@@ -498,7 +498,11 @@ def sum_products(pairs) -> BiPoly:
         scale = den // (da * db)
         bound += scale * min(one_a * inf_b, inf_a * one_b)
         one += scale * one_a * one_b
-    slots = _Slots(8 * ((bound.bit_length() + 64) // 64))  # sign bit included
+    # Whole 16-byte words, sign bit included.  A recurrence's bound grows ~5
+    # bits a step and a re-slot costs ~1.5 steps: a cold three-term build to
+    # 250 re-slots 24 times, and 50 at 8-byte words, which made routes ~10%
+    # slower.  24-byte words were no faster; 32 slowed the suite by 3%.
+    slots = _Slots(16 * ((bound.bit_length() + 128) // 128))
     unit = 8 * slots.width
     rows: dict[int, int] = {}
     for fa, fb in factors:
@@ -550,7 +554,8 @@ def _parity_parts(p: BiPoly, parity: int) -> tuple[BiPoly, BiPoly]:
     An undecoded ``p`` is read from one snapshot of its packed form, as
     ``_factor`` reads it, and is not decoded: each part is undecoded, its
     rows those of ``p`` at ``p``'s width over ``p``'s denominator, with
-    ``p``'s bounds, which bound any subset of its terms.  A decoded ``p``
+    ``p``'s bounds, which bound any subset of its terms; a call that
+    re-slots ``p`` gives them ``p``'s re-slotted rows.  A decoded ``p``
     has its coefficient dict split.
     """
     packed = p._packed
@@ -576,11 +581,12 @@ class _Slots:
     bit length (see ``_to_bytes``).
     """
 
-    __slots__ = ("width", "_signs")
+    __slots__ = ("width", "_signs", "_moved")
 
     def __init__(self, width: int):
         self.width = width
         self._signs = [0]  # _signs[s]: the sign bit of each of s slots set
+        self._moved = {}  # (old width, id(row)): (row, moved row); holding row keeps its id unique
 
     def _sign_bits(self, count: int) -> int:
         signs = self._signs
@@ -645,20 +651,26 @@ class _Slots:
         Each two's-complement slot keeps its low min(width, old_width) bytes,
         padded with its sign byte if it grows.  Dropped top bytes are sign
         bytes whenever the value fits the narrower slot, as every
-        coefficient of a call's operands fits that call's width.
+        coefficient of a call's operands fits that call's width.  Each row
+        is moved once per ``_Slots``: the parity views of ``_parity_parts``
+        take the very ints p's rows were moved to.
         """
-        width, old = self.width, _Slots(old_width)
+        width, old, moved = self.width, _Slots(old_width), self._moved
         keep = min(width, old_width)
         pads = (bytes(width - keep), b"\xff" * (width - keep))
         out = {}
         for x, packed in rows.items():
-            data = old._to_bytes(packed)
-            slots = [
-                data[i : i + keep] + pads[data[i + keep - 1] >> 7]
-                for i in range(0, len(data), old_width)
-            ]
-            raw = int.from_bytes(b"".join(slots), "little")
-            out[x] = raw - ((raw & self._sign_bits(len(slots))) << 1)
+            key = old_width, id(packed)
+            held = moved.get(key)
+            if held is None:
+                data = old._to_bytes(packed)
+                slots = [
+                    data[i : i + keep] + pads[data[i + keep - 1] >> 7]
+                    for i in range(0, len(data), old_width)
+                ]
+                raw = int.from_bytes(b"".join(slots), "little")
+                held = moved[key] = packed, raw - ((raw & self._sign_bits(len(slots))) << 1)
+            out[x] = held[1]
         return out
 
     def unpack(self, x: int, packed: int, out: dict[Key, int]) -> None:

@@ -9,6 +9,7 @@ from math import comb, gcd
 
 import pytest
 
+from delpoly import dcore
 from delpoly.bipoly import BiPoly, _parity_parts, _Slots, binom_poly, sum_products
 from delpoly.dcore import Route, _two_term_step, clear_caches, d_sequence
 from oracles import is_decoded
@@ -345,6 +346,7 @@ def schoolbook_sum(pairs) -> BiPoly:
 
 
 WIDE = 2**63 - 1  # the largest |coefficient| an 8-byte slot holds
+WIDE16 = 2**127 - 1  # the largest |coefficient| a 16-byte slot holds
 
 SUM_CASES = {
     "no pairs": [],
@@ -373,15 +375,18 @@ SUM_CASES = {
     # term products, so it needs the term-count factor of the slot width.
     "slot bound met exactly": [(2**63 * (1 + R), 2**63 * (1 + R))],
     "negative slot bound met exactly": [(2**63 * (1 + R), -(2**63) * (1 + R))],
-    "widest coefficients of one slot": [(WIDE * (1 - X * R**2), BiPoly.one())],
+    "widest coefficients of one slot": [(WIDE16 * (1 - X * R**2), BiPoly.one())],
     "d_n recurrence step": [((1 + 2 * X) / 3, 2 * X**2 + 2 * X + R + 1), ((1 + 2 * R) / 3, 1 + 2 * X)],
-    # Slot bounds of bit length 63, 64, 127 and 128, each met by an output
-    # coefficient: a bound of b bits needs b + 1 with the sign, so 63 and 127
-    # fill whole 8-byte words and 64 and 128 need one word more.
+    # Slot bounds of bit length 63, 64, 127, 128, 255 and 256, each met by an
+    # output coefficient: a bound of b bits needs b + 1 with the sign, so 127
+    # and 255 fill whole 16-byte words and 128 and 256 need one word more;
+    # 63 and 64 both fit one word.
     "63-bit slot bound": [(BiPoly.const(WIDE), X - R)],
     "64-bit slot bound": [(WIDE * X, -R), (WIDE * R, -X)],
-    "127-bit slot bound": [(BiPoly.const(-(2**127 - 1)), X - R)],
-    "128-bit slot bound": [((2**127 - 1) * X, R), ((2**127 - 1) * R, X)],
+    "127-bit slot bound": [(BiPoly.const(-WIDE16), X - R)],
+    "128-bit slot bound": [(WIDE16 * X, R), (WIDE16 * R, X)],
+    "255-bit slot bound": [(BiPoly.const(-(2**255 - 1)), X - R)],
+    "256-bit slot bound": [((2**255 - 1) * X, -R), ((2**255 - 1) * R, -X)],
 }
 
 
@@ -495,12 +500,12 @@ def test_packed_rows_follow_the_call_width():
         assert got.to_text() == want.to_text()
         assert rows_decode_to_coefficients(p) and rows_decode_to_coefficients(got)
         widths.append(p._packed[0])
-    assert widths[0] == widths[2] == 8 < widths[1]
+    assert widths == [16, 48, 16]
 
 
 def test_undecoded_operand_reslots_wider_then_narrower():
     # An undecoded sum used in a wide call and then in a narrow one: its
-    # rows are re-slotted from 8 bytes to 40 and back to 8, the second move
+    # rows are re-slotted from 16 bytes to 48 and back to 16, the second move
     # dropping each slot's top bytes, and both sums stay exact.
     p, step = (X + R - 3) ** 4, X - 2 * R + 5
     u, want_u = sum_products([(p, step)]), schoolbook_sum([(p, step)])
@@ -509,7 +514,27 @@ def test_undecoded_operand_reslots_wider_then_narrower():
         assert sum_products([(u, other)]) == schoolbook_sum([(want_u, other)])
         assert not is_decoded(u) and same_value(*packed_value(u), want_u)
         widths.append(u._packed[0])
-    assert widths == [8, 40, 8]
+    assert widths == [16, 48, 16]
+
+
+@pytest.mark.parametrize("bits", [126, 127, 128, 254, 255, 256])
+def test_slot_width_at_the_16_byte_word_boundaries(bits):
+    # Bounds one below, equal to and one above the 16-byte boundaries: with
+    # the sign bit, 127 and 255 bits fill whole words and 128 and 256 need
+    # one more.  Every output coefficient is +bound or -bound, packed from a
+    # dict and then re-slotted from an undecoded result into the next words
+    # up and down, and each sum stays exact.
+    big = 2**bits - 1
+    width = 16 * (bits // 128 + 1)
+    p = big * (1 - R + X - X * R**2)  # four terms, so packed
+    u = sum_products([(p, BiPoly.one())])
+    assert u._packed[0] == width and same_value(*packed_value(u), p)
+    assert {abs(c) for _, c in packed_value(u)[0].items()} == {big}
+    for scale, moved in ((2**128, width + 16), (1, width), (2, 16 * ((bits + 1) // 128 + 1))):
+        got = sum_products([(u, BiPoly.const(scale))])
+        assert u._packed[0] == got._packed[0] == moved, scale
+        assert not is_decoded(u) and same_value(*packed_value(u), p)
+        assert got == p * scale
 
 
 def test_only_an_undecoded_mirror_carries_rows():
@@ -526,7 +551,7 @@ def test_only_an_undecoded_mirror_carries_rows():
     assert u.subst_neg_x() == want
 
 
-@pytest.mark.parametrize("width", [1, 8, 16, 24])
+@pytest.mark.parametrize("width", [1, 8, 16, 24, 32, 48])
 def test_slot_count_is_read_off_the_bit_length(width):
     # A packed row stores no degree in r: with every |c| < 2^(8*width - 1),
     # the bit length of a row whose top nonzero slot is t lies in
@@ -571,7 +596,7 @@ def test_chained_recurrence_steps_match_plain_ring_ops():
         want_prev, want_cur = want_cur, (1 + 2 * X) / n * want_cur + (m + 2 * R) / n * want_prev
         assert cur == want_cur, m
         assert rows_decode_to_coefficients(cur)
-    assert cur._packed[0] >= 24  # three words or more by d_41
+    assert cur._packed[0] >= 32  # two 16-byte words or more by d_41
 
     d = want = BiPoly.one()
     for n in range(1, 41):
@@ -627,6 +652,29 @@ def test_parity_step_matches_the_mirror_form():
             assert got * n == (X + R + n) * p + (-1) ** (n - 1) * (X - R) * mirror, n
 
     check()
+
+
+def test_parity_views_take_the_rows_p_is_reslotted_to(monkeypatch):
+    # The two-term step hands sum_products P = d_{n-1} and its views S and O,
+    # which hold P's row ints at P's width.  Where the call's width differs,
+    # P's rows are moved once: S and O take the very ints P's rows became,
+    # and each row's bytes are read once (_reslot's one _to_bytes per row).
+    views, reads = [], []
+    parts, to_bytes = dcore._parity_parts, _Slots._to_bytes
+    monkeypatch.setattr(dcore, "_parity_parts", lambda p, parity: views.append(parts(p, parity)) or views[-1])
+    monkeypatch.setattr(_Slots, "_to_bytes", lambda self, row: reads.append(row) or to_bytes(self, row))
+    p, moves = _two_term_step(BiPoly.one(), 1), 0
+    for n in range(2, 90):
+        width, rows = p._packed[0], len(p._packed[1])
+        del reads[:]
+        p, prev = _two_term_step(p, n), p
+        same, rest = views[-1]
+        assert not is_decoded(prev) and prev._packed[0] == p._packed[0]
+        for view in (same, rest):
+            assert all(row is prev._packed[1][x] for x, row in view._packed[1].items()), n
+        moves += width != p._packed[0]
+        assert len(reads) == (rows if width != p._packed[0] else 0), n
+    assert moves >= 3  # 16 -> 32 -> 48 -> 64 bytes by d_89
 
 
 def test_sum_products_over_a_shared_operand_pool():

@@ -78,7 +78,7 @@ def test_five_route_agreement_small():
 
 
 def test_recurrence_routes_agree_where_the_slot_width_crosses_words():
-    # To n = 72 the packed slot width of d_n grows through several 8-byte
+    # To n = 72 the packed slot width of d_n grows through three 16-byte
     # words, so each route reuses cached rows at one width and repacks at
     # the next.
     clear_caches()

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from delpoly import verify
-from delpoly.bipoly import BiPoly, binom_poly, binom_row, sum_products
+from delpoly.bipoly import BiPoly, _Slots, binom_poly, binom_row, sum_products
 from delpoly.dcore import EvalPoint, Route, _jacobi_sum, clear_caches, d_direct, d_sequence, jacobi_eval, meixner_eval
 from delpoly.exactnum import binom_gen
 from delpoly.hyper import clausen_product_sides, hyper_eval
@@ -135,6 +135,38 @@ def test_recurrences_hand_cases():
     # (1+2r) = (1+r-x)(1+2x) - (x-r)(1-2x)
     assert (1 + R - X) * (1 + 2 * X) - (X - R) * (1 - 2 * X) == 1 + 2 * R
     assert verify_recurrences(8).passed
+
+
+def test_recurrences_pack_each_operand_once(monkeypatch):
+    # With DIRECT d_0..d_26 built and decoded, verify_recurrences(25) sums
+    # 103 operand packs: each d_n is read by the three-term sums at n and
+    # n+1 and the two-term sum at n, each mirror by its two-term sum.  Every
+    # call must find the rows an earlier call left (same width and
+    # denominator), so d_0..d_25 and their 26 mirrors are packed once each
+    # (d_26 is only scaled) and nothing is re-slotted.
+    clear_caches()
+    for p in d_sequence(Route.DIRECT, 26).polys:
+        p.to_text()
+    calls, packed, pack = [], [], _Slots.pack
+
+    def counting_pack(self, p, den, rows):
+        calls.append(p)
+        cached = p._packed
+        if cached is None or cached[0] != self.width or cached[2] != den:
+            packed.append(p)
+        return pack(self, p, den, rows)
+
+    def refuse(self, old_width, rows):
+        raise AssertionError("re-slotted")
+
+    monkeypatch.setattr(_Slots, "pack", counting_pack)
+    monkeypatch.setattr(_Slots, "_reslot", refuse)
+    try:
+        assert verify_recurrences(25).passed
+    finally:
+        clear_caches()
+    assert len(calls) == 103
+    assert len(packed) == len({id(p) for p in packed}) == 52
 
 
 def test_special_values_hand_cases():
